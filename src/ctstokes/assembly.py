@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (DofLayout, QuadratureRule, edge_rule, element_maps, eval_p1,
-                  eval_p2, physical_gradients, physical_hessians, triangle_rule)
+                  eval_p2, physical_gradients, triangle_rule)
 from .geometry import LevelSetDomain, project_points
 from .mesh import CtMesh
 
@@ -48,18 +48,14 @@ class BoundaryQuadData:
     derivatives, and mu the three multiplier shapes at the rule points.
     """
 
-    rule: QuadratureRule
-    tris: np.ndarray          # (B,) owning micro triangle
     normals: np.ndarray       # (B, 2)
     lengths: np.ndarray       # (B,)
     points: np.ndarray        # (B, Q, 2)
     ds: np.ndarray            # (B, Q) physical weights
     x_star: np.ndarray        # (B, Q, 2)
     delta: np.ndarray         # (B, Q)
-    dirs: np.ndarray          # (B, Q, 2)
     vals: np.ndarray          # (B, Q, 6)
     grads: np.ndarray         # (B, Q, 6, 2)
-    hess: np.ndarray          # (B, 6, 2, 2)
     sh: np.ndarray            # (B, Q, 6)
     dn: np.ndarray            # (B, Q, 6)
     mu: np.ndarray            # (Q, 3)
@@ -120,34 +116,10 @@ def build_boundary_data(ct: CtMesh, layout: DofLayout, dom: LevelSetDomain,
     mu = edge_shape_values(t)
     elem_nodes = layout.elem_nodes[tris]
     edge_mult = layout.edge_mult
-    return BoundaryQuadData(rule=rule, tris=tris, normals=normals,
-                            lengths=lengths, points=points, ds=ds,
-                            x_star=x_star, delta=delta, dirs=dirs, vals=vals,
-                            grads=grads, hess=hess, sh=sh, dn=dn, mu=mu,
+    return BoundaryQuadData(normals=normals, lengths=lengths, points=points,
+                            ds=ds, x_star=x_star, delta=delta, vals=vals,
+                            grads=grads, sh=sh, dn=dn, mu=mu,
                             elem_nodes=elem_nodes, edge_mult=edge_mult)
-
-
-def eval_sh_trace(ct: CtMesh, layout: DofLayout, dom: LevelSetDomain,
-                  edge, t: float):
-    """Corrected traces of the owning element's basis at one edge point.
-
-    Returns (values (6,), transfer sample) for the edge parameter t in
-    [0, 1]; used for spot checks, the bulk path tabulates everything at once.
-    """
-    from .geometry import project_to_boundary
-
-    pa, pb = ct.vertices[edge.a], ct.vertices[edge.b]
-    x = pa + t * (pb - pa)
-    sample = project_to_boundary(dom, x, fallback_dir=edge.normal)
-    J, det, inv, invT = element_maps(ct)
-    k = edge.tri
-    ref = inv[k] @ (x - ct.vertices[ct.triangles[k, 0]])
-    basis = eval_p2(ref[None, :])
-    grads = basis.grads[0] @ inv[k]          # J^{-T} grad_ref, row form
-    hess = np.einsum("ij,njk,kl->nil", invT[k], basis.hessians, inv[k])
-    vals = taylor_trace(basis.vals[0], grads, hess,
-                        np.asarray(sample.delta), np.asarray(sample.dir))
-    return vals, sample
 
 
 def _velocity_block_triplets(nodes_rows, nodes_cols, blocks):
@@ -240,16 +212,14 @@ def assemble_b(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
     return B_div, B_lam
 
 
-def assemble_be(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
-                vol_rule: Optional[QuadratureRule] = None):
-    """Continuity pairing with corrected velocity trace: (B_div, B_lam_e)."""
-    if vol_rule is None:
-        vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    r, c, d = _divergence_triplets(ct, layout, vol_rule)
-    B_div = sp.coo_matrix((d, (r, c)), shape=(layout.n_p, layout.n_u)).tocsr()
+def assemble_be(layout: DofLayout, bqd: BoundaryQuadData) -> sp.csr_matrix:
+    """Multiplier pairing with the corrected velocity trace: B_lam_e.
+
+    The divergence part of the corrected continuity pairing is B_div from
+    assemble_b; only the multiplier rows see the boundary correction.
+    """
     r, c, d = _multiplier_triplets(layout, bqd, bqd.sh)
-    B_lam_e = sp.coo_matrix((d, (r, c)), shape=(layout.n_lam, layout.n_u)).tocsr()
-    return B_div, B_lam_e
+    return sp.coo_matrix((d, (r, c)), shape=(layout.n_lam, layout.n_u)).tocsr()
 
 
 def assemble_constraints(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
@@ -323,8 +293,6 @@ class SaddleSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     layout: DofLayout
-    nu: float
-    sigma: float
 
 
 @dataclass
@@ -342,55 +310,18 @@ class SystemBlocks:
 
 
 def assemble_blocks(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
-                    sigma: float, vol_rule: Optional[QuadratureRule] = None,
-                    parallel: bool = False) -> SystemBlocks:
+                    sigma: float,
+                    vol_rule: Optional[QuadratureRule] = None) -> SystemBlocks:
     """Assemble every viscosity-independent block of the saddle system."""
     if vol_rule is None:
         vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    if parallel:
-        a_unit = _assemble_a_parallel(ct, layout, bqd, sigma, vol_rule)
-    else:
-        a_unit = assemble_a(ct, layout, bqd, 1.0, sigma, vol_rule)
+    a_unit = assemble_a(ct, layout, bqd, 1.0, sigma, vol_rule)
     B_div, B_lam = assemble_b(ct, layout, bqd, vol_rule)
-    _, B_lam_e = assemble_be(ct, layout, bqd, vol_rule)
+    B_lam_e = assemble_be(layout, bqd)
     m_q, m_mu, c_n = assemble_constraints(ct, layout, bqd, vol_rule)
     return SystemBlocks(a_unit=a_unit, B_div=B_div, B_lam=B_lam,
                         B_lam_e=B_lam_e, m_q=m_q, m_mu=m_mu, c_n=c_n,
                         sigma=sigma)
-
-
-def _assemble_a_parallel(ct, layout, bqd, sigma, vol_rule, chunks=4):
-    """Chunked variant of assemble_a; per-element work is independent, so the
-    result matches the sequential path entry for entry."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    J, det, inv, invT = element_maps(ct)
-    basis = eval_p2(vol_rule.points)
-    w = vol_rule.weights
-    bounds = np.linspace(0, ct.n_triangles, chunks + 1, dtype=int)
-
-    def work(k):
-        lo, hi = bounds[k], bounds[k + 1]
-        G = physical_gradients(basis.grads, invT[lo:hi])
-        Ke = np.einsum("q,m,mqic,mqjc->mij", w, det[lo:hi], G, G)
-        return _velocity_block_triplets(layout.elem_nodes[lo:hi],
-                                        layout.elem_nodes[lo:hi], Ke)
-
-    with ThreadPoolExecutor(max_workers=2) as ex:
-        parts = list(ex.map(work, range(chunks)))
-
-    Tb = (-np.einsum("bq,bqi,bqj->bij", bqd.ds, bqd.vals, bqd.dn)
-          + np.einsum("bq,bqi,bqj->bij", bqd.ds, bqd.dn, bqd.sh)
-          + sigma * np.einsum("bq,b,bqi,bqj->bij", bqd.ds, 1.0 / bqd.lengths,
-                              bqd.sh, bqd.sh))
-    parts.append(_velocity_block_triplets(bqd.elem_nodes, bqd.elem_nodes, Tb))
-    rows = np.concatenate([p[0] for p in parts])
-    cols = np.concatenate([p[1] for p in parts])
-    data = np.concatenate([p[2] for p in parts])
-    A = sp.coo_matrix((data, (rows, cols)),
-                      shape=(layout.n_u, layout.n_u)).tocsr()
-    A.sum_duplicates()
-    return A
 
 
 def compose_system(blocks: SystemBlocks, layout: DofLayout, nu: float,
@@ -407,24 +338,7 @@ def compose_system(blocks: SystemBlocks, layout: DofLayout, nu: float,
         [None, None, m_mu.T, None, None, None],
         [c_n.T, None, None, None, None, None],
     ], format="csr")
-    return SaddleSystem(matrix=A, rhs=rhs, layout=layout, nu=nu,
-                        sigma=blocks.sigma)
-
-
-def build_saddle_system(ct: CtMesh, layout: DofLayout, dom: LevelSetDomain,
-                        f: Callable, g: Optional[Callable], nu: float,
-                        sigma: float,
-                        vol_rule: Optional[QuadratureRule] = None,
-                        bqd: Optional[BoundaryQuadData] = None,
-                        parallel: bool = False) -> SaddleSystem:
-    """One-shot assembly of the full system for data (f, g)."""
-    if vol_rule is None:
-        vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    if bqd is None:
-        bqd = build_boundary_data(ct, layout, dom)
-    blocks = assemble_blocks(ct, layout, bqd, sigma, vol_rule, parallel=parallel)
-    rhs = assemble_rhs(f, g, ct, layout, bqd, nu, sigma, vol_rule)
-    return compose_system(blocks, layout, nu, rhs)
+    return SaddleSystem(matrix=A, rhs=rhs, layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -435,21 +349,12 @@ def gram_h1_velocity(ct: CtMesh, layout: DofLayout,
                      vol_rule: Optional[QuadratureRule] = None) -> sp.csr_matrix:
     """Gram matrix of the mesh-dependent H1 norm on the velocity space:
     grad L2 squared plus edge L2 terms weighted by 1/h_e."""
-    if vol_rule is None:
-        vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    J, det, inv, invT = element_maps(ct)
-    basis = eval_p2(vol_rule.points)
-    G = physical_gradients(basis.grads, invT)
-    Ke = np.einsum("q,m,mqic,mqjc->mij", vol_rule.weights, det, G, G)
-    r1, c1, d1 = _velocity_block_triplets(layout.elem_nodes, layout.elem_nodes, Ke)
+    K = assemble_a(ct, layout, bqd, 1.0, 0.0, vol_rule, include_boundary=False)
     Me = np.einsum("bq,b,bqi,bqj->bij", bqd.ds, 1.0 / bqd.lengths,
                    bqd.vals, bqd.vals)
-    r2, c2, d2 = _velocity_block_triplets(bqd.elem_nodes, bqd.elem_nodes, Me)
-    A = sp.coo_matrix((np.concatenate([d1, d2]),
-                       (np.concatenate([r1, r2]), np.concatenate([c1, c2]))),
-                      shape=(layout.n_u, layout.n_u)).tocsr()
-    A.sum_duplicates()
-    return A
+    r, c, d = _velocity_block_triplets(bqd.elem_nodes, bqd.elem_nodes, Me)
+    M = sp.coo_matrix((d, (r, c)), shape=(layout.n_u, layout.n_u)).tocsr()
+    return (K + M).tocsr()
 
 
 def gram_pressure_mass(ct: CtMesh, layout: DofLayout,

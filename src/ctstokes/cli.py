@@ -15,16 +15,17 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from . import verify
+from .fem import edge_rule, triangle_rule
 from .geometry import circle_domain, star_domain
 from .mesh import write_vtk
 from .solver import SolverError, dump_matrix_market, solve_direct
 from .verify import (build_level, compute_errors, infsup_estimate, paper_case,
-                     run_convergence, solve_on_level, write_json)
+                     run_convergence, write_json)
 
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
 DEFAULT_NUS = (1e-1, 1e-3, 1e-5)
@@ -53,7 +54,6 @@ class RunConfig:
     check_assumption: bool = False
     infsup: bool = False
     dump_matrix: bool = False
-    sequential: bool = True
 
     def validate(self) -> None:
         if self.domain not in ("star", "circle"):
@@ -68,6 +68,11 @@ class RunConfig:
             raise UsageError("viscosities must be positive")
         if self.radius <= 0:
             raise UsageError("radius must be positive")
+        try:
+            triangle_rule(self.quad_volume)
+            edge_rule(self.quad_edge)
+        except ValueError as exc:
+            raise UsageError(f"quadrature: {exc}") from exc
         bad = [f for f in self.formats if f not in ("csv", "json", "vtk")]
         if bad:
             raise UsageError(f"unknown output format(s): {', '.join(bad)}")
@@ -122,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--infsup", action="store_true", default=None)
         p.add_argument("--dump-matrix", action="store_true", default=None,
                        dest="dump_matrix")
+        # accepted for old command lines; assembly is always sequential
         p.add_argument("--sequential", action="store_true", default=None)
-        p.add_argument("--parallel", action="store_true", default=None)
     return parser
 
 
@@ -132,16 +137,19 @@ def parse_config(argv) -> tuple:
     args = _build_parser().parse_args(argv)
     cfg = RunConfig()
 
+    options = set(vars(args)) - {"command", "config"}
     file_values = _read_config_file(args.config) if args.config else {}
+    # the file may name a list option by its flag (nu, format)
+    aliases = {"nu": "nus", "format": "formats"}
+    file_values = {aliases.get(k, k): v for k, v in file_values.items()}
+    unknown = sorted(set(file_values) - options)
+    if unknown:
+        raise UsageError(f"{args.config}: unknown key(s): {', '.join(unknown)}")
     merged = dict(file_values)
-    for key in ("domain", "radius", "center", "levels", "nus", "sigma",
-                "quad_volume", "quad_edge", "out", "formats", "vtk",
-                "check_assumption", "infsup", "dump_matrix", "sequential"):
-        cli_val = getattr(args, key, None)
+    for key in options:
+        cli_val = getattr(args, key)
         if cli_val is not None:
             merged[key] = cli_val
-    if getattr(args, "parallel", None):
-        merged["sequential"] = False
 
     try:
         if "domain" in merged:
@@ -157,8 +165,6 @@ def parse_config(argv) -> tuple:
             cfg.levels = _parse_list(merged["levels"], int)
         if "nus" in merged:
             cfg.nus = _parse_list(merged["nus"], float)
-        if "nu" in merged:
-            cfg.nus = _parse_list(merged["nu"], float)
         if "sigma" in merged:
             cfg.sigma = float(merged["sigma"])
         if "quad_volume" in merged:
@@ -170,10 +176,7 @@ def parse_config(argv) -> tuple:
         if "formats" in merged:
             val = merged["formats"]
             cfg.formats = _parse_list(val, str) if isinstance(val, str) else list(val)
-        if "format" in merged:
-            cfg.formats = _parse_list(merged["format"], str)
-        for flag in ("vtk", "check_assumption", "infsup", "dump_matrix",
-                     "sequential"):
+        for flag in ("vtk", "check_assumption", "infsup", "dump_matrix"):
             if flag in merged:
                 val = merged[flag]
                 setattr(cfg, flag, val if isinstance(val, bool)
@@ -213,8 +216,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     ok = True
     reports = []
     for n in cfg.levels:
-        level = build_level(dom, n, cfg.sigma, cfg.quad_volume, cfg.quad_edge,
-                            parallel=not cfg.sequential)
+        level = build_level(dom, n, cfg.sigma, cfg.quad_volume, cfg.quad_edge)
         if cfg.check_assumption:
             rep = level.assumption
             print(f"n={n}: max delta_e/h_e = {rep.max_ratio:.4f} "
@@ -260,6 +262,8 @@ def cmd_converge(cfg: RunConfig) -> int:
     """Refinement study over all configured levels and viscosities."""
     if len(cfg.levels) < 2:
         raise UsageError("convergence study needs at least two levels")
+    if any(b <= a for a, b in zip(cfg.levels, cfg.levels[1:])):
+        raise UsageError("convergence levels must be strictly increasing")
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     dom = cfg.make_domain()
@@ -267,7 +271,6 @@ def cmd_converge(cfg: RunConfig) -> int:
     tables = run_convergence(dom, cfg.levels, cfg.nus, cfg.sigma,
                              quad_volume=cfg.quad_volume,
                              quad_edge=cfg.quad_edge,
-                             parallel=not cfg.sequential,
                              progress=print)
     ok = True
     for nu, table in sorted(tables.items()):

@@ -152,21 +152,20 @@ class DofLayout:
 
     def __init__(self, ct):
         self.ct = ct
-        self.edges, self.tri_edges, _ = _ct_edge_table(ct.triangles)
         self.n_mvert = ct.n_vertices
-        self.n_medge = len(self.edges)
+        self.n_medge = len(ct.edges)
         self.n_mtri = ct.n_triangles
         self.n_nodes = self.n_mvert + self.n_medge
         self.n_u = 2 * self.n_nodes
         self.n_p = 3 * self.n_mtri
 
         # velocity node coordinates: vertices then edge midpoints
-        mid = 0.5 * (ct.vertices[self.edges[:, 0]] + ct.vertices[self.edges[:, 1]])
+        mid = 0.5 * (ct.vertices[ct.edges[:, 0]] + ct.vertices[ct.edges[:, 1]])
         self.node_coords = np.vstack([ct.vertices, mid])
 
         # per-element velocity nodes in P2 local order (vertices, opposite midpoints)
         self.elem_nodes = np.concatenate(
-            [ct.triangles, self.n_mvert + self.tri_edges], axis=1)
+            [ct.triangles, self.n_mvert + ct.tri_edges], axis=1)
 
         # multiplier dofs: boundary vertices in loop order, then edge midpoints
         edges = ct.boundary_edges
@@ -199,15 +198,6 @@ class DofLayout:
         else:
             self.mult_coords = np.zeros((0, 2))
 
-    def u_dof(self, node, comp):
-        return 2 * np.asarray(node) + comp
-
-    def p_dof(self, tri, k):
-        return self.offset_p + 3 * np.asarray(tri) + k
-
-    def lam_dof(self, idx):
-        return self.offset_lam + np.asarray(idx)
-
     @property
     def alpha(self) -> int:
         return self.offset_scalar
@@ -219,16 +209,6 @@ class DofLayout:
     @property
     def gamma(self) -> int:
         return self.offset_scalar + 2
-
-
-def _ct_edge_table(triangles: np.ndarray):
-    raw = np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]],
-                          triangles[:, [0, 1]]], axis=0)
-    key = np.sort(raw, axis=1)
-    edges, inverse, counts = np.unique(key, axis=0, return_inverse=True,
-                                       return_counts=True)
-    tri_edges = inverse.reshape(3, len(triangles)).T
-    return edges, tri_edges, counts
 
 
 def build_dof_layout(ct) -> DofLayout:

@@ -14,7 +14,6 @@ transfer direction points from x toward y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -68,22 +67,6 @@ class LevelSetDomain:
             norms = np.linalg.norm(g, axis=-1)
             if np.any(norms <= 0.0) or not np.all(np.isfinite(norms)):
                 raise ValueError("level-set gradient vanishes inside the boundary band")
-
-
-@dataclass(frozen=True)
-class TransferSample:
-    """Boundary transfer data for one point of the computational boundary.
-
-    x lies on the computational boundary, x_star on the physical boundary;
-    delta = |x_star - x| and dir is the unit vector from x to x_star.  For
-    delta = 0 the direction degenerates and dir is the supplied fallback
-    (the owning edge normal in assembly contexts).
-    """
-
-    x: np.ndarray
-    x_star: np.ndarray
-    delta: float
-    dir: np.ndarray
 
 
 def star_domain() -> LevelSetDomain:
@@ -303,32 +286,3 @@ def project_points(dom: LevelSetDomain, pts: np.ndarray,
     pos = delta > 0.0
     direction[pos] = (y[pos] - x[pos]) / delta[pos, None]
     return y, delta, direction
-
-
-def project_to_boundary(dom: LevelSetDomain, x, seed=None,
-                        fallback_dir=None) -> TransferSample:
-    """Project a single point onto the physical boundary.
-
-    Args:
-        dom: level-set domain.
-        x: point on (or near) the computational boundary.
-        seed: optional Newton starting guess, defaults to x.
-        fallback_dir: unit direction reported when delta = 0 (callers pass
-            the outward edge normal); defaults to the normalized level-set
-            gradient at the projected point.
-
-    Returns:
-        TransferSample with residuals below the Newton tolerance.
-    """
-    x = np.asarray(x, dtype=float)
-    seeds = None if seed is None else np.asarray(seed, dtype=float)[None, :]
-    x_star, delta, direction = project_points(dom, x[None, :], seeds)
-    d0 = float(delta[0])
-    if d0 > 0.0:
-        dvec = direction[0]
-    elif fallback_dir is not None:
-        dvec = np.asarray(fallback_dir, dtype=float)
-    else:
-        g = np.asarray(dom.grad_phi(x_star[0]))
-        dvec = g / np.linalg.norm(g)
-    return TransferSample(x=x.copy(), x_star=x_star[0], delta=d0, dir=dvec)

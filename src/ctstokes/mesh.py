@@ -163,51 +163,25 @@ class BoundaryEdge:
     normal: np.ndarray
     tangent: np.ndarray
     length: float
-    loop: int
     delta_e: Optional[float] = None
 
 
-class CtMesh:
+class CtMesh(MacroMesh):
     """Barycentric refinement of a macro mesh (three micro triangles each)."""
 
     def __init__(self, macro: MacroMesh):
-        self.macro = macro
-        n_mv = macro.n_vertices
         bary = macro.vertices[macro.triangles].mean(axis=1)
-        self.vertices = np.vstack([macro.vertices, bary])
         T = macro.n_triangles
-        z = n_mv + np.arange(T)
+        z = macro.n_vertices + np.arange(T)
         t = macro.triangles
         micro = np.empty((3 * T, 3), dtype=np.int64)
         micro[0::3] = np.column_stack([t[:, 0], t[:, 1], z])
         micro[1::3] = np.column_stack([t[:, 1], t[:, 2], z])
         micro[2::3] = np.column_stack([t[:, 2], t[:, 0], z])
-        self.triangles = micro
+        super().__init__(np.vstack([macro.vertices, bary]), micro)
         self.parent = np.repeat(np.arange(T), 3)
-        self.n_macro_vertices = n_mv
         self.boundary_loops: List[List[BoundaryEdge]] = []
         self.boundary_edges: List[BoundaryEdge] = []
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_triangles(self) -> int:
-        return len(self.triangles)
-
-    def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def h_max(self) -> float:
-        p = self.vertices[self.triangles]
-        l0 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
-        l1 = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
-        l2 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
-        return float(np.max(np.stack([l0, l1, l2])))
 
 
 def clough_tocher(mesh: MacroMesh) -> CtMesh:
@@ -226,19 +200,16 @@ def extract_boundary(ct: CtMesh) -> List[List[BoundaryEdge]]:
     orientation induced by its counterclockwise owning triangle, which makes
     outer loops counterclockwise with outward normals to the right of travel.
     """
-    tris = ct.triangles
-    raw = np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]], axis=0)
-    owner = np.tile(np.arange(len(tris)), 3)
-    key = np.sort(raw, axis=1)
-    _, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
-    if np.any(counts > 2):
+    if np.any(ct.edge_counts > 2):
         raise MeshError("non-manifold boundary: an edge has more than two triangles")
-    on_boundary = counts[inverse] == 1
-    b_edges = raw[on_boundary]
-    b_owner = owner[on_boundary]
+    # (local edge k, owning triangle) of each single-triangle edge, k-major
+    # as in the edge table; local edge k runs from vertex k+1 to vertex k+2
+    k, owner = np.nonzero(ct.edge_counts[ct.tri_edges.T] == 1)
+    b_from = ct.triangles[owner, (k + 1) % 3]
+    b_to = ct.triangles[owner, (k + 2) % 3]
 
     succ = {}
-    for (a, b), t in zip(b_edges.tolist(), b_owner.tolist()):
+    for a, b, t in zip(b_from.tolist(), b_to.tolist(), owner.tolist()):
         if a in succ:
             raise MeshError("non-manifold boundary vertex encountered")
         succ[a] = (b, t)
@@ -259,8 +230,7 @@ def extract_boundary(ct: CtMesh) -> List[List[BoundaryEdge]]:
             tangent = tv / length
             normal = np.array([tangent[1], -tangent[0]])
             loop.append(BoundaryEdge(a=a, b=b, tri=t, normal=normal,
-                                     tangent=tangent, length=length,
-                                     loop=len(loops)))
+                                     tangent=tangent, length=length))
             a = b
             if a == start:
                 break

@@ -5,9 +5,10 @@ corrected continuity pairing), so a sparse LU factorization with partial
 pivoting is used.  The three scalar constraint unknowns carry dense rows and
 columns which ruin fill-reducing orderings, so large systems are solved in
 bordered form: the field block is factorized sparsely after a sparse
-low-rank shift that removes its one-dimensional kernel (the joint constant
+rank-one shift that removes its one-dimensional kernel (the joint constant
 pressure/multiplier mode), and the dense border is folded back through a
-small Woodbury correction.  Iterative refinement with the same factors
+small Woodbury correction; if a probe solve rejects that factorization, the
+full matrix is factorized plainly.  Iterative refinement with the same factors
 drives the residual to near machine precision, which the pointwise
 divergence guarantee needs: a continuity-row residual is amplified by the
 inverse pressure mass, i.e. by 1/h^2.
@@ -79,15 +80,15 @@ class _BorderedLU:
     """Sparse factorization of the field block plus dense 3x3 border.
 
     For M = [[K, B], [C, D]] with K sparse and (B, C) dense but low rank,
-    K is shifted by rank `rank` sparse outer products built from the border
-    columns (pinned at their largest entries) so the shifted block S is
+    K is shifted by one sparse outer product built from the first border
+    column (pinned at its largest entry) so the shifted block S is
     nonsingular, and M = diag(S, I) + U W^T is solved by the Woodbury
     identity.  The shift exists because the border itself completes the rank
-    of K; whether a given pin hits the cokernel is verified by a probe solve
-    in the caller, which falls back to a larger rank or to the plain path.
+    of K; whether the pin hits the cokernel is verified by a probe solve in
+    the caller, which falls back to the plain path.
     """
 
-    def __init__(self, M: sp.csc_matrix, n_border: int, rank: int):
+    def __init__(self, M: sp.csc_matrix, n_border: int):
         N = M.shape[0] - n_border
         self.N, self.nb = N, n_border
         K = M[:N, :N].tocsc()
@@ -95,32 +96,26 @@ class _BorderedLU:
         self.Crows = np.asarray(M[N:, :N].todense())
         self.Dblk = np.asarray(M[N:, N:].todense())
 
-        pins = []
-        shift = sp.csc_matrix((N, N))
-        for i in range(rank):
-            j = int(np.argmax(np.abs(self.Bcols[:, i])))
-            pins.append((i, j))
-            col = sp.csc_matrix(self.Bcols[:, i][:, None])
-            e = sp.csc_matrix(([1.0], ([j], [0])), shape=(N, 1))
-            shift = shift + col @ e.T
-        self.pins = pins
+        j = int(np.argmax(np.abs(self.Bcols[:, 0])))
+        col = sp.csc_matrix(self.Bcols[:, 0][:, None])
+        e = sp.csc_matrix(([1.0], ([j], [0])), shape=(N, 1))
+        shift = col @ e.T
         self.lu = spla.splu((K + shift).tocsc())
 
         # U W^T reproduces the border and removes the shift:
-        #   [[-shift, B], [C, D - I]]  (rank <= rank + 2*n_border)
-        nw = rank + 2 * n_border
+        #   [[-shift, B], [C, D - I]]  (rank <= 1 + 2*n_border)
+        nw = 1 + 2 * n_border
         U = np.zeros((N + n_border, nw))
         W = np.zeros((N + n_border, nw))
-        for idx, (i, j) in enumerate(pins):
-            U[:N, idx] = -self.Bcols[:, i]
-            W[j, idx] = 1.0
+        U[:N, 0] = -self.Bcols[:, 0]
+        W[j, 0] = 1.0
         for i in range(n_border):
-            U[:N, rank + i] = self.Bcols[:, i]
-            W[N + i, rank + i] = 1.0
+            U[:N, 1 + i] = self.Bcols[:, i]
+            W[N + i, 1 + i] = 1.0
         for i in range(n_border):
-            U[N + i, rank + n_border + i] = 1.0
-            W[:N, rank + n_border + i] = self.Crows[i, :]
-            W[N:, rank + n_border + i] = self.Dblk[i, :] - np.eye(n_border)[i]
+            U[N + i, 1 + n_border + i] = 1.0
+            W[:N, 1 + n_border + i] = self.Crows[i, :]
+            W[N:, 1 + n_border + i] = self.Dblk[i, :] - np.eye(n_border)[i]
         self.U, self.W = U, W
 
         T = np.empty_like(U)
@@ -151,7 +146,7 @@ class _BorderedLU:
 
 
 def factorize(matrix: sp.spmatrix, n_border: int = 3):
-    """Factorization chain: bordered rank-1, bordered rank-3, then plain splu.
+    """Factorization chain: bordered rank-1 shift, then plain splu.
 
     Each stage is probed with a manufactured right-hand side; a stage whose
     probe misses the residual contract is discarded.  Small systems go
@@ -164,15 +159,14 @@ def factorize(matrix: sp.spmatrix, n_border: int = 3):
 
     attempts = []
     if n >= BORDERED_MIN_DOFS and n_border > 0:
-        attempts = [("bordered-1", lambda: _BorderedLU(A, n_border, 1)),
-                    ("bordered-3", lambda: _BorderedLU(A, n_border, n_border))]
-    attempts.append(("plain", lambda: _PlainLU(A)))
+        attempts.append(lambda: _BorderedLU(A, n_border))
+    attempts.append(lambda: _PlainLU(A))
 
     rng = np.random.default_rng(0)
     x_probe = rng.standard_normal(n)
     b_probe = A @ x_probe
     last_exc = None
-    for name, make in attempts:
+    for make in attempts:
         try:
             lu = make()
         except (RuntimeError, SolverError) as exc:

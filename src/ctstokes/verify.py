@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import assembly as asm
 from .assembly import (BoundaryQuadData, SystemBlocks, assemble_blocks,
@@ -26,7 +25,7 @@ from .assembly import (BoundaryQuadData, SystemBlocks, assemble_blocks,
                        gram_h1_velocity, gram_multiplier, gram_pressure_mass)
 from .fem import (DofLayout, build_dof_layout, edge_rule, element_maps,
                   eval_p1, eval_p2, physical_gradients, triangle_rule)
-from .geometry import LevelSetDomain, circle_domain, star_domain
+from .geometry import LevelSetDomain
 from .mesh import (AssumptionReport, CtMesh, build_type1_mesh,
                    check_assumption_a, clip_to_interior, clough_tocher)
 from .solver import SolutionFields, solve_direct
@@ -236,7 +235,6 @@ class LevelStructure:
     """Mesh-level data reused across viscosities at a fixed refinement."""
 
     n: int
-    dom: LevelSetDomain
     ct: CtMesh
     layout: DofLayout
     bqd: BoundaryQuadData
@@ -248,8 +246,7 @@ class LevelStructure:
 
 def build_level(dom: LevelSetDomain, n: int, sigma: float,
                 quad_volume: int = asm.DEFAULT_VOLUME_DEGREE,
-                quad_edge: int = asm.DEFAULT_EDGE_POINTS,
-                parallel: bool = False) -> LevelStructure:
+                quad_edge: int = asm.DEFAULT_EDGE_POINTS) -> LevelStructure:
     """Build mesh, layout, boundary data and viscosity-free blocks for one level."""
     bg = build_type1_mesh(n, dom.bounding_box)
     macro = clip_to_interior(bg, dom)
@@ -258,9 +255,9 @@ def build_level(dom: LevelSetDomain, n: int, sigma: float,
     erule = edge_rule(quad_edge)
     vrule = triangle_rule(quad_volume)
     bqd = build_boundary_data(ct, layout, dom, erule)
-    blocks = assemble_blocks(ct, layout, bqd, sigma, vrule, parallel=parallel)
+    blocks = assemble_blocks(ct, layout, bqd, sigma, vrule)
     assumption = check_assumption_a(ct, dom, erule.points)
-    return LevelStructure(n=n, dom=dom, ct=ct, layout=layout, bqd=bqd,
+    return LevelStructure(n=n, ct=ct, layout=layout, bqd=bqd,
                           blocks=blocks, assumption=assumption, sigma=sigma,
                           vol_rule=vrule)
 
@@ -328,7 +325,6 @@ def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
                     case_factory: Callable[[float], ManufacturedCase] = paper_case,
                     quad_volume: int = asm.DEFAULT_VOLUME_DEGREE,
                     quad_edge: int = asm.DEFAULT_EDGE_POINTS,
-                    parallel: bool = False,
                     progress: Optional[Callable[[str], None]] = None
                     ) -> Dict[float, RateTable]:
     """Full refinement study: one RateTable per viscosity.
@@ -343,7 +339,7 @@ def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
     tables = {nu: RateTable(nu=nu, sigma=sigma, domain=dom.name) for nu in nus}
     for n in levels:
         try:
-            level = build_level(dom, n, sigma, quad_volume, quad_edge, parallel)
+            level = build_level(dom, n, sigma, quad_volume, quad_edge)
         except Exception as exc:
             raise RuntimeError(f"level n={n} failed during setup: {exc}") from exc
         for nu in nus:
@@ -407,20 +403,13 @@ def infsup_estimate(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
         mask = np.ones(layout.n_u, dtype=bool)
         for node in bnodes:
             mask[2 * node] = mask[2 * node + 1] = False
-        for k, (ea, eb) in enumerate(layout.edges):
+        for k, (ea, eb) in enumerate(ct.edges):
             if (ea, eb) in edge_mid:
                 node = layout.n_mvert + k
                 mask[2 * node] = mask[2 * node + 1] = False
         keep = np.where(mask)[0]
-        J, det, inv, invT = element_maps(ct)
-        vrule = triangle_rule(asm.DEFAULT_VOLUME_DEGREE)
-        basis = eval_p2(vrule.points)
-        G = physical_gradients(basis.grads, invT)
-        Ke = np.einsum("q,m,mqic,mqjc->mij", vrule.weights, det, G, G)
-        r, c, d = asm._velocity_block_triplets(layout.elem_nodes,
-                                               layout.elem_nodes, Ke)
-        X = sp.coo_matrix((d, (r, c)),
-                          shape=(layout.n_u, layout.n_u)).toarray()[np.ix_(keep, keep)]
+        X = asm.assemble_a(ct, layout, bqd, 1.0, 0.0,
+                           include_boundary=False).toarray()[np.ix_(keep, keep)]
         B = B_div.toarray()[:, keep]
         Y = Mp
         Zv = np.eye(len(keep))

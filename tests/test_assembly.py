@@ -6,8 +6,7 @@ from conftest import box_sdf_domain, everywhere_inside_domain, make_level
 from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_blocks, assemble_constraints,
                                assemble_rhs, build_boundary_data,
-                               compose_system, eval_sh_trace,
-                               gram_h1_velocity, norm_h1_direct, taylor_trace)
+                               compose_system, gram_h1_velocity, norm_h1_direct, taylor_trace)
 from ctstokes.fem import build_dof_layout, edge_rule, triangle_rule
 from ctstokes.geometry import star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
@@ -35,15 +34,14 @@ def test_taylor_trace_shifts_polynomials_exactly():
 
 def test_eval_sh_trace_on_mesh(star_n8, star):
     ct, layout, bqd, blocks = star_n8
-    edge = ct.boundary_edges[0]
-    vals, sample = eval_sh_trace(ct, layout, star, edge, 0.5)
-    assert abs(star.phi(sample.x_star)) <= 1e-10
-    # reproduce the corrected trace of a quadratic through its interpolant
+    assert np.abs(star.phi(bqd.x_star)).max() <= 1e-10
+    # at every boundary quadrature point the corrected trace of a quadratic's
+    # interpolant is the quadratic at the projected point
     def q(x):
         return (x[..., 0] - 0.3) ** 2 + 0.5 * x[..., 1]
 
-    coeffs = q(layout.node_coords)[layout.elem_nodes[edge.tri]]
-    assert float(vals @ coeffs) == pytest.approx(float(q(sample.x_star)), abs=1e-12)
+    traced = np.einsum("bqn,bn->bq", bqd.sh, q(layout.node_coords)[bqd.elem_nodes])
+    assert np.abs(traced - q(bqd.x_star)).max() <= 1e-12
 
 
 def test_boundary_data_zero_delta_identity():
@@ -120,9 +118,8 @@ def test_divergence_block_matches_quadrature(star_n8):
 
 def test_be_shares_divergence_part(star_n8, star):
     ct, layout, bqd, blocks = star_n8
-    Bd1, Bl = assemble_b(ct, layout, bqd)
-    Bd2, Ble = assemble_be(ct, layout, bqd)
-    assert abs(Bd1 - Bd2).max() == 0.0
+    _, Bl = assemble_b(ct, layout, bqd)
+    Ble = assemble_be(layout, bqd)
     # the multiplier pairings differ where transfer lengths are positive
     assert abs(Bl - Ble).max() > 1e-6
 
@@ -225,11 +222,3 @@ def test_norm_gram_matches_direct_evaluation(star_n8):
         quad_form = float(np.sqrt(v @ (G @ v)))
         direct = norm_h1_direct(ct, layout, bqd, v)
         assert quad_form == pytest.approx(direct, rel=1e-12)
-
-
-def test_parallel_assembly_matches_sequential(star_n8, star):
-    ct, layout, bqd, _ = star_n8
-    seq = assemble_blocks(ct, layout, bqd, 40.0, parallel=False)
-    par = assemble_blocks(ct, layout, bqd, 40.0, parallel=True)
-    d = abs(seq.a_unit - par.a_unit)
-    assert d.max() <= 1e-12 * abs(seq.a_unit).max()

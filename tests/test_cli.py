@@ -15,7 +15,6 @@ def test_defaults_reproduce_reference_study():
     assert cfg.levels == [8, 16, 32, 64, 128]
     assert cfg.nus == [1e-1, 1e-3, 1e-5]
     assert cfg.quad_volume == 6 and cfg.quad_edge == 6
-    assert cfg.sequential is True
 
 
 def test_flag_overrides():
@@ -30,14 +29,22 @@ def test_flag_overrides():
     assert cfg.formats == ["csv"] and cfg.sigma == 10.0
 
 
-def test_invalid_values_rejected():
+def test_invalid_values_rejected(tmp_path):
     with pytest.raises(UsageError):
         parse_config(["solve", "--sigma", "-1"])
     with pytest.raises(UsageError):
         parse_config(["solve", "--nu", "0"])
     with pytest.raises(UsageError):
         parse_config(["solve", "--format", "xml"])
+    with pytest.raises(UsageError):
+        parse_config(["solve", "--quad-volume", "12"])
+    with pytest.raises(UsageError):
+        parse_config(["solve", "--quad-edge", "0"])
     assert main(["solve", "--sigma", "-1"]) == 2
+    assert main(["converge", "--quad-edge", "0"]) == 2
+    out = tmp_path / "x"
+    assert main(["converge", "--levels", "16,8", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_file_and_precedence(tmp_path):
@@ -55,10 +62,23 @@ def test_config_file_and_precedence(tmp_path):
     # command line wins over the file
     _, cfg = parse_config(["solve", "--config", str(cfg_file), "--sigma", "40"])
     assert cfg.sigma == 40.0
+    _, cfg = parse_config(["solve", "--config", str(cfg_file), "--nu", "0.5"])
+    assert cfg.nus == [0.5]
     bad = tmp_path / "bad.cfg"
     bad.write_text("sigma 40\n")
     with pytest.raises(UsageError):
         parse_config(["solve", "--config", str(bad)])
+    # a misspelt key is an error, not a silent fallback to the defaults
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("levles = 4,8\n")
+    with pytest.raises(UsageError):
+        parse_config(["converge", "--config", str(typo)])
+    assert main(["converge", "--config", str(typo)]) == 2
+    # every command-line option is a valid key, --sequential included
+    old = tmp_path / "old.cfg"
+    old.write_text("sequential = true\nformat = csv\n")
+    _, cfg = parse_config(["converge", "--config", str(old)])
+    assert cfg.formats == ["csv"]
 
 
 def test_empty_levels_rejected(tmp_path):

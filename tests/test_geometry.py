@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctstokes.geometry import (LevelSetDomain, ProjectionError, circle_domain,
-                               project_points, project_to_boundary, star_domain)
+                               project_points, star_domain)
 
 R0 = 0.3723423423343
 
@@ -49,17 +49,20 @@ def test_circle_values():
 
 def test_project_circle_radial():
     c = circle_domain((0.5, 0.5), 0.4)
-    ts = project_to_boundary(c, (0.8, 0.5))
-    assert np.allclose(ts.x_star, [0.9, 0.5], atol=1e-12)
-    assert ts.delta == pytest.approx(0.1, abs=1e-12)
-    assert np.allclose(ts.dir, [1.0, 0.0], atol=1e-12)
+    x_star, delta, dirs = project_points(c, np.array([[0.8, 0.5]]))
+    assert np.allclose(x_star[0], [0.9, 0.5], atol=1e-12)
+    assert delta[0] == pytest.approx(0.1, abs=1e-12)
+    assert np.allclose(dirs[0], [1.0, 0.0], atol=1e-12)
 
 
 def test_project_on_boundary_degenerates():
+    # a point on the boundary: zero transfer and a zero direction row, which
+    # the caller replaces (build_boundary_data uses the edge normal)
     c = circle_domain((0.5, 0.5), 0.4)
-    ts = project_to_boundary(c, (0.9, 0.5), fallback_dir=(1.0, 0.0))
-    assert ts.delta == 0.0
-    assert np.allclose(ts.dir, [1.0, 0.0])
+    x_star, delta, dirs = project_points(c, np.array([[0.9, 0.5]]))
+    assert delta[0] == 0.0
+    assert np.array_equal(dirs[0], [0.0, 0.0])
+    assert np.allclose(x_star[0], [0.9, 0.5])
 
 
 def _star_boundary_roots(dom, x, n_samples=1_000_000):
@@ -91,12 +94,12 @@ def _star_boundary_roots(dom, x, n_samples=1_000_000):
 def test_project_star_against_curve_oracle():
     s = star_domain()
     x = np.array([0.85, 0.5])
-    ts = project_to_boundary(s, x)
+    x_star, delta, _ = project_points(s, x[None, :])
     roots = _star_boundary_roots(s, x)
     assert len(roots) > 0
     nearest = roots[np.argmin(np.linalg.norm(roots - x, axis=1))]
-    assert np.allclose(ts.x_star, nearest, atol=1e-9)
-    assert ts.delta == pytest.approx(np.linalg.norm(nearest - x), abs=1e-9)
+    assert np.allclose(x_star[0], nearest, atol=1e-9)
+    assert delta[0] == pytest.approx(np.linalg.norm(nearest - x), abs=1e-9)
 
 
 def test_projection_residuals_and_idempotency():

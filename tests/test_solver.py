@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import make_level
+from ctstokes import solver
 from ctstokes.assembly import SaddleSystem, assemble_rhs, compose_system
 from ctstokes.solver import (SolverError, dump_matrix_market, factorize,
                              solve_direct)
@@ -24,7 +25,7 @@ class _ScalarOnlyLayout:
 def _raw_system(A, b):
     A = sp.csr_matrix(A)
     return SaddleSystem(matrix=A, rhs=np.asarray(b, dtype=float),
-                        layout=_ScalarOnlyLayout(A.shape[0]), nu=1.0, sigma=1.0)
+                        layout=_ScalarOnlyLayout(A.shape[0]))
 
 
 def test_identity_solve():
@@ -75,6 +76,30 @@ def test_recovery_of_random_solution(star, n):
     sol = solve_direct(system)
     x = np.concatenate([sol.u, sol.p, sol.lam, [sol.alpha, sol.beta, sol.gamma]])
     assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
+
+
+@pytest.fixture(scope="module")
+def star_n32_system(star):
+    ct, layout, bqd, blocks = make_level(star, 32)
+    case = paper_case(0.1)
+    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
+    return compose_system(blocks, layout, 0.1, rhs)
+
+
+def test_factorize_bordered_with_one_pin(star_n32_system):
+    lu = factorize(star_n32_system.matrix)
+    assert isinstance(lu, solver._BorderedLU)
+    # Woodbury columns: one pin, then two per border unknown
+    assert lu.U.shape[1] == 1 + 2 * lu.nb
+
+
+def test_factorize_falls_back_to_plain(star_n32_system, monkeypatch):
+    def bordered_fails(*args, **kwargs):
+        raise SolverError("bordered factorization unavailable")
+
+    monkeypatch.setattr(solver, "_BorderedLU", bordered_fails)
+    assert isinstance(factorize(star_n32_system.matrix), solver._PlainLU)
+    assert solve_direct(star_n32_system).residual <= 1e-10
 
 
 def test_solve_deterministic(star):
