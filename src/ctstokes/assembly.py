@@ -5,8 +5,9 @@ The momentum equation pairs the velocity with the uncorrected continuity
 form; the continuity equation tests the velocity through the boundary
 correction operator, so the multiplier coupling blocks are not transposes of
 each other.  The three scalar unknowns impose zero pressure mean, zero
-multiplier mean, and the boundary flux compatibility on the full spaces,
-which is algebraically equivalent to working in the constrained subspaces.
+multiplier mean, and zero velocity flux through the mesh boundary on the
+full spaces, which is algebraically equivalent to working in the
+constrained subspaces.
 
 All boundary integrands are evaluated through the owning micro triangle's
 polynomial extension: the correction operator applied to a quadratic adds
@@ -255,8 +256,11 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
 
     Boundary data is taken at the projected physical point, pairing with the
     corrected test traces so the scheme is exact for quadratic solutions.
-    The multiplier block receives the normal flux of the transferred data
-    and the flux constraint row its boundary integral.
+    The multiplier block receives the normal flux of the transferred data.
+    The flux constraint row keeps a zero right-hand side: it pairs the
+    velocity with the discrete normal, so it equals the integral of div u_h
+    over the mesh, and the pressure rows make div u_h the constant alpha; a
+    nonzero entry there would become a constant divergence.
     """
     if vol_rule is None:
         vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
@@ -282,7 +286,6 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
         gn = np.einsum("bqc,bc->bq", gm, bqd.normals)
         gmu = np.einsum("bq,bq,qm->bm", bqd.ds, gn, bqd.mu)
         np.add.at(rhs, layout.offset_lam + bqd.edge_mult.ravel(), gmu.ravel())
-        rhs[layout.gamma] = float(np.sum(bqd.ds * gn))
     return rhs
 
 

@@ -23,9 +23,9 @@ from . import verify
 from .fem import edge_rule, triangle_rule
 from .geometry import circle_domain, star_domain
 from .mesh import write_vtk
-from .solver import SolverError, dump_matrix_market, solve_direct
-from .verify import (build_level, compute_errors, infsup_estimate, paper_case,
-                     run_convergence, write_json)
+from .solver import SolverError, dump_matrix_market
+from .verify import (build_level, infsup_estimate, paper_case, run_convergence,
+                     write_json)
 
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
 DEFAULT_NUS = (1e-1, 1e-3, 1e-5)
@@ -127,8 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--infsup", action="store_true", default=None)
         p.add_argument("--dump-matrix", action="store_true", default=None,
                        dest="dump_matrix")
-        # accepted for old command lines; assembly is always sequential
-        p.add_argument("--sequential", action="store_true", default=None)
     return parser
 
 
@@ -197,6 +195,15 @@ def _report_lines(report) -> str:
             f"{report.max_delta_ratio:.3f} residual={report.residual:.2e}")
 
 
+def _divergence_ok(report) -> bool:
+    """Pointwise divergence contract: at most 1e-8, or 1e3 x the residual."""
+    if report.linf_div <= max(1e-8, 1e3 * report.residual):
+        return True
+    print(f"n={report.n} nu={report.nu:g}: divergence contract violated",
+          file=sys.stderr)
+    return False
+
+
 def _export_vtk(path, level, sol):
     uh = np.column_stack([sol.u[0:2 * level.ct.n_vertices:2],
                           sol.u[1:2 * level.ct.n_vertices:2]])
@@ -229,26 +236,18 @@ def cmd_solve(cfg: RunConfig) -> int:
                 print(f"n={n}: inf-sup skipped ({exc})")
         for nu in cfg.nus:
             case = paper_case(nu)
-            rhs = verify.assemble_rhs(case.f, case.u, level.ct, level.layout,
-                                      level.bqd, nu, cfg.sigma, level.vol_rule)
-            system = verify.compose_system(level.blocks, level.layout, nu, rhs)
             if cfg.dump_matrix:
-                dump_matrix_market(outdir / f"system_n{n}_nu{nu:g}.mtx", system)
+                dump_matrix_market(outdir / f"system_n{n}_nu{nu:g}.mtx",
+                                   verify.compose_level_system(level, case))
             try:
-                sol = solve_direct(system)
+                sol, report = verify.solve_on_level(level, case)
             except SolverError as exc:
                 print(f"n={n} nu={nu:g}: SOLVE FAILED: {exc}", file=sys.stderr)
                 ok = False
                 continue
-            report = compute_errors(sol, case, level.ct, level.layout,
-                                    level.bqd, n=n, sigma=cfg.sigma,
-                                    max_delta_ratio=level.assumption.max_ratio)
             reports.append(report)
             print(_report_lines(report))
-            if report.linf_div > max(1e-8, 1e3 * report.residual):
-                print(f"n={n} nu={nu:g}: divergence contract violated",
-                      file=sys.stderr)
-                ok = False
+            ok = _divergence_ok(report) and ok
             if cfg.vtk or "vtk" in cfg.formats:
                 _export_vtk(outdir / f"solution_n{n}_nu{nu:g}.vtk", level, sol)
     if "json" in cfg.formats:
@@ -277,10 +276,7 @@ def cmd_converge(cfg: RunConfig) -> int:
         if "csv" in cfg.formats:
             table.write_csv(outdir / f"convergence_nu{nu:g}.csv")
         for r in table.reports:
-            if r.linf_div > max(1e-8, 1e3 * r.residual):
-                print(f"n={r.n} nu={nu:g}: divergence contract violated",
-                      file=sys.stderr)
-                ok = False
+            ok = _divergence_ok(r) and ok
     if "json" in cfg.formats:
         write_json(outdir / "convergence.json", tables)
     return 0 if ok else 1

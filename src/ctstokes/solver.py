@@ -3,12 +3,11 @@
 The matrix is non-symmetric (non-symmetric boundary penalty and the
 corrected continuity pairing), so a sparse LU factorization with partial
 pivoting is used.  The three scalar constraint unknowns carry dense rows and
-columns which ruin fill-reducing orderings, so large systems are solved in
+columns which ruin fill-reducing orderings, so every system is solved in
 bordered form: the field block is factorized sparsely after a sparse
 rank-one shift that removes its one-dimensional kernel (the joint constant
-pressure/multiplier mode), and the dense border is folded back through a
-small Woodbury correction; if a probe solve rejects that factorization, the
-full matrix is factorized plainly.  Iterative refinement with the same factors
+pressure/multiplier mode), and the dense border is eliminated through a
+3x3 Schur complement.  Iterative refinement with the same factors
 drives the residual to near machine precision, which the pointwise
 divergence guarantee needs: a continuity-row residual is amplified by the
 inverse pressure mass, i.e. by 1/h^2.
@@ -27,7 +26,7 @@ from .assembly import SaddleSystem
 RESIDUAL_TOL = 1e-10
 REFINE_TARGET = 1e-13
 MAX_REFINE = 5
-BORDERED_MIN_DOFS = 4000
+N_BORDER = 3  # alpha, beta, gamma: the layout's trailing scalar unknowns
 
 
 class SolverError(RuntimeError):
@@ -57,128 +56,58 @@ class SolutionFields:
                    residual=residual)
 
 
-def _relative_residual(A, x, b):
-    nb = np.linalg.norm(b)
-    r = np.linalg.norm(A @ x - b)
-    return r / nb if nb > 0 else r
-
-
-class _PlainLU:
-    """splu of the full matrix; adequate below the bordered-size threshold."""
-
-    def __init__(self, A: sp.csc_matrix):
-        self.lu = spla.splu(A)
-
-    def solve(self, b):
-        return self.lu.solve(b)
-
-    def min_pivot(self):
-        return float(np.abs(self.lu.U.diagonal()).min())
-
-
 class _BorderedLU:
-    """Sparse factorization of the field block plus dense 3x3 border.
+    """Sparse LU of the pinned field block and a 3x3 Schur complement.
 
-    For M = [[K, B], [C, D]] with K sparse and (B, C) dense but low rank,
-    K is shifted by one sparse outer product built from the first border
-    column (pinned at its largest entry) so the shifted block S is
-    nonsingular, and M = diag(S, I) + U W^T is solved by the Woodbury
-    identity.  The shift exists because the border itself completes the rank
-    of K; whether the pin hits the cokernel is verified by a probe solve in
-    the caller, which falls back to the plain path.
+    M = [[K, B], [C, D]] with K the sparse field block and B, C, D the dense
+    border of the three scalar unknowns.  K has a one-dimensional kernel
+    (the joint constant pressure/multiplier mode) that the border completes,
+    so K is shifted by the first border column b0 pinned at its largest
+    entry j: S = K + b0 e_j^T.  With y = z + e_0 x_j the system becomes
+    [[S, B], [C', D]], C' = C + D[:, 0] e_j^T, which block elimination
+    solves through X = S^{-1} B and the Schur complement D - C' X; each
+    right-hand side then costs one sparse solve.
     """
 
-    def __init__(self, M: sp.csc_matrix, n_border: int):
-        N = M.shape[0] - n_border
-        self.N, self.nb = N, n_border
-        K = M[:N, :N].tocsc()
-        self.Bcols = np.asarray(M[:N, N:].todense())
-        self.Crows = np.asarray(M[N:, :N].todense())
-        self.Dblk = np.asarray(M[N:, N:].todense())
-
-        j = int(np.argmax(np.abs(self.Bcols[:, 0])))
-        col = sp.csc_matrix(self.Bcols[:, 0][:, None])
-        e = sp.csc_matrix(([1.0], ([j], [0])), shape=(N, 1))
-        shift = col @ e.T
-        self.lu = spla.splu((K + shift).tocsc())
-
-        # U W^T reproduces the border and removes the shift:
-        #   [[-shift, B], [C, D - I]]  (rank <= 1 + 2*n_border)
-        nw = 1 + 2 * n_border
-        U = np.zeros((N + n_border, nw))
-        W = np.zeros((N + n_border, nw))
-        U[:N, 0] = -self.Bcols[:, 0]
-        W[j, 0] = 1.0
-        for i in range(n_border):
-            U[:N, 1 + i] = self.Bcols[:, i]
-            W[N + i, 1 + i] = 1.0
-        for i in range(n_border):
-            U[N + i, 1 + n_border + i] = 1.0
-            W[:N, 1 + n_border + i] = self.Crows[i, :]
-            W[N:, 1 + n_border + i] = self.Dblk[i, :] - np.eye(n_border)[i]
-        self.U, self.W = U, W
-
-        T = np.empty_like(U)
-        for k in range(nw):
-            T[:N, k] = self.lu.solve(U[:N, k])
-            T[N:, k] = U[N:, k]
-        G = np.eye(nw) + self.W.T @ T
-        self.T = T
-        self.G_lu = None
+    def __init__(self, M: sp.csc_matrix):
+        N = M.shape[0] - N_BORDER
+        self.N = N
+        B = M[:N, N:].toarray()
+        D = M[N:, N:].toarray()
+        self.j = j = int(np.argmax(np.abs(B[:, 0])))
+        rows = np.flatnonzero(B[:, 0])
+        S = M[:N, :N] + sp.csc_matrix((B[rows, 0], (rows, np.full(rows.size, j))),
+                                      shape=(N, N))
         try:
-            import scipy.linalg
-
-            self.G_lu = scipy.linalg.lu_factor(G)
-        except Exception as exc:
-            raise SolverError(f"border correction is singular: {exc}") from exc
+            self.lu = spla.splu(S.tocsc())
+        except RuntimeError as exc:
+            raise SolverError(f"pinned field block is singular: {exc}") from exc
+        self.C = M[N:, :N].toarray()
+        self.C[:, j] += D[:, 0]
+        self.X = self.lu.solve(B)
+        try:
+            self.schur_inv = np.linalg.inv(D - self.C @ self.X)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"border Schur complement is singular: {exc}") from exc
 
     def solve(self, b):
-        import scipy.linalg
-
-        y = np.empty_like(b)
-        y[:self.N] = self.lu.solve(b[:self.N])
-        y[self.N:] = b[self.N:]
-        z = scipy.linalg.lu_solve(self.G_lu, self.W.T @ y)
-        return y - self.T @ z
+        N = self.N
+        w = self.lu.solve(b[:N])
+        z = self.schur_inv @ (b[N:] - self.C @ w)
+        x = np.concatenate([w - self.X @ z, z])
+        x[N] += x[self.j]
+        return x
 
     def min_pivot(self):
         return float(np.abs(self.lu.U.diagonal()).min())
 
 
-def factorize(matrix: sp.spmatrix, n_border: int = 3):
-    """Factorization chain: bordered rank-1 shift, then plain splu.
-
-    Each stage is probed with a manufactured right-hand side; a stage whose
-    probe misses the residual contract is discarded.  Small systems go
-    straight to the plain path.
-    """
+def factorize(matrix: sp.spmatrix) -> _BorderedLU:
+    """Factorize the saddle system, whose last N_BORDER unknowns are scalars."""
     A = matrix.tocsc()
-    n = A.shape[0]
-    if n != A.shape[1]:
-        raise SolverError(f"system is not square: {A.shape}")
-
-    attempts = []
-    if n >= BORDERED_MIN_DOFS and n_border > 0:
-        attempts.append(lambda: _BorderedLU(A, n_border))
-    attempts.append(lambda: _PlainLU(A))
-
-    rng = np.random.default_rng(0)
-    x_probe = rng.standard_normal(n)
-    b_probe = A @ x_probe
-    last_exc = None
-    for make in attempts:
-        try:
-            lu = make()
-        except (RuntimeError, SolverError) as exc:
-            last_exc = exc
-            continue
-        x = lu.solve(b_probe)
-        if not np.all(np.isfinite(x)):
-            continue
-        x = x + lu.solve(b_probe - A @ x)
-        if _relative_residual(A, x, b_probe) <= 1e-11:
-            return lu
-    raise SolverError(f"sparse LU factorization failed: {last_exc}")
+    if A.shape[0] != A.shape[1] or A.shape[0] <= N_BORDER:
+        raise SolverError(f"system is not square with a field block: {A.shape}")
+    return _BorderedLU(A)
 
 
 def solve_direct(system: SaddleSystem) -> SolutionFields:

@@ -20,9 +20,10 @@ import numpy as np
 import scipy.linalg
 
 from . import assembly as asm
-from .assembly import (BoundaryQuadData, SystemBlocks, assemble_blocks,
-                       assemble_rhs, build_boundary_data, compose_system,
-                       gram_h1_velocity, gram_multiplier, gram_pressure_mass)
+from .assembly import (BoundaryQuadData, SaddleSystem, SystemBlocks,
+                       assemble_blocks, assemble_rhs, build_boundary_data,
+                       compose_system, gram_h1_velocity, gram_multiplier,
+                       gram_pressure_mass)
 from .fem import (DofLayout, build_dof_layout, edge_rule, element_maps,
                   eval_p1, eval_p2, physical_gradients, triangle_rule)
 from .geometry import LevelSetDomain
@@ -262,12 +263,17 @@ def build_level(dom: LevelSetDomain, n: int, sigma: float,
                           vol_rule=vrule)
 
 
-def solve_on_level(level: LevelStructure, case: ManufacturedCase):
-    """Assemble the rhs for the case, solve, and compute the error report."""
+def compose_level_system(level: LevelStructure,
+                         case: ManufacturedCase) -> SaddleSystem:
+    """Assemble the rhs for the case and glue the level's saddle system."""
     rhs = assemble_rhs(case.f, case.u, level.ct, level.layout, level.bqd,
                        case.nu, level.sigma, level.vol_rule)
-    system = compose_system(level.blocks, level.layout, case.nu, rhs)
-    sol = solve_direct(system)
+    return compose_system(level.blocks, level.layout, case.nu, rhs)
+
+
+def solve_on_level(level: LevelStructure, case: ManufacturedCase):
+    """Solve the case's system on the level and compute the error report."""
+    sol = solve_direct(compose_level_system(level, case))
     report = compute_errors(sol, case, level.ct, level.layout, level.bqd,
                             n=level.n, sigma=level.sigma,
                             max_delta_ratio=level.assumption.max_ratio)

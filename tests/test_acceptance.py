@@ -50,8 +50,7 @@ def tables(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance")
     cmd = [sys.executable, "-m", "ctstokes.cli", "converge",
            "--levels", ",".join(str(n) for n in LEVELS),
-           "--nu", "0.1,1e-5", "--sigma", "40", "--out", str(out),
-           "--sequential"]
+           "--nu", "0.1,1e-5", "--sigma", "40", "--out", str(out)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=1800)
     assert proc.returncode == 0, f"convergence run failed:\n{proc.stdout}\n{proc.stderr}"
     payload = json.loads((out / "convergence.json").read_text())
@@ -241,10 +240,9 @@ def test_criterion_6_invariants(tables, star, tmp_path):
     ok &= reported
     details.append(f"delta/h diagnostic reported on every run: {reported}")
 
-    # byte-exact determinism of sequential outputs
+    # byte-exact determinism of the outputs
     args = [sys.executable, "-m", "ctstokes.cli", "converge", "--domain",
-            "circle", "--radius", "0.4", "--levels", "4,8", "--nu", "0.1",
-            "--sequential"]
+            "circle", "--radius", "0.4", "--levels", "4,8", "--nu", "0.1"]
     runs = []
     for sub in ("d1", "d2"):
         out = tmp_path / sub
@@ -254,7 +252,7 @@ def test_criterion_6_invariants(tables, star, tmp_path):
                     + (out / "convergence.json").read_bytes())
     good = runs[0] == runs[1]
     ok &= good
-    details.append(f"sequential outputs byte-identical: {good}")
+    details.append(f"outputs byte-identical: {good}")
 
     _print_line(6, "invariant suite", ok, "; ".join(details))
     assert ok, "; ".join(details)

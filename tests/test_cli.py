@@ -74,11 +74,12 @@ def test_config_file_and_precedence(tmp_path):
     with pytest.raises(UsageError):
         parse_config(["converge", "--config", str(typo)])
     assert main(["converge", "--config", str(typo)]) == 2
-    # every command-line option is a valid key, --sequential included
+    # a key that names no option is rejected, "sequential" included
     old = tmp_path / "old.cfg"
     old.write_text("sequential = true\nformat = csv\n")
-    _, cfg = parse_config(["converge", "--config", str(old)])
-    assert cfg.formats == ["csv"]
+    with pytest.raises(UsageError):
+        parse_config(["converge", "--config", str(old)])
+    assert main(["converge", "--config", str(old)]) == 2
 
 
 def test_empty_levels_rejected(tmp_path):
@@ -127,7 +128,7 @@ def test_converge_needs_two_levels(tmp_path):
 
 def test_outputs_deterministic(tmp_path):
     args = ["converge", "--domain", "circle", "--radius", "0.4",
-            "--levels", "4,8", "--nu", "0.1", "--sequential"]
+            "--levels", "4,8", "--nu", "0.1"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0

@@ -38,9 +38,14 @@ def test_identity_solve():
 
 
 def test_two_by_two_hand_solve():
-    A = np.array([[2.0, 1.0], [1.0, 3.0]])
-    sol = solve_direct(_raw_system(A, [3.0, 4.0]))
-    assert np.allclose(sol.u, [1.0, 1.0], atol=1e-14)
+    # the 2x2 field block bordered by three scalar unknowns
+    A = np.array([[2.0, 1.0, 1.0, 0.0, 0.0],
+                  [1.0, 3.0, 0.0, 1.0, 0.0],
+                  [1.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 1.0]])
+    sol = solve_direct(_raw_system(A, [4.0, 6.0, 1.0, 1.0, 3.0]))
+    assert np.allclose(sol.u, [1.0, 1.0, 1.0, 2.0, 3.0], atol=1e-14)
 
 
 def test_non_square_rejected():
@@ -50,9 +55,22 @@ def test_non_square_rejected():
 
 
 def test_singular_matrix_rejected():
-    A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # the field block [[1, 0], [0, 0]] stays singular after the pin
+    A = np.array([[1.0, 0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0],
+                  [1.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 1.0]])
     with pytest.raises(SolverError):
-        solve_direct(_raw_system(A, [1.0, 1.0]))
+        solve_direct(_raw_system(A, [1.0, 1.0, 1.0, 1.0, 1.0]))
+
+
+def test_singular_schur_complement_rejected():
+    # nonsingular field block, but the scalar unknowns are decoupled from it
+    # and their own block is zero
+    A = sp.block_diag([sp.eye(2), sp.csr_matrix((3, 3))])
+    with pytest.raises(SolverError, match="Schur complement"):
+        factorize(A)
 
 
 def test_star_system_residual_contract(star):
@@ -65,7 +83,7 @@ def test_star_system_residual_contract(star):
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_recovery_of_random_solution(star, n):
-    # both the plain (small) and bordered (large) factorization paths
+    # from star n = 8 (757 dofs) up to n = 32
     ct, layout, bqd, blocks = make_level(star, n)
     case = paper_case(0.1)
     rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
@@ -78,28 +96,22 @@ def test_recovery_of_random_solution(star, n):
     assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
 
 
-@pytest.fixture(scope="module")
-def star_n32_system(star):
-    ct, layout, bqd, blocks = make_level(star, 32)
-    case = paper_case(0.1)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
-    return compose_system(blocks, layout, 0.1, rhs)
-
-
-def test_factorize_bordered_with_one_pin(star_n32_system):
-    lu = factorize(star_n32_system.matrix)
-    assert isinstance(lu, solver._BorderedLU)
-    # Woodbury columns: one pin, then two per border unknown
-    assert lu.U.shape[1] == 1 + 2 * lu.nb
-
-
-def test_factorize_falls_back_to_plain(star_n32_system, monkeypatch):
-    def bordered_fails(*args, **kwargs):
-        raise SolverError("bordered factorization unavailable")
-
-    monkeypatch.setattr(solver, "_BorderedLU", bordered_fails)
-    assert isinstance(factorize(star_n32_system.matrix), solver._PlainLU)
-    assert solve_direct(star_n32_system).residual <= 1e-10
+def test_factorize_bordered_with_one_pin(star):
+    # a small (757 dofs) and a large system take the same path
+    for n in (8, 32):
+        ct, layout, bqd, blocks = make_level(star, n)
+        case = paper_case(0.1)
+        rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
+        A = compose_system(blocks, layout, 0.1, rhs).matrix
+        lu = factorize(A)
+        N = A.shape[0] - solver.N_BORDER
+        # the sparse factor covers the field block only
+        assert lu.lu.shape == (N, N)
+        x = lu.solve(rhs)
+        # the unrefined solve already meets the residual contract
+        assert np.linalg.norm(A @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
+        x = x + lu.solve(rhs - A @ x)
+        assert np.linalg.norm(A @ x - rhs) <= 1e-11 * np.linalg.norm(rhs)
 
 
 def test_solve_deterministic(star):
