@@ -13,6 +13,10 @@ All boundary integrands are evaluated through the owning micro triangle's
 polynomial extension: the correction operator applied to a quadratic adds
 the exact first and second directional Taylor terms, so it reproduces the
 value at the projected boundary point exactly on quadratics.
+
+The viscosity multiplies only the velocity block, so the momentum rows are
+divided by nu and the unknowns are u, p/nu, lambda/nu, alpha, beta and
+gamma/nu: every viscosity shares the nu = 1 matrix and changes only the rhs.
 """
 
 from __future__ import annotations
@@ -135,12 +139,12 @@ def _velocity_block_triplets(nodes_rows, nodes_cols, blocks):
 
 
 def assemble_a(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
-               nu: float, sigma: float,
+               sigma: float,
                vol_rule: Optional[QuadratureRule] = None,
                include_boundary: bool = True) -> sp.csr_matrix:
-    """Velocity bilinear form: viscous stiffness plus boundary correction terms.
+    """Velocity bilinear form at unit viscosity: stiffness plus boundary terms.
 
-    nu * ( grad:grad  -  (du/dn, v)  +  (dv/dn, S u)  +  sum_e sigma/h_e (S u, S v) ),
+    grad:grad  -  (du/dn, v)  +  (dv/dn, S u)  +  sum_e sigma/h_e (S u, S v),
     with the positive sign on the third term (non-symmetric variant).
     include_boundary=False keeps only the symmetric volume stiffness
     (diagnostic use).
@@ -167,7 +171,7 @@ def assemble_a(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
     rows = np.concatenate([p[0] for p in parts])
     cols = np.concatenate([p[1] for p in parts])
     data = np.concatenate([p[2] for p in parts])
-    A = sp.coo_matrix((nu * data, (rows, cols)),
+    A = sp.coo_matrix((data, (rows, cols)),
                       shape=(layout.n_u, layout.n_u)).tocsr()
     A.sum_duplicates()
     return A
@@ -252,7 +256,7 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
                  layout: DofLayout, bqd: BoundaryQuadData, nu: float,
                  sigma: float,
                  vol_rule: Optional[QuadratureRule] = None) -> np.ndarray:
-    """Right-hand side for body force f and boundary data g.
+    """Scaled right-hand side (load f/nu) for body force f and boundary data g.
 
     Boundary data is taken at the projected physical point, pairing with the
     corrected test traces so the scheme is exact for quadratic solutions.
@@ -270,16 +274,16 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
     basis = eval_p2(vol_rule.points)
     corners = ct.vertices[ct.triangles]
     pts = np.einsum("qk,mkc->mqc", eval_p1(vol_rule.points).vals, corners)
-    fvals = np.asarray(f(pts))
+    fvals = np.asarray(f(pts)) / nu
     fe = np.einsum("q,m,mqc,qi->mic", vol_rule.weights, det, fvals, basis.vals)
     cols = (2 * layout.elem_nodes)[:, :, None] + np.arange(2)[None, None, :]
     np.add.at(rhs, cols.ravel(), fe.ravel())
 
     if g is not None:
         gm = np.asarray(g(bqd.x_star))                     # (B, Q, 2)
-        ge = (nu * np.einsum("bq,bqi,bqc->bic", bqd.ds, bqd.dn, gm)
-              + nu * sigma * np.einsum("bq,b,bqi,bqc->bic", bqd.ds,
-                                       1.0 / bqd.lengths, bqd.sh, gm))
+        ge = (np.einsum("bq,bqi,bqc->bic", bqd.ds, bqd.dn, gm)
+              + sigma * np.einsum("bq,b,bqi,bqc->bic", bqd.ds,
+                                  1.0 / bqd.lengths, bqd.sh, gm))
         bcols = (2 * bqd.elem_nodes)[:, :, None] + np.arange(2)[None, None, :]
         np.add.at(rhs, bcols.ravel(), ge.ravel())
 
@@ -291,57 +295,54 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
 
 @dataclass
 class SaddleSystem:
-    """Assembled sparse system with its metadata."""
+    """Matrix of the scaled system; the first solve caches its factor."""
 
     matrix: sp.csr_matrix
-    rhs: np.ndarray
     layout: DofLayout
+    factor: object = None
 
 
 @dataclass
 class SystemBlocks:
-    """Viscosity-independent building blocks, reusable across viscosities."""
+    """Building blocks of the saddle matrix."""
 
-    a_unit: sp.csr_matrix     # velocity form assembled with nu = 1
+    a: sp.csr_matrix
     B_div: sp.csr_matrix
     B_lam: sp.csr_matrix
     B_lam_e: sp.csr_matrix
     m_q: np.ndarray
     m_mu: np.ndarray
     c_n: np.ndarray
-    sigma: float
 
 
 def assemble_blocks(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
                     sigma: float,
                     vol_rule: Optional[QuadratureRule] = None) -> SystemBlocks:
-    """Assemble every viscosity-independent block of the saddle system."""
+    """Assemble every block of the saddle matrix."""
     if vol_rule is None:
         vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    a_unit = assemble_a(ct, layout, bqd, 1.0, sigma, vol_rule)
+    a = assemble_a(ct, layout, bqd, sigma, vol_rule)
     B_div, B_lam = assemble_b(ct, layout, bqd, vol_rule)
     B_lam_e = assemble_be(layout, bqd)
     m_q, m_mu, c_n = assemble_constraints(ct, layout, bqd, vol_rule)
-    return SystemBlocks(a_unit=a_unit, B_div=B_div, B_lam=B_lam,
-                        B_lam_e=B_lam_e, m_q=m_q, m_mu=m_mu, c_n=c_n,
-                        sigma=sigma)
+    return SystemBlocks(a=a, B_div=B_div, B_lam=B_lam, B_lam_e=B_lam_e,
+                        m_q=m_q, m_mu=m_mu, c_n=c_n)
 
 
-def compose_system(blocks: SystemBlocks, layout: DofLayout, nu: float,
-                   rhs: np.ndarray) -> SaddleSystem:
-    """Glue the blocks into the full square matrix for a given viscosity."""
+def compose_system(blocks: SystemBlocks, layout: DofLayout) -> SaddleSystem:
+    """Glue the blocks into the full square matrix of the scaled system."""
     m_q = sp.csr_matrix(blocks.m_q[:, None])
     m_mu = sp.csr_matrix(blocks.m_mu[:, None])
     c_n = sp.csr_matrix(blocks.c_n[:, None])
     A = sp.bmat([
-        [nu * blocks.a_unit, blocks.B_div.T, blocks.B_lam.T, None, None, c_n],
+        [blocks.a, blocks.B_div.T, blocks.B_lam.T, None, None, c_n],
         [blocks.B_div, None, None, m_q, None, None],
         [blocks.B_lam_e, None, None, None, m_mu, None],
         [None, m_q.T, None, None, None, None],
         [None, None, m_mu.T, None, None, None],
         [c_n.T, None, None, None, None, None],
     ], format="csr")
-    return SaddleSystem(matrix=A, rhs=rhs, layout=layout)
+    return SaddleSystem(matrix=A, layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def gram_h1_velocity(ct: CtMesh, layout: DofLayout,
                      vol_rule: Optional[QuadratureRule] = None) -> sp.csr_matrix:
     """Gram matrix of the mesh-dependent H1 norm on the velocity space:
     grad L2 squared plus edge L2 terms weighted by 1/h_e."""
-    K = assemble_a(ct, layout, bqd, 1.0, 0.0, vol_rule, include_boundary=False)
+    K = assemble_a(ct, layout, bqd, 0.0, vol_rule, include_boundary=False)
     Me = np.einsum("bq,b,bqi,bqj->bij", bqd.ds, 1.0 / bqd.lengths,
                    bqd.vals, bqd.vals)
     r, c, d = _velocity_block_triplets(bqd.elem_nodes, bqd.elem_nodes, Me)

@@ -22,7 +22,7 @@ import numpy as np
 from . import verify
 from .fem import edge_rule, triangle_rule
 from .geometry import circle_domain, star_domain
-from .mesh import write_vtk
+from .mesh import ASSUMPTION_THRESHOLD, write_vtk
 from .solver import SolverError, dump_matrix_market
 from .verify import (build_level, infsup_estimate, paper_case, run_convergence,
                      write_json)
@@ -227,18 +227,18 @@ def cmd_solve(cfg: RunConfig) -> int:
         if cfg.check_assumption:
             rep = level.assumption
             print(f"n={n}: max delta_e/h_e = {rep.max_ratio:.4f} "
-                  f"({len(rep.flagged)} edges above {rep.threshold:g})")
+                  f"({len(rep.flagged)} edges above {ASSUMPTION_THRESHOLD:g})")
         if cfg.infsup:
             try:
                 beta = infsup_estimate(level.ct, level.layout, level.bqd)
                 print(f"n={n}: inf-sup estimate = {beta:.6f}")
             except ValueError as exc:
                 print(f"n={n}: inf-sup skipped ({exc})")
+        if cfg.dump_matrix:
+            dump_matrix_market(outdir / f"system_n{n}.mtx",
+                               verify.level_system(level))
         for nu in cfg.nus:
             case = paper_case(nu)
-            if cfg.dump_matrix:
-                dump_matrix_market(outdir / f"system_n{n}_nu{nu:g}.mtx",
-                                   verify.compose_level_system(level, case))
             try:
                 sol, report = verify.solve_on_level(level, case)
             except SolverError as exc:

@@ -14,8 +14,6 @@ transfer direction points from x toward y.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 NEWTON_TOL = 1e-12
@@ -194,8 +192,7 @@ def _residual(dom, x, y):
     return f1, f2, g
 
 
-def project_points(dom: LevelSetDomain, pts: np.ndarray,
-                   seeds: Optional[np.ndarray] = None):
+def project_points(dom: LevelSetDomain, pts: np.ndarray):
     """Project a batch of points onto the zero level set.
 
     Newton iteration on the 2x2 transfer system with residual-damped steps;
@@ -204,8 +201,7 @@ def project_points(dom: LevelSetDomain, pts: np.ndarray,
 
     Args:
         dom: level-set domain.
-        pts: array of shape (N, 2).
-        seeds: optional initial guesses, defaults to the points themselves.
+        pts: array of shape (N, 2); Newton starts from the points themselves.
 
     Returns:
         Tuple (x_star (N, 2), delta (N,), direction (N, 2)).  Direction rows
@@ -215,7 +211,7 @@ def project_points(dom: LevelSetDomain, pts: np.ndarray,
         ProjectionError: if any point fails both sweeps.
     """
     x = np.atleast_2d(np.asarray(pts, dtype=float))
-    y = np.array(x if seeds is None else np.atleast_2d(np.asarray(seeds, dtype=float)))
+    y = x.copy()
 
     def newton_sweep(y):
         active = np.ones(len(y), dtype=bool)

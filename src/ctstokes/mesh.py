@@ -10,13 +10,14 @@ oriented closed loops with outward normals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .geometry import LevelSetDomain, project_points
 
 CLIP_TOL = 1e-12
+ASSUMPTION_THRESHOLD = 1.0  # largest delta_e/h_e the stability theory allows
 
 
 class MeshError(RuntimeError):
@@ -163,7 +164,6 @@ class BoundaryEdge:
     normal: np.ndarray
     tangent: np.ndarray
     length: float
-    delta_e: Optional[float] = None
 
 
 class CtMesh(MacroMesh):
@@ -245,19 +245,18 @@ class AssumptionReport:
     ratios: np.ndarray
     max_ratio: float
     flagged: np.ndarray
-    threshold: float
 
 
-def check_assumption_a(ct: CtMesh, dom: LevelSetDomain, edge_points: np.ndarray,
-                       threshold: float = 1.0) -> AssumptionReport:
+def check_assumption_a(ct: CtMesh, dom: LevelSetDomain,
+                       edge_points: np.ndarray) -> AssumptionReport:
     """Estimate max over boundary edges of (max transfer length)/(edge length).
 
     The per-edge max is sampled at the given quadrature points plus both
-    endpoints; edges whose ratio exceeds the threshold are flagged.  The
-    ratio is advisory: the method's stability theory assumes it is uniformly
-    below one.  It does not separate admissible levels: on the star domain
-    it is 1.01-1.30 at n = 16...64, where the reference errors are
-    reproduced.
+    endpoints; edges whose ratio exceeds ASSUMPTION_THRESHOLD are flagged.
+    The ratio is advisory: the method's stability theory assumes it is
+    uniformly below one.  It does not separate admissible levels: on the
+    star domain it is 1.01-1.30 at n = 16...64, where the reference errors
+    are reproduced.
     """
     edges = ct.boundary_edges
     if not edges:
@@ -269,14 +268,9 @@ def check_assumption_a(ct: CtMesh, dom: LevelSetDomain, edge_points: np.ndarray,
     pts = pa[:, None, :] + samples[None, :, None] * (pb - pa)[:, None, :]
     _, delta, _ = project_points(dom, pts.reshape(-1, 2))
     delta = delta.reshape(len(edges), -1)
-    delta_e = delta.max(axis=1)
-    h_e = np.array([e.length for e in edges])
-    ratios = delta_e / h_e
-    for e, d in zip(edges, delta_e):
-        e.delta_e = float(d)
+    ratios = delta.max(axis=1) / np.array([e.length for e in edges])
     return AssumptionReport(ratios=ratios, max_ratio=float(ratios.max()),
-                            flagged=np.where(ratios > threshold)[0],
-                            threshold=threshold)
+                            flagged=np.where(ratios > ASSUMPTION_THRESHOLD)[0])
 
 
 def write_vtk(path, ct: CtMesh, point_data=None, cell_data=None,

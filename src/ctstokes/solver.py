@@ -110,8 +110,8 @@ def factorize(matrix: sp.spmatrix) -> _BorderedLU:
     return _BorderedLU(A)
 
 
-def solve_direct(system: SaddleSystem) -> SolutionFields:
-    """Solve the system and enforce the relative residual contract.
+def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
+    """Solve one rhs under the residual contract; factorize on first use.
 
     Refinement runs past the contract down to stagnation of both the global
     residual and the continuity-block residual: the discrete divergence
@@ -123,10 +123,12 @@ def solve_direct(system: SaddleSystem) -> SolutionFields:
         SolverError: singular factorization, non-finite solution, or a
             residual above the contract after iterative refinement.
     """
-    A, b = system.matrix.tocsc(), system.rhs
+    A, b = system.matrix.tocsc(), rhs
     layout = system.layout
     p_rows = slice(layout.offset_p, layout.offset_p + layout.n_p)
-    lu = factorize(A)
+    if system.factor is None:
+        system.factor = factorize(A)
+    lu = system.factor
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SolverError(
@@ -154,8 +156,7 @@ def solve_direct(system: SaddleSystem) -> SolutionFields:
 
 
 def dump_matrix_market(path, system: SaddleSystem) -> None:
-    """Write the system matrix (and rhs alongside) in Matrix Market format."""
+    """Write the system matrix in Matrix Market format."""
     from scipy.io import mmwrite
 
     mmwrite(str(path), system.matrix.tocoo())
-    np.savetxt(str(path) + ".rhs", system.rhs)

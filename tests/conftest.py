@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ctstokes.geometry import LevelSetDomain, circle_domain, star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
 from ctstokes.fem import build_dof_layout, edge_rule
-from ctstokes.assembly import build_boundary_data, assemble_blocks
+from ctstokes.assembly import (assemble_blocks, assemble_rhs,
+                               build_boundary_data, compose_system)
+from ctstokes.solver import solve_direct
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +67,15 @@ def make_level(dom, n, sigma=40.0, edge_points=6):
     bqd = build_boundary_data(ct, layout, dom, edge_rule(edge_points))
     blocks = assemble_blocks(ct, layout, bqd, sigma)
     return ct, layout, bqd, blocks
+
+
+def solve_case(ct, layout, bqd, blocks, case, sigma=40.0):
+    """Solve a case on a make_level tuple; p, lambda and gamma come back
+    unscaled (the system is solved for them divided by nu)."""
+    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, case.nu, sigma)
+    sol = solve_direct(compose_system(blocks, layout), rhs)
+    nu = case.nu
+    return replace(sol, p=nu * sol.p, lam=nu * sol.lam, gamma=nu * sol.gamma)
 
 
 @pytest.fixture(scope="session")

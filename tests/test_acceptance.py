@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import make_level
-from ctstokes.assembly import DEFAULT_EDGE_POINTS, assemble_rhs, compose_system
+from conftest import make_level, solve_case
+from ctstokes.assembly import DEFAULT_EDGE_POINTS
 from ctstokes.fem import edge_rule, triangle_rule
 from ctstokes.geometry import star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
-from ctstokes.solver import solve_direct
 from ctstokes.verify import compute_errors, infsup_estimate, patch_case
 
 LEVELS = [8, 16, 32, 64, 128]
@@ -189,8 +188,7 @@ def test_criterion_4_divergence_free(tables):
 def test_criterion_5_patch_test(star):
     ct, layout, bqd, blocks = make_level(star, 8)
     case = patch_case(0.1)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, case.nu, 40.0)
-    sol = solve_direct(compose_system(blocks, layout, case.nu, rhs))
+    sol = solve_case(ct, layout, bqd, blocks, case)
     rep = compute_errors(sol, case, ct, layout, bqd, n=8, max_delta_ratio=0.0)
     ok = rep.h1_u <= 1e-8 and rep.l2_p <= 1e-8
     _print_line(5, "quadratic patch test", ok,
@@ -225,9 +223,7 @@ def test_criterion_6_invariants(tables, star, tmp_path):
     # constraint means from a real solve
     from ctstokes.verify import paper_case
 
-    rhs = assemble_rhs(paper_case(0.1).f, paper_case(0.1).u, ct, layout, bqd,
-                       0.1, 40.0)
-    sol = solve_direct(compose_system(blocks, layout, 0.1, rhs))
+    sol = solve_case(ct, layout, bqd, blocks, paper_case(0.1))
     mean_p = abs(float(blocks.m_q @ sol.p))
     mean_lam = abs(float(blocks.m_mu @ sol.lam))
     good = mean_p <= 1e-10 and mean_lam <= 1e-10

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import box_sdf_domain, everywhere_inside_domain, make_level
+from conftest import (box_sdf_domain, everywhere_inside_domain, make_level,
+                      solve_case)
 from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_blocks, assemble_constraints,
                                assemble_rhs, build_boundary_data,
-                               compose_system, gram_h1_velocity, norm_h1_direct, taylor_trace)
+                               gram_h1_velocity, norm_h1_direct, taylor_trace)
 from ctstokes.fem import build_dof_layout, edge_rule, triangle_rule
 from ctstokes.geometry import circle_domain, star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
-from ctstokes.solver import solve_direct
 from ctstokes.verify import paper_case, patch_case, compute_errors, solve_on_level
 
 
@@ -55,7 +55,7 @@ def test_boundary_data_zero_delta_identity():
 
 def test_volume_stiffness_symmetric_and_kernel(star_n8):
     ct, layout, bqd, blocks = star_n8
-    A = assemble_a(ct, layout, bqd, 1.0, 40.0, include_boundary=False)
+    A = assemble_a(ct, layout, bqd, 40.0, include_boundary=False)
     assert abs(A - A.T).max() <= 1e-12
     const = np.zeros(layout.n_u)
     const[0::2] = 1.0
@@ -64,8 +64,8 @@ def test_volume_stiffness_symmetric_and_kernel(star_n8):
 
 def test_a_interior_rows_unaffected_by_boundary(star_n8):
     ct, layout, bqd, blocks = star_n8
-    A = assemble_a(ct, layout, bqd, 1.0, 40.0)
-    Avol = assemble_a(ct, layout, bqd, 1.0, 40.0, include_boundary=False)
+    A = assemble_a(ct, layout, bqd, 40.0)
+    Avol = assemble_a(ct, layout, bqd, 40.0, include_boundary=False)
     boundary_nodes = set(bqd.elem_nodes.ravel().tolist())
     interior = np.array([2 * n + c for n in range(layout.n_nodes)
                          if n not in boundary_nodes for c in (0, 1)])
@@ -79,7 +79,7 @@ def test_a_interior_rows_unaffected_by_boundary(star_n8):
 
 def test_a_positive_on_random_vectors(star_n8):
     ct, layout, bqd, blocks = star_n8
-    A = (1.0 * blocks.a_unit).tocsr()
+    A = blocks.a.tocsr()
     rng = np.random.default_rng(4)
     for _ in range(100):
         v = rng.standard_normal(layout.n_u)
@@ -130,7 +130,7 @@ def test_constraints_singular_without_them(star):
     ct, layout, bqd, blocks = make_level(star, 3)
     assert ct.n_triangles == 6  # two macro triangles survive at n = 3
     K = sp.bmat([
-        [blocks.a_unit, blocks.B_div.T, blocks.B_lam.T],
+        [blocks.a, blocks.B_div.T, blocks.B_lam.T],
         [blocks.B_div, None, None],
         [blocks.B_lam_e, None, None],
     ]).toarray()
@@ -150,10 +150,7 @@ def test_constraints_singular_without_them(star):
 
 def test_full_system_nonsingular_and_means_vanish(star_n8):
     ct, layout, bqd, blocks = star_n8
-    case = paper_case(0.1)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
-    system = compose_system(blocks, layout, 0.1, rhs)
-    sol = solve_direct(system)
+    sol = solve_case(ct, layout, bqd, blocks, paper_case(0.1))
     assert abs(float(blocks.m_q @ sol.p)) <= 1e-10
     assert abs(float(blocks.m_mu @ sol.lam)) <= 1e-10
 
@@ -179,8 +176,7 @@ def test_patch_reproduced_exactly(star_n8):
     # reproduces the fields to solver precision
     ct, layout, bqd, blocks = star_n8
     case = patch_case(0.5)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, case.nu, 40.0)
-    sol = solve_direct(compose_system(blocks, layout, case.nu, rhs))
+    sol = solve_case(ct, layout, bqd, blocks, case)
     rep = compute_errors(sol, case, ct, layout, bqd, n=8, max_delta_ratio=0.0)
     assert rep.h1_u <= 1e-8
     assert rep.l2_p <= 1e-8
@@ -193,8 +189,7 @@ def test_patch_reproduced_on_circle(circle_n8):
     off_centre = make_level(circle_domain((0.45, 0.52), 0.35), 8)
     for ct, layout, bqd, blocks in (circle_n8, off_centre):
         case = patch_case(0.1)
-        rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, case.nu, 40.0)
-        sol = solve_direct(compose_system(blocks, layout, case.nu, rhs))
+        sol = solve_case(ct, layout, bqd, blocks, case)
         rep = compute_errors(sol, case, ct, layout, bqd, n=8, max_delta_ratio=0.0)
         assert rep.h1_u <= 1e-8
         assert rep.l2_p <= 1e-8
@@ -211,7 +206,7 @@ def test_edge_quadrature_refinement_stability(circle):
     b10 = assemble_blocks(ct, layout,
                           build_boundary_data(ct, layout, circle, edge_rule(10)),
                           40.0)
-    for name in ("a_unit", "B_lam_e"):
+    for name in ("a", "B_lam_e"):
         M5, M10 = getattr(b5, name), getattr(b10, name)
         rel = sp.linalg.norm(M5 - M10) / sp.linalg.norm(M10)
         assert rel <= 1e-8

@@ -4,7 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from scipy.io import mmread
+
 from ctstokes.cli import RunConfig, UsageError, main, parse_config
+from ctstokes.geometry import circle_domain
+from ctstokes.assembly import compose_system
+from ctstokes.verify import build_level
 
 
 def test_defaults_reproduce_reference_study():
@@ -103,7 +108,12 @@ def test_solve_command_circle_fixture(tmp_path):
     assert rc == 0
     assert (out / "solve_reports.json").exists()
     assert (out / "solution_n8_nu0.1.vtk").exists()
-    assert (out / "system_n8_nu0.1.mtx").exists()
+    # one matrix per level, the same for every viscosity
+    level = build_level(circle_domain((0.5, 0.5), 0.4), 8, 40.0)
+    M = mmread(out / "system_n8.mtx").tocsr()
+    M_level = compose_system(level.blocks, level.layout).matrix
+    assert abs(M - M_level).max() == 0.0
+    assert sorted(p.name for p in out.glob("system_*")) == ["system_n8.mtx"]
     reports = json.loads((out / "solve_reports.json").read_text())
     assert reports[0]["n"] == 8
     assert reports[0]["linf_div"] <= 1e-8

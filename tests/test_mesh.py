@@ -159,8 +159,7 @@ def test_assumption_a_star_reports():
     rep = check_assumption_a(ct, s, edge_rule(6).points)
     assert np.isfinite(rep.max_ratio)
     assert rep.ratios.shape == (len(ct.boundary_edges),)
-    for e in ct.boundary_edges:
-        assert e.delta_e is not None and e.delta_e >= 0
+    assert np.all(np.isfinite(rep.ratios)) and np.all(rep.ratios >= 0)
 
 
 def test_classification_is_deterministic():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import make_level
 from ctstokes import solver
 from ctstokes.assembly import SaddleSystem, assemble_rhs, compose_system
 from ctstokes.solver import (SolverError, dump_matrix_market, factorize,
                              solve_direct)
-from ctstokes.verify import paper_case
+from ctstokes.verify import (build_level, paper_case, run_convergence,
+                             solve_on_level)
 
 
 class _ScalarOnlyLayout:
@@ -22,17 +24,16 @@ class _ScalarOnlyLayout:
         self.alpha = self.beta = self.gamma = n - 1
 
 
-def _raw_system(A, b):
+def _raw_system(A):
     A = sp.csr_matrix(A)
-    return SaddleSystem(matrix=A, rhs=np.asarray(b, dtype=float),
-                        layout=_ScalarOnlyLayout(A.shape[0]))
+    return SaddleSystem(matrix=A, layout=_ScalarOnlyLayout(A.shape[0]))
 
 
 def test_identity_solve():
     n = 5
     b = np.zeros(n)
     b[0] = 1.0
-    sol = solve_direct(_raw_system(sp.eye(n), b))
+    sol = solve_direct(_raw_system(sp.eye(n)), b)
     x = sol.u  # the shim maps the whole vector to the velocity slot
     assert np.allclose(x, b, atol=1e-15)
 
@@ -44,7 +45,7 @@ def test_two_by_two_hand_solve():
                   [1.0, 0.0, 0.0, 0.0, 0.0],
                   [0.0, 1.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, 0.0, 1.0]])
-    sol = solve_direct(_raw_system(A, [4.0, 6.0, 1.0, 1.0, 3.0]))
+    sol = solve_direct(_raw_system(A), np.array([4.0, 6.0, 1.0, 1.0, 3.0]))
     assert np.allclose(sol.u, [1.0, 1.0, 1.0, 2.0, 3.0], atol=1e-14)
 
 
@@ -62,7 +63,7 @@ def test_singular_matrix_rejected():
                   [0.0, 0.0, 0.0, 1.0, 0.0],
                   [0.0, 0.0, 0.0, 0.0, 1.0]])
     with pytest.raises(SolverError):
-        solve_direct(_raw_system(A, [1.0, 1.0, 1.0, 1.0, 1.0]))
+        solve_direct(_raw_system(A), np.ones(5))
 
 
 def test_singular_schur_complement_rejected():
@@ -77,7 +78,7 @@ def test_star_system_residual_contract(star):
     ct, layout, bqd, blocks = make_level(star, 8)
     case = paper_case(0.1)
     rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
-    sol = solve_direct(compose_system(blocks, layout, 0.1, rhs))
+    sol = solve_direct(compose_system(blocks, layout), rhs)
     assert sol.residual <= 1e-10
 
 
@@ -85,13 +86,10 @@ def test_star_system_residual_contract(star):
 def test_recovery_of_random_solution(star, n):
     # from star n = 8 (757 dofs) up to n = 32
     ct, layout, bqd, blocks = make_level(star, n)
-    case = paper_case(0.1)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
-    system = compose_system(blocks, layout, 0.1, rhs)
+    system = compose_system(blocks, layout)
     rng = np.random.default_rng(42)
     x0 = rng.standard_normal(system.matrix.shape[0])
-    system.rhs = system.matrix @ x0
-    sol = solve_direct(system)
+    sol = solve_direct(system, system.matrix @ x0)
     x = np.concatenate([sol.u, sol.p, sol.lam, [sol.alpha, sol.beta, sol.gamma]])
     assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
 
@@ -102,7 +100,7 @@ def test_factorize_bordered_with_one_pin(star):
         ct, layout, bqd, blocks = make_level(star, n)
         case = paper_case(0.1)
         rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
-        A = compose_system(blocks, layout, 0.1, rhs).matrix
+        A = compose_system(blocks, layout).matrix
         lu = factorize(A)
         N = A.shape[0] - solver.N_BORDER
         # the sparse factor covers the field block only
@@ -118,18 +116,21 @@ def test_solve_deterministic(star):
     ct, layout, bqd, blocks = make_level(star, 8)
     case = paper_case(1e-3)
     rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 1e-3, 40.0)
-    a = solve_direct(compose_system(blocks, layout, 1e-3, rhs))
-    b = solve_direct(compose_system(blocks, layout, 1e-3, rhs))
-    assert np.array_equal(a.u, b.u)
-    assert np.array_equal(a.p, b.p)
-    assert np.array_equal(a.lam, b.lam)
+    system = compose_system(blocks, layout)
+    a = solve_direct(system, rhs)
+    # a second factorization, and a second solve with the cached factor
+    for b in (solve_direct(compose_system(blocks, layout), rhs),
+              solve_direct(system, rhs)):
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.p, b.p)
+        assert np.array_equal(a.lam, b.lam)
 
 
 def test_small_viscosity_contract(star):
     ct, layout, bqd, blocks = make_level(star, 16)
     case = paper_case(1e-5)
     rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 1e-5, 40.0)
-    sol = solve_direct(compose_system(blocks, layout, 1e-5, rhs))
+    sol = solve_direct(compose_system(blocks, layout), rhs)
     assert sol.residual <= 1e-10
 
 
@@ -137,12 +138,46 @@ def test_matrix_market_dump(tmp_path, star):
     from scipy.io import mmread
 
     ct, layout, bqd, blocks = make_level(star, 3)
-    case = paper_case(0.1)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
-    system = compose_system(blocks, layout, 0.1, rhs)
+    system = compose_system(blocks, layout)
     path = tmp_path / "system.mtx"
     dump_matrix_market(path, system)
     M = mmread(path).tocsr()
     assert abs(M - system.matrix).max() == 0.0
-    rhs_back = np.loadtxt(str(path) + ".rhs")
-    assert np.allclose(rhs_back, system.rhs, atol=1e-15)
+
+
+def test_one_factorization_serves_every_viscosity(circle, monkeypatch):
+    calls = []
+    original = solver.factorize
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(solver, "factorize", counting)
+    run_convergence(circle, [8, 16], [1e-1, 1e-3, 1e-5], 40.0)
+    assert len(calls) == 2
+
+    # the scaled solve against a direct solve of the nu-weighted system
+    nu = 1e-5
+    case = paper_case(nu)
+    sol, _ = solve_on_level(build_level(circle, 16, 40.0), case)
+    ct, layout, bqd, blocks = make_level(circle, 16)
+    m_q = sp.csr_matrix(blocks.m_q[:, None])
+    m_mu = sp.csr_matrix(blocks.m_mu[:, None])
+    c_n = sp.csr_matrix(blocks.c_n[:, None])
+    A = sp.bmat([
+        [nu * blocks.a, blocks.B_div.T, blocks.B_lam.T, None, None, c_n],
+        [blocks.B_div, None, None, m_q, None, None],
+        [blocks.B_lam_e, None, None, None, m_mu, None],
+        [None, m_q.T, None, None, None, None],
+        [None, None, m_mu.T, None, None, None],
+        [c_n.T, None, None, None, None, None],
+    ], format="csc")
+    # the scaled rhs has the momentum rows divided by nu
+    b = assemble_rhs(case.f, case.u, ct, layout, bqd, nu, 40.0)
+    b[:layout.n_u] *= nu
+    x = spla.spsolve(A, b)
+    u = x[:layout.n_u]
+    p = x[layout.offset_p:layout.offset_p + layout.n_p]
+    assert np.abs(sol.u - u).max() <= 1e-8 * np.abs(u).max()
+    assert np.abs(sol.p - p).max() <= 1e-8 * np.abs(p).max()

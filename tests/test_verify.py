@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_level
-from ctstokes.assembly import assemble_rhs, compose_system
+from conftest import make_level, solve_case
 from ctstokes.fem import element_maps, eval_p1, triangle_rule
 from ctstokes.geometry import star_domain
-from ctstokes.solver import SolutionFields, solve_direct
+from ctstokes.solver import SolutionFields
 from ctstokes.verify import (ErrorReport, RateTable, build_level,
                              compute_errors, infsup_estimate, paper_case,
                              patch_case, run_convergence, solve_on_level,
@@ -141,8 +140,7 @@ def test_compute_errors_interpolant_of_patch(star_n8):
 def test_mean_adjustment_invariance(star_n8):
     ct, layout, bqd, blocks = star_n8
     case = paper_case(0.1)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
-    sol = solve_direct(compose_system(blocks, layout, 0.1, rhs))
+    sol = solve_case(ct, layout, bqd, blocks, case)
     rep = compute_errors(sol, case, ct, layout, bqd, n=8, max_delta_ratio=0.0)
 
     shifted = paper_case(0.1)
