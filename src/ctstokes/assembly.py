@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (DofLayout, QuadratureRule, edge_rule, element_maps, eval_p1,
-                  eval_p2, physical_gradients, triangle_rule)
+                  eval_p2, physical_gradients, physical_hessians, triangle_rule)
 from .geometry import LevelSetDomain, project_points
 from .mesh import CtMesh
 
@@ -114,7 +114,7 @@ def build_boundary_data(ct: CtMesh, layout: DofLayout, dom: LevelSetDomain,
     basis = eval_p2(ref.reshape(-1, 2))
     vals = basis.vals.reshape(B, Q, 6)
     grads = np.einsum("bij,bqnj->bqni", invTb, basis.grads.reshape(B, Q, 6, 2))
-    hess = np.einsum("bij,njk,bkl->bnil", invTb, basis.hessians, invb)
+    hess = physical_hessians(basis.hessians, invb, invTb)
 
     sh = taylor_trace(vals, grads, hess[:, None], delta, dirs)
     dn = np.einsum("bqnc,bc->bqn", grads, normals)

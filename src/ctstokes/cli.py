@@ -50,7 +50,6 @@ class RunConfig:
     quad_edge: int = 6
     out: str = "results"
     formats: List[str] = field(default_factory=lambda: ["csv", "json"])
-    vtk: bool = False
     check_assumption: bool = False
     infsup: bool = False
     dump_matrix: bool = False
@@ -121,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
         p.add_argument("--format", dest="formats",
                        help="comma-separated output formats (csv,json,vtk)")
-        p.add_argument("--vtk", action="store_true", default=None)
         p.add_argument("--check-assumption", action="store_true", default=None,
                        dest="check_assumption")
         p.add_argument("--infsup", action="store_true", default=None)
@@ -174,7 +172,7 @@ def parse_config(argv) -> tuple:
         if "formats" in merged:
             val = merged["formats"]
             cfg.formats = _parse_list(val, str) if isinstance(val, str) else list(val)
-        for flag in ("vtk", "check_assumption", "infsup", "dump_matrix"):
+        for flag in ("check_assumption", "infsup", "dump_matrix"):
             if flag in merged:
                 val = merged[flag]
                 setattr(cfg, flag, val if isinstance(val, bool)
@@ -229,11 +227,8 @@ def cmd_solve(cfg: RunConfig) -> int:
             print(f"n={n}: max delta_e/h_e = {rep.max_ratio:.4f} "
                   f"({len(rep.flagged)} edges above {ASSUMPTION_THRESHOLD:g})")
         if cfg.infsup:
-            try:
-                beta = infsup_estimate(level.ct, level.layout, level.bqd)
-                print(f"n={n}: inf-sup estimate = {beta:.6f}")
-            except ValueError as exc:
-                print(f"n={n}: inf-sup skipped ({exc})")
+            beta = infsup_estimate(level.ct, level.layout, level.bqd)
+            print(f"n={n}: inf-sup estimate = {beta:.6f}")
         if cfg.dump_matrix:
             dump_matrix_market(outdir / f"system_n{n}.mtx",
                                verify.level_system(level))
@@ -248,7 +243,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             reports.append(report)
             print(_report_lines(report))
             ok = _divergence_ok(report) and ok
-            if cfg.vtk or "vtk" in cfg.formats:
+            if "vtk" in cfg.formats:
                 _export_vtk(outdir / f"solution_n{n}_nu{nu:g}.vtk", level, sol)
     if "json" in cfg.formats:
         with open(outdir / "solve_reports.json", "w") as fh:

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import assembly as asm
 from .assembly import (BoundaryQuadData, SaddleSystem, SystemBlocks,
@@ -29,7 +30,7 @@ from .fem import (DofLayout, build_dof_layout, edge_rule, element_maps,
 from .geometry import LevelSetDomain
 from .mesh import (AssumptionReport, CtMesh, build_type1_mesh,
                    check_assumption_a, clip_to_interior, clough_tocher)
-from .solver import SolutionFields, solve_direct
+from .solver import N_BORDER, SolutionFields, factorize, solve_direct
 
 ERROR_QUAD_DEGREE = 8
 
@@ -373,62 +374,59 @@ def write_json(path, tables: Dict[float, RateTable]) -> None:
         fh.write("\n")
 
 
-MAX_DENSE_DOFS = 9000
+INFSUP_SHIFT = 1e-3  # s of the interior pair's shifted norm saddle system
 
 
 def infsup_estimate(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
                     include_multiplier: bool = True) -> float:
-    """Numeric inf-sup constant of the continuity pairing (dense, small meshes).
+    """Numeric inf-sup constant of the continuity pairing.
 
-    Computes the smallest generalized singular value of the constraint block
-    against the mesh-dependent H1 norm on the velocity side and the natural
-    product norm on the pressure/multiplier side, restricted to the
-    mean-zero (and flux-zero) subspaces.  With include_multiplier=False the
-    velocity space is restricted to functions vanishing on the mesh boundary
-    and only the pressure block is kept, which is the plain Stokes-pair
-    stability constant.  Reported as a diagnostic; no bound is asserted.
+    Returns sqrt(mu) for the smallest eigenvalue mu of S y = mu Y y
+    (Chapelle & Bathe's inf-sup test), where S = B X^{-1} B^T, X is the Gram
+    matrix of the mesh-dependent H1 norm on the velocity and Y that of the
+    natural product norm on the pressure (and multiplier).  Shift-invert
+    Lanczos finds it; each step is one solve with a norm saddle system
+    [[X, B^T], [B, sigma Y]] factored once.  The start vector is fixed, so
+    repeated calls are bit-identical.
+
+    With the multiplier, B stacks the divergence and uncorrected multiplier
+    pairings and the norm system is composed and factored like the Stokes
+    system, whose scalar border imposes zero flux on the velocity and zero
+    means on pressure and multiplier.  With include_multiplier=False the
+    velocity vanishes on the mesh boundary and only the pressure is kept:
+    the plain Stokes-pair constant.  There sigma = -s, so the constant
+    pressure, S's one kernel mode, is the eigenvalue nearest sigma and the
+    next one is Y-orthogonal to it, i.e. of zero mean.  Reported as a
+    diagnostic; no bound is asserted.
     """
-    if layout.n_total > MAX_DENSE_DOFS:
-        raise ValueError(f"mesh too large for dense inf-sup estimate "
-                         f"({layout.n_total} > {MAX_DENSE_DOFS} dofs)")
     B_div, B_lam = asm.assemble_b(ct, layout, bqd)
-    m_q, m_mu, c_n = asm.assemble_constraints(ct, layout, bqd)
-    Mp = gram_pressure_mass(ct, layout).toarray()
-
+    Mp = gram_pressure_mass(ct, layout)
     if include_multiplier:
-        X = gram_h1_velocity(ct, layout, bqd).toarray()
-        Ml = gram_multiplier(layout, bqd).toarray()
-        B = np.vstack([B_div.toarray(), B_lam.toarray()])
-        Y = scipy.linalg.block_diag(Mp, Ml)
-        Zv = scipy.linalg.null_space(c_n[None, :])
-        Zy = scipy.linalg.null_space(
-            np.block([[m_q[None, :], np.zeros((1, layout.n_lam))],
-                      [np.zeros((1, layout.n_p)), m_mu[None, :]]]))
+        m_q, m_mu, c_n = asm.assemble_constraints(ct, layout, bqd)
+        blocks = SystemBlocks(a=gram_h1_velocity(ct, layout, bqd), B_div=B_div,
+                              B_lam=B_lam, B_lam_e=B_lam, m_q=m_q, m_mu=m_mu, c_n=c_n)
+        lu = factorize(compose_system(blocks, layout).matrix)
+        Y, sigma, k = sp.block_diag([Mp, gram_multiplier(layout, bqd)]), 0.0, 1
+        head, tail = layout.n_u, N_BORDER
     else:
-        # interior velocity subspace: zero every dof on a boundary node
-        bnodes = set()
-        for e in ct.boundary_edges:
-            bnodes.add(e.a)
-            bnodes.add(e.b)
-        edge_mid = {tuple(sorted((e.a, e.b))) for e in ct.boundary_edges}
-        mask = np.ones(layout.n_u, dtype=bool)
-        for node in bnodes:
-            mask[2 * node] = mask[2 * node + 1] = False
-        for k, (ea, eb) in enumerate(ct.edges):
-            if (ea, eb) in edge_mid:
-                node = layout.n_mvert + k
-                mask[2 * node] = mask[2 * node + 1] = False
-        keep = np.where(mask)[0]
-        X = asm.assemble_a(ct, layout, bqd, 0.0,
-                           include_boundary=False).toarray()[np.ix_(keep, keep)]
-        B = B_div.toarray()[:, keep]
-        Y = Mp
-        Zv = np.eye(len(keep))
-        Zy = scipy.linalg.null_space(m_q[None, :])
+        boundary = ct.edge_counts == 1
+        nodes = np.r_[ct.edges[boundary].ravel(), layout.n_mvert + np.flatnonzero(boundary)]
+        keep = np.setdiff1d(np.arange(layout.n_u), np.r_[2 * nodes, 2 * nodes + 1])
+        X = asm.assemble_a(ct, layout, bqd, 0.0, include_boundary=False)[keep][:, keep]
+        B = B_div[:, keep]
+        Y, sigma, k = Mp, -INFSUP_SHIFT, 2
+        lu = spla.splu(sp.bmat([[X, B.T], [B, sigma * Y]], format="csc"))
+        head, tail = keep.size, 0
 
-    Xr = Zv.T @ X @ Zv
-    Br = Zy.T @ (B @ Zv)
-    Yr = Zy.T @ Y @ Zy
-    S = Br @ scipy.linalg.solve(Xr, Br.T, assume_a="pos")
-    w = scipy.linalg.eigh(S, Yr, eigvals_only=True)
-    return float(np.sqrt(max(w[0], 0.0)))
+    def solve(g):
+        # the norm system's solution for the rhs [0; g] has y = -(S - sigma Y)^{-1} g
+        x = lu.solve(np.concatenate([np.zeros(head), g, np.zeros(tail)]))
+        return -x[head:head + g.size]
+
+    m = Y.shape[0]
+    opinv = spla.LinearOperator((m, m), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(m)
+    # in shift-invert mode eigsh reads only the shape and dtype of its A
+    mu = spla.eigsh(Y, k=k, M=Y, sigma=sigma, OPinv=opinv, v0=v0,
+                    return_eigenvectors=False)
+    return float(np.sqrt(max(mu.max(), 0.0)))

@@ -34,7 +34,7 @@ def test_flag_overrides():
     assert cfg.formats == ["csv"] and cfg.sigma == 10.0
 
 
-def test_invalid_values_rejected(tmp_path):
+def test_invalid_values_rejected(tmp_path, capsys):
     with pytest.raises(UsageError):
         parse_config(["solve", "--sigma", "-1"])
     with pytest.raises(UsageError):
@@ -49,6 +49,12 @@ def test_invalid_values_rejected(tmp_path):
     assert main(["converge", "--quad-edge", "0"]) == 2
     out = tmp_path / "x"
     assert main(["converge", "--levels", "16,8", "--out", str(out)]) == 2
+    assert not out.exists()
+    # the removed --vtk flag is an unknown option; --format vtk remains
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--vtk", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --vtk" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -79,12 +85,16 @@ def test_config_file_and_precedence(tmp_path):
     with pytest.raises(UsageError):
         parse_config(["converge", "--config", str(typo)])
     assert main(["converge", "--config", str(typo)]) == 2
-    # a key that names no option is rejected, "sequential" included
+    # a key that names no option is rejected, "sequential" and "vtk" included
     old = tmp_path / "old.cfg"
     old.write_text("sequential = true\nformat = csv\n")
     with pytest.raises(UsageError):
         parse_config(["converge", "--config", str(old)])
     assert main(["converge", "--config", str(old)]) == 2
+    old.write_text("vtk = true\n")
+    with pytest.raises(UsageError, match="vtk"):
+        parse_config(["solve", "--config", str(old)])
+    assert main(["solve", "--config", str(old)]) == 2
 
 
 def test_empty_levels_rejected(tmp_path):
@@ -104,7 +114,7 @@ def test_solve_command_circle_fixture(tmp_path):
     out = tmp_path / "run"
     rc = main(["solve", "--domain", "circle", "--radius", "0.4",
                "--levels", "8", "--nu", "0.1", "--out", str(out),
-               "--vtk", "--dump-matrix"])
+               "--format", "json,vtk", "--dump-matrix"])
     assert rc == 0
     assert (out / "solve_reports.json").exists()
     assert (out / "solution_n8_nu0.1.vtk").exists()
@@ -117,6 +127,14 @@ def test_solve_command_circle_fixture(tmp_path):
     reports = json.loads((out / "solve_reports.json").read_text())
     assert reports[0]["n"] == 8
     assert reports[0]["linf_div"] <= 1e-8
+
+
+def test_solve_prints_infsup_estimate(tmp_path, capsys):
+    rc = main(["solve", "--domain", "circle", "--levels", "8", "--nu", "0.1",
+               "--infsup", "--out", str(tmp_path / "run")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "n=8: inf-sup estimate = 0.169107" in lines
 
 
 def test_converge_writes_tables(tmp_path):
