@@ -17,23 +17,30 @@ value at the projected boundary point exactly on quadratics.
 The viscosity multiplies only the velocity block, so the momentum rows are
 divided by nu and the unknowns are u, p/nu, lambda/nu, alpha, beta and
 gamma/nu: every viscosity shares the nu = 1 matrix and changes only the rhs.
+
+The quadrature is fixed here.  Every element integral uses the conical
+Gauss rule of degree VOLUME_DEGREE on each micro triangle, tabulated per
+call by VolumeQuad; every boundary integral uses the Gauss-Legendre rule
+EDGE_RULE on each boundary edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (DofLayout, QuadratureRule, edge_rule, element_maps, eval_p1,
-                  eval_p2, physical_gradients, physical_hessians, triangle_rule)
+from .fem import (DofLayout, edge_rule, element_maps, eval_p1, eval_p2,
+                  physical_gradients, physical_hessians, triangle_rule,
+                  vector_dofs)
 from .geometry import LevelSetDomain, project_points
 from .mesh import CtMesh
 
-DEFAULT_VOLUME_DEGREE = 6
-DEFAULT_EDGE_POINTS = 6
+VOLUME_DEGREE = 6         # triangle_rule degree on each micro triangle
+EDGE_RULE = edge_rule(6)  # 6-point Gauss-Legendre on each boundary edge
 
 
 def edge_shape_values(t: np.ndarray) -> np.ndarray:
@@ -79,11 +86,11 @@ def taylor_trace(vals, grads, hess, delta, dirs):
     return vals + delta[..., None] * first + 0.5 * delta[..., None] ** 2 * second
 
 
-def build_boundary_data(ct: CtMesh, layout: DofLayout, dom: LevelSetDomain,
-                        rule: Optional[QuadratureRule] = None) -> BoundaryQuadData:
-    """Project boundary quadrature points and tabulate corrected traces."""
-    if rule is None:
-        rule = edge_rule(DEFAULT_EDGE_POINTS)
+def build_boundary_data(ct: CtMesh, layout: DofLayout,
+                        dom: LevelSetDomain) -> BoundaryQuadData:
+    """Project the EDGE_RULE points of every boundary edge and tabulate
+    corrected traces."""
+    rule = EDGE_RULE
     edges = ct.boundary_edges
     if not edges:
         raise ValueError("mesh has no boundary edges")
@@ -127,93 +134,104 @@ def build_boundary_data(ct: CtMesh, layout: DofLayout, dom: LevelSetDomain,
                             elem_nodes=elem_nodes, edge_mult=edge_mult)
 
 
-def _velocity_block_triplets(nodes_rows, nodes_cols, blocks):
+class VolumeQuad:
+    """A triangle rule mapped onto every micro triangle of the mesh.
+
+    w (Q,) holds the reference weights and det (M,) the Jacobian
+    determinants, so point q of triangle m weighs w[q] * det[m]; p1 (Q, 3)
+    and p2 (Q, 6) are the basis values at the rule points.  The physical
+    points (M, Q, 2) and the P2 physical gradients (M, Q, 6, 2) are
+    computed when first read.
+    """
+
+    def __init__(self, ct: CtMesh, degree: int = VOLUME_DEGREE):
+        rule = triangle_rule(degree)
+        self._ct = ct
+        self.w = rule.weights
+        _, self.det, _, self._invT = element_maps(ct)
+        self.p1 = eval_p1(rule.points).vals
+        self._p2 = eval_p2(rule.points)
+        self.p2 = self._p2.vals
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return np.einsum("qk,mkc->mqc", self.p1, self._ct.vertices[self._ct.triangles])
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        return physical_gradients(self._p2.grads, self._invT)
+
+
+def _triplets(rows, cols, blocks):
+    """Flatten per-element blocks (E, *r, *c) with row ids (E, *r) and
+    column ids (E, *c) into (rows, cols, data) triplets."""
+    r = rows.reshape(rows.shape + (1,) * (cols.ndim - 1))
+    c = cols.reshape(cols.shape[:1] + (1,) * (rows.ndim - 1) + cols.shape[1:])
+    return (np.broadcast_to(r, blocks.shape).ravel(),
+            np.broadcast_to(c, blocks.shape).ravel(), blocks.ravel())
+
+
+def _velocity_triplets(nodes_rows, nodes_cols, blocks):
     """Scatter per-element (E, n, m) blocks into both velocity components."""
-    E, n, m = blocks.shape
-    r = (2 * nodes_rows)[:, :, None] + np.zeros((1, 1, m), dtype=np.int64)
-    c = (2 * nodes_cols)[:, None, :] + np.zeros((1, n, 1), dtype=np.int64)
-    rows = np.concatenate([r.ravel(), (r + 1).ravel()])
-    cols = np.concatenate([c.ravel(), (c + 1).ravel()])
-    data = np.concatenate([blocks.ravel(), blocks.ravel()])
-    return rows, cols, data
+    x = _triplets(2 * nodes_rows, 2 * nodes_cols, blocks)
+    y = _triplets(2 * nodes_rows + 1, 2 * nodes_cols + 1, blocks)
+    return tuple(np.concatenate(pair) for pair in zip(x, y))
+
+
+def _sparse(shape, *parts) -> sp.csr_matrix:
+    """CSR matrix of the triplet lists, duplicates summed."""
+    rows, cols, data = (np.concatenate(p) for p in zip(*parts))
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+
+
+def _pressure_dofs(ct: CtMesh) -> np.ndarray:
+    """Pressure unknowns (M, 3) of every micro triangle."""
+    return 3 * np.arange(ct.n_triangles)[:, None] + np.arange(3)
+
+
+def _stiffness_triplets(ct, layout):
+    q = VolumeQuad(ct)
+    Ke = np.einsum("q,m,mqic,mqjc->mij", q.w, q.det, q.grads, q.grads)  # test i, trial j
+    return _velocity_triplets(layout.elem_nodes, layout.elem_nodes, Ke)
+
+
+def assemble_stiffness(ct: CtMesh, layout: DofLayout) -> sp.csr_matrix:
+    """Symmetric volume stiffness grad:grad on the velocity space."""
+    return _sparse((layout.n_u, layout.n_u), _stiffness_triplets(ct, layout))
 
 
 def assemble_a(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
-               sigma: float,
-               vol_rule: Optional[QuadratureRule] = None,
-               include_boundary: bool = True) -> sp.csr_matrix:
+               sigma: float) -> sp.csr_matrix:
     """Velocity bilinear form at unit viscosity: stiffness plus boundary terms.
 
     grad:grad  -  (du/dn, v)  +  (dv/dn, S u)  +  sum_e sigma/h_e (S u, S v),
     with the positive sign on the third term (non-symmetric variant).
-    include_boundary=False keeps only the symmetric volume stiffness
-    (diagnostic use).
     """
-    if vol_rule is None:
-        vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    J, det, inv, invT = element_maps(ct)
-    basis = eval_p2(vol_rule.points)
-    G = physical_gradients(basis.grads, invT)            # (M, Q, 6, 2)
-    w = vol_rule.weights
-    Ke = np.einsum("q,m,mqic,mqjc->mij", w, det, G, G)   # test i, trial j
-    rows, cols, data = _velocity_block_triplets(layout.elem_nodes,
-                                                layout.elem_nodes, Ke)
-    parts = [(rows, cols, data)]
-
-    if include_boundary:
-        # boundary terms, test index i, trial index j
-        Tb = (-np.einsum("bq,bqi,bqj->bij", bqd.ds, bqd.vals, bqd.dn)
-              + np.einsum("bq,bqi,bqj->bij", bqd.ds, bqd.dn, bqd.sh)
-              + sigma * np.einsum("bq,b,bqi,bqj->bij", bqd.ds, 1.0 / bqd.lengths,
-                                  bqd.sh, bqd.sh))
-        parts.append(_velocity_block_triplets(bqd.elem_nodes, bqd.elem_nodes, Tb))
-
-    rows = np.concatenate([p[0] for p in parts])
-    cols = np.concatenate([p[1] for p in parts])
-    data = np.concatenate([p[2] for p in parts])
-    A = sp.coo_matrix((data, (rows, cols)),
-                      shape=(layout.n_u, layout.n_u)).tocsr()
-    A.sum_duplicates()
-    return A
+    # boundary terms, test index i, trial index j
+    Tb = (-np.einsum("bq,bqi,bqj->bij", bqd.ds, bqd.vals, bqd.dn)
+          + np.einsum("bq,bqi,bqj->bij", bqd.ds, bqd.dn, bqd.sh)
+          + sigma * np.einsum("bq,b,bqi,bqj->bij", bqd.ds, 1.0 / bqd.lengths,
+                              bqd.sh, bqd.sh))
+    return _sparse((layout.n_u, layout.n_u), _stiffness_triplets(ct, layout),
+                   _velocity_triplets(bqd.elem_nodes, bqd.elem_nodes, Tb))
 
 
-def _divergence_triplets(ct, layout, vol_rule):
-    """Triplets of -(div u, q): rows pressure dofs, cols velocity dofs."""
-    J, det, inv, invT = element_maps(ct)
-    p2 = eval_p2(vol_rule.points)
-    p1 = eval_p1(vol_rule.points)
-    G = physical_gradients(p2.grads, invT)
-    w = vol_rule.weights
-    Be = -np.einsum("q,m,qj,mqic->mjic", w, det, p1.vals, G)  # (M, 3, 6, 2)
-    M = ct.n_triangles
-    prow = (3 * np.arange(M, dtype=np.int64))[:, None, None, None] \
-        + np.arange(3, dtype=np.int64)[None, :, None, None] \
-        + np.zeros((1, 1, 6, 2), dtype=np.int64)
-    ucol = (2 * layout.elem_nodes)[:, None, :, None] \
-        + np.arange(2, dtype=np.int64)[None, None, None, :] \
-        + np.zeros((1, 3, 1, 1), dtype=np.int64)
-    return prow.ravel(), ucol.ravel(), Be.ravel()
-
-
-def _multiplier_triplets(layout, bqd, trace):
+def _multiplier_triplets(bqd, trace):
     """Triplets of (trace(u).n, mu): rows multiplier dofs, cols velocity dofs."""
     L = np.einsum("bq,qm,bqi,bc->bmic", bqd.ds, bqd.mu, trace, bqd.normals)
-    mrow = bqd.edge_mult[:, :, None, None] + np.zeros((1, 1, 6, 2), dtype=np.int64)
-    ucol = (2 * bqd.elem_nodes)[:, None, :, None] \
-        + np.arange(2, dtype=np.int64)[None, None, None, :] \
-        + np.zeros((1, 3, 1, 1), dtype=np.int64)
-    return mrow.ravel(), ucol.ravel(), L.ravel()
+    return _triplets(bqd.edge_mult, vector_dofs(bqd.elem_nodes), L)
 
 
-def assemble_b(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
-               vol_rule: Optional[QuadratureRule] = None):
-    """Continuity pairing without boundary correction: (B_div, B_lam)."""
-    if vol_rule is None:
-        vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    r, c, d = _divergence_triplets(ct, layout, vol_rule)
-    B_div = sp.coo_matrix((d, (r, c)), shape=(layout.n_p, layout.n_u)).tocsr()
-    r, c, d = _multiplier_triplets(layout, bqd, bqd.vals)
-    B_lam = sp.coo_matrix((d, (r, c)), shape=(layout.n_lam, layout.n_u)).tocsr()
+def assemble_b(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData):
+    """Continuity pairing without boundary correction: (B_div, B_lam).
+
+    B_div holds -(div u, q): rows pressure dofs, cols velocity dofs.
+    """
+    q = VolumeQuad(ct)
+    Be = -np.einsum("q,m,qj,mqic->mjic", q.w, q.det, q.p1, q.grads)  # (M, 3, 6, 2)
+    B_div = _sparse((layout.n_p, layout.n_u),
+                    _triplets(_pressure_dofs(ct), vector_dofs(layout.elem_nodes), Be))
+    B_lam = _sparse((layout.n_lam, layout.n_u), _multiplier_triplets(bqd, bqd.vals))
     return B_div, B_lam
 
 
@@ -223,23 +241,18 @@ def assemble_be(layout: DofLayout, bqd: BoundaryQuadData) -> sp.csr_matrix:
     The divergence part of the corrected continuity pairing is B_div from
     assemble_b; only the multiplier rows see the boundary correction.
     """
-    r, c, d = _multiplier_triplets(layout, bqd, bqd.sh)
-    return sp.coo_matrix((d, (r, c)), shape=(layout.n_lam, layout.n_u)).tocsr()
+    return _sparse((layout.n_lam, layout.n_u), _multiplier_triplets(bqd, bqd.sh))
 
 
-def assemble_constraints(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
-                         vol_rule: Optional[QuadratureRule] = None):
+def assemble_constraints(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData):
     """Scalar constraint functionals (m_q, m_mu, c_n).
 
     m_q[k] integrates the k-th pressure basis function over the domain,
     m_mu[k] the k-th multiplier shape over the boundary, and c_n[k] the
     normal trace of the k-th velocity basis function over the boundary.
     """
-    if vol_rule is None:
-        vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    _, det, _, _ = element_maps(ct)
-    p1 = eval_p1(vol_rule.points)
-    m_q = np.einsum("q,m,qj->mj", vol_rule.weights, det, p1.vals).ravel()
+    q = VolumeQuad(ct)
+    m_q = np.einsum("q,m,qj->mj", q.w, q.det, q.p1).ravel()
 
     m_mu = np.zeros(layout.n_lam)
     vals = np.einsum("bq,qm->bm", bqd.ds, bqd.mu)
@@ -247,15 +260,13 @@ def assemble_constraints(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
 
     c_n = np.zeros(layout.n_u)
     tn = np.einsum("bq,bqi,bc->bic", bqd.ds, bqd.vals, bqd.normals)
-    cols = (2 * bqd.elem_nodes)[:, :, None] + np.arange(2)[None, None, :]
-    np.add.at(c_n, cols.ravel(), tn.ravel())
+    np.add.at(c_n, vector_dofs(bqd.elem_nodes).ravel(), tn.ravel())
     return m_q, m_mu, c_n
 
 
 def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
                  layout: DofLayout, bqd: BoundaryQuadData, nu: float,
-                 sigma: float,
-                 vol_rule: Optional[QuadratureRule] = None) -> np.ndarray:
+                 sigma: float) -> np.ndarray:
     """Scaled right-hand side (load f/nu) for body force f and boundary data g.
 
     Boundary data is taken at the projected physical point, pairing with the
@@ -266,26 +277,19 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
     over the mesh, and the pressure rows make div u_h the constant alpha; a
     nonzero entry there would become a constant divergence.
     """
-    if vol_rule is None:
-        vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
     rhs = np.zeros(layout.n_total)
 
-    _, det, _, _ = element_maps(ct)
-    basis = eval_p2(vol_rule.points)
-    corners = ct.vertices[ct.triangles]
-    pts = np.einsum("qk,mkc->mqc", eval_p1(vol_rule.points).vals, corners)
-    fvals = np.asarray(f(pts)) / nu
-    fe = np.einsum("q,m,mqc,qi->mic", vol_rule.weights, det, fvals, basis.vals)
-    cols = (2 * layout.elem_nodes)[:, :, None] + np.arange(2)[None, None, :]
-    np.add.at(rhs, cols.ravel(), fe.ravel())
+    q = VolumeQuad(ct)
+    fvals = np.asarray(f(q.points)) / nu
+    fe = np.einsum("q,m,mqc,qi->mic", q.w, q.det, fvals, q.p2)
+    np.add.at(rhs, vector_dofs(layout.elem_nodes).ravel(), fe.ravel())
 
     if g is not None:
         gm = np.asarray(g(bqd.x_star))                     # (B, Q, 2)
         ge = (np.einsum("bq,bqi,bqc->bic", bqd.ds, bqd.dn, gm)
               + sigma * np.einsum("bq,b,bqi,bqc->bic", bqd.ds,
                                   1.0 / bqd.lengths, bqd.sh, gm))
-        bcols = (2 * bqd.elem_nodes)[:, :, None] + np.arange(2)[None, None, :]
-        np.add.at(rhs, bcols.ravel(), ge.ravel())
+        np.add.at(rhs, vector_dofs(bqd.elem_nodes).ravel(), ge.ravel())
 
         gn = np.einsum("bqc,bc->bq", gm, bqd.normals)
         gmu = np.einsum("bq,bq,qm->bm", bqd.ds, gn, bqd.mu)
@@ -316,15 +320,12 @@ class SystemBlocks:
 
 
 def assemble_blocks(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
-                    sigma: float,
-                    vol_rule: Optional[QuadratureRule] = None) -> SystemBlocks:
+                    sigma: float) -> SystemBlocks:
     """Assemble every block of the saddle matrix."""
-    if vol_rule is None:
-        vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    a = assemble_a(ct, layout, bqd, sigma, vol_rule)
-    B_div, B_lam = assemble_b(ct, layout, bqd, vol_rule)
+    a = assemble_a(ct, layout, bqd, sigma)
+    B_div, B_lam = assemble_b(ct, layout, bqd)
     B_lam_e = assemble_be(layout, bqd)
-    m_q, m_mu, c_n = assemble_constraints(ct, layout, bqd, vol_rule)
+    m_q, m_mu, c_n = assemble_constraints(ct, layout, bqd)
     return SystemBlocks(a=a, B_div=B_div, B_lam=B_lam, B_lam_e=B_lam_e,
                         m_q=m_q, m_mu=m_mu, c_n=c_n)
 
@@ -349,61 +350,39 @@ def compose_system(blocks: SystemBlocks, layout: DofLayout) -> SaddleSystem:
 # norm Gram matrices and direct norm evaluation (diagnostics and cross-checks)
 
 def gram_h1_velocity(ct: CtMesh, layout: DofLayout,
-                     bqd: BoundaryQuadData,
-                     vol_rule: Optional[QuadratureRule] = None) -> sp.csr_matrix:
+                     bqd: BoundaryQuadData) -> sp.csr_matrix:
     """Gram matrix of the mesh-dependent H1 norm on the velocity space:
     grad L2 squared plus edge L2 terms weighted by 1/h_e."""
-    K = assemble_a(ct, layout, bqd, 0.0, vol_rule, include_boundary=False)
+    K = assemble_stiffness(ct, layout)
     Me = np.einsum("bq,b,bqi,bqj->bij", bqd.ds, 1.0 / bqd.lengths,
                    bqd.vals, bqd.vals)
-    r, c, d = _velocity_block_triplets(bqd.elem_nodes, bqd.elem_nodes, Me)
-    M = sp.coo_matrix((d, (r, c)), shape=(layout.n_u, layout.n_u)).tocsr()
+    M = _sparse((layout.n_u, layout.n_u),
+                _velocity_triplets(bqd.elem_nodes, bqd.elem_nodes, Me))
     return (K + M).tocsr()
 
 
-def gram_pressure_mass(ct: CtMesh, layout: DofLayout,
-                       vol_rule: Optional[QuadratureRule] = None) -> sp.csr_matrix:
+def gram_pressure_mass(ct: CtMesh, layout: DofLayout) -> sp.csr_matrix:
     """L2 mass matrix of the discontinuous pressure space."""
-    if vol_rule is None:
-        vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    _, det, _, _ = element_maps(ct)
-    p1 = eval_p1(vol_rule.points)
-    Me = np.einsum("q,m,qi,qj->mij", vol_rule.weights, det, p1.vals, p1.vals)
-    M = ct.n_triangles
-    rows = (3 * np.arange(M))[:, None, None] + np.arange(3)[None, :, None] \
-        + np.zeros((1, 1, 3), dtype=np.int64)
-    cols = (3 * np.arange(M))[:, None, None] + np.arange(3)[None, None, :] \
-        + np.zeros((1, 3, 1), dtype=np.int64)
-    A = sp.coo_matrix((Me.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=(layout.n_p, layout.n_p)).tocsr()
-    return A
+    q = VolumeQuad(ct)
+    Me = np.einsum("q,m,qi,qj->mij", q.w, q.det, q.p1, q.p1)
+    dofs = _pressure_dofs(ct)
+    return _sparse((layout.n_p, layout.n_p), _triplets(dofs, dofs, Me))
 
 
 def gram_multiplier(layout: DofLayout, bqd: BoundaryQuadData) -> sp.csr_matrix:
     """Gram matrix of the weighted boundary norm on the multiplier space:
     sum over edges of h_e times the edge L2 inner product."""
     Me = np.einsum("bq,b,qi,qj->bij", bqd.ds, bqd.lengths, bqd.mu, bqd.mu)
-    rows = bqd.edge_mult[:, :, None] + np.zeros((1, 1, 3), dtype=np.int64)
-    cols = bqd.edge_mult[:, None, :] + np.zeros((1, 3, 1), dtype=np.int64)
-    A = sp.coo_matrix((Me.ravel(), (rows.ravel(), cols.ravel())),
-                      shape=(layout.n_lam, layout.n_lam)).tocsr()
-    A.sum_duplicates()
-    return A
+    return _sparse((layout.n_lam, layout.n_lam),
+                   _triplets(bqd.edge_mult, bqd.edge_mult, Me))
 
 
 def norm_h1_direct(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
-                   u: np.ndarray,
-                   vol_rule: Optional[QuadratureRule] = None) -> float:
+                   u: np.ndarray) -> float:
     """Mesh-dependent H1 norm evaluated by quadrature on the fields themselves."""
-    if vol_rule is None:
-        vol_rule = triangle_rule(DEFAULT_VOLUME_DEGREE)
-    J, det, inv, invT = element_maps(ct)
-    basis = eval_p2(vol_rule.points)
-    G = physical_gradients(basis.grads, invT)
-    coeffs = u[2 * layout.elem_nodes[:, :, None] + np.arange(2)]  # (M, 6, 2)
-    gu = np.einsum("mqnd,mnc->mqcd", G, coeffs)
-    total = float(np.einsum("q,m,mqcd,mqcd->", vol_rule.weights, det, gu, gu))
-    bcoeffs = u[2 * bqd.elem_nodes[:, :, None] + np.arange(2)]    # (B, 6, 2)
-    ub = np.einsum("bqn,bnc->bqc", bqd.vals, bcoeffs)
+    q = VolumeQuad(ct)
+    gu = np.einsum("mqnd,mnc->mqcd", q.grads, u[vector_dofs(layout.elem_nodes)])
+    total = float(np.einsum("q,m,mqcd,mqcd->", q.w, q.det, gu, gu))
+    ub = np.einsum("bqn,bnc->bqc", bqd.vals, u[vector_dofs(bqd.elem_nodes)])
     total += float(np.einsum("bq,b,bqc,bqc->", bqd.ds, 1.0 / bqd.lengths, ub, ub))
     return np.sqrt(total)

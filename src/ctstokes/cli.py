@@ -20,9 +20,8 @@ from typing import List
 import numpy as np
 
 from . import verify
-from .fem import edge_rule, triangle_rule
-from .geometry import circle_domain, star_domain
-from .mesh import ASSUMPTION_THRESHOLD, write_vtk
+from .geometry import ProjectionError, circle_domain, star_domain
+from .mesh import ASSUMPTION_THRESHOLD, MeshError, write_vtk
 from .solver import SolverError, dump_matrix_market
 from .verify import (build_level, infsup_estimate, paper_case, run_convergence,
                      write_json)
@@ -46,8 +45,6 @@ class RunConfig:
     levels: List[int] = field(default_factory=lambda: list(DEFAULT_LEVELS))
     nus: List[float] = field(default_factory=lambda: list(DEFAULT_NUS))
     sigma: float = 40.0
-    quad_volume: int = 6
-    quad_edge: int = 6
     out: str = "results"
     formats: List[str] = field(default_factory=lambda: ["csv", "json"])
     check_assumption: bool = False
@@ -67,11 +64,6 @@ class RunConfig:
             raise UsageError("viscosities must be positive")
         if self.radius <= 0:
             raise UsageError("radius must be positive")
-        try:
-            triangle_rule(self.quad_volume)
-            edge_rule(self.quad_edge)
-        except ValueError as exc:
-            raise UsageError(f"quadrature: {exc}") from exc
         bad = [f for f in self.formats if f not in ("csv", "json", "vtk")]
         if bad:
             raise UsageError(f"unknown output format(s): {', '.join(bad)}")
@@ -115,8 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", help="comma-separated refinement levels")
         p.add_argument("--nu", dest="nus", help="comma-separated viscosities")
         p.add_argument("--sigma", type=float)
-        p.add_argument("--quad-volume", type=int, dest="quad_volume")
-        p.add_argument("--quad-edge", type=int, dest="quad_edge")
         p.add_argument("--out")
         p.add_argument("--format", dest="formats",
                        help="comma-separated output formats (csv,json,vtk)")
@@ -163,10 +153,6 @@ def parse_config(argv) -> tuple:
             cfg.nus = _parse_list(merged["nus"], float)
         if "sigma" in merged:
             cfg.sigma = float(merged["sigma"])
-        if "quad_volume" in merged:
-            cfg.quad_volume = int(merged["quad_volume"])
-        if "quad_edge" in merged:
-            cfg.quad_edge = int(merged["quad_edge"])
         if "out" in merged:
             cfg.out = str(merged["out"])
         if "formats" in merged:
@@ -221,7 +207,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     ok = True
     reports = []
     for n in cfg.levels:
-        level = build_level(dom, n, cfg.sigma, cfg.quad_volume, cfg.quad_edge)
+        level = build_level(dom, n, cfg.sigma)
         if cfg.check_assumption:
             rep = level.assumption
             print(f"n={n}: max delta_e/h_e = {rep.max_ratio:.4f} "
@@ -262,10 +248,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     dom = cfg.make_domain()
     dom.validate()
-    tables = run_convergence(dom, cfg.levels, cfg.nus, cfg.sigma,
-                             quad_volume=cfg.quad_volume,
-                             quad_edge=cfg.quad_edge,
-                             progress=print)
+    tables = run_convergence(dom, cfg.levels, cfg.nus, cfg.sigma, progress=print)
     ok = True
     for nu, table in sorted(tables.items()):
         if "csv" in cfg.formats:
@@ -287,7 +270,8 @@ def main(argv=None) -> int:
         if command == "solve":
             return cmd_solve(cfg)
         return cmd_converge(cfg)
-    except UsageError as exc:
+    except (UsageError, MeshError, ProjectionError) as exc:
+        # build_level names the level in mesh and projection failures
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -140,6 +140,11 @@ def physical_hessians(hess_ref: np.ndarray, inv: np.ndarray, invT: np.ndarray) -
     return np.einsum("mij,njk,mkl->mnil", invT, hess_ref, inv)
 
 
+def vector_dofs(nodes: np.ndarray) -> np.ndarray:
+    """Velocity unknowns (..., 2) of velocity nodes (...): components interleaved."""
+    return 2 * nodes[..., None] + np.arange(2)
+
+
 class DofLayout:
     """Global unknown numbering.
 

@@ -248,27 +248,24 @@ class AssumptionReport:
 
 
 def check_assumption_a(ct: CtMesh, dom: LevelSetDomain,
-                       edge_points: np.ndarray) -> AssumptionReport:
+                       delta: np.ndarray) -> AssumptionReport:
     """Estimate max over boundary edges of (max transfer length)/(edge length).
 
-    The per-edge max is sampled at the given quadrature points plus both
-    endpoints; edges whose ratio exceeds ASSUMPTION_THRESHOLD are flagged.
-    The ratio is advisory: the method's stability theory assumes it is
-    uniformly below one.  It does not separate admissible levels: on the
-    star domain it is 1.01-1.30 at n = 16...64, where the reference errors
-    are reproduced.
+    delta (B, Q) holds the transfer lengths at each boundary edge's
+    quadrature points, as build_boundary_data found them; only the two
+    endpoints of every edge are projected here.  Edges whose ratio exceeds
+    ASSUMPTION_THRESHOLD are flagged.  The ratio is advisory: the method's
+    stability theory assumes it is uniformly below one.  It does not
+    separate admissible levels: on the star domain it is 1.01-1.30 at
+    n = 16...64, where the reference errors are reproduced.
     """
     edges = ct.boundary_edges
     if not edges:
         raise MeshError("mesh has no boundary edges")
-    q = np.asarray(edge_points, dtype=float)
-    samples = np.concatenate([q, [0.0, 1.0]])
-    pa = ct.vertices[[e.a for e in edges]]
-    pb = ct.vertices[[e.b for e in edges]]
-    pts = pa[:, None, :] + samples[None, :, None] * (pb - pa)[:, None, :]
-    _, delta, _ = project_points(dom, pts.reshape(-1, 2))
-    delta = delta.reshape(len(edges), -1)
-    ratios = delta.max(axis=1) / np.array([e.length for e in edges])
+    ends = ct.vertices[[e.a for e in edges] + [e.b for e in edges]]
+    _, delta_ends, _ = project_points(dom, ends)
+    top = np.maximum(delta.max(axis=1), delta_ends.reshape(2, -1).max(axis=0))
+    ratios = top / np.array([e.length for e in edges])
     return AssumptionReport(ratios=ratios, max_ratio=float(ratios.max()),
                             flagged=np.where(ratios > ASSUMPTION_THRESHOLD)[0])
 

@@ -123,7 +123,7 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
         SolverError: singular factorization, non-finite solution, or a
             residual above the contract after iterative refinement.
     """
-    A, b = system.matrix.tocsc(), rhs
+    A, b = system.matrix, rhs
     layout = system.layout
     p_rows = slice(layout.offset_p, layout.offset_p + layout.n_p)
     if system.factor is None:

@@ -25,10 +25,10 @@ from .assembly import (BoundaryQuadData, SaddleSystem, SystemBlocks,
                        assemble_blocks, assemble_rhs, build_boundary_data,
                        compose_system, gram_h1_velocity, gram_multiplier,
                        gram_pressure_mass)
-from .fem import (DofLayout, build_dof_layout, edge_rule, element_maps,
-                  eval_p1, eval_p2, physical_gradients, triangle_rule)
-from .geometry import LevelSetDomain
-from .mesh import (AssumptionReport, CtMesh, build_type1_mesh,
+from .fem import (DofLayout, build_dof_layout, element_maps, eval_p2,
+                  physical_gradients, vector_dofs)
+from .geometry import LevelSetDomain, ProjectionError
+from .mesh import (AssumptionReport, CtMesh, MeshError, build_type1_mesh,
                    check_assumption_a, clip_to_interior, clough_tocher)
 from .solver import N_BORDER, SolutionFields, factorize, solve_direct
 
@@ -168,7 +168,7 @@ def _divergence_at_vertices(ct: CtMesh, layout: DofLayout, u: np.ndarray) -> np.
     J, det, inv, invT = element_maps(ct)
     basis = eval_p2(verts)
     G = physical_gradients(basis.grads, invT)           # (M, 3, 6, 2)
-    coeffs = u[2 * layout.elem_nodes[:, :, None] + np.arange(2)]
+    coeffs = u[vector_dofs(layout.elem_nodes)]
     div = np.einsum("mqnc,mnc->mq", G, coeffs)
     return np.abs(div)
 
@@ -184,18 +184,12 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
                    n: int = 0, sigma: float = 0.0,
                    max_delta_ratio: float = float("nan")) -> ErrorReport:
     """Error norms of a discrete solution against the manufactured fields."""
-    rule = triangle_rule(ERROR_QUAD_DEGREE)
-    J, det, inv, invT = element_maps(ct)
-    basis = eval_p2(rule.points)
-    p1 = eval_p1(rule.points)
-    corners = ct.vertices[ct.triangles]
-    pts = np.einsum("qk,mkc->mqc", p1.vals, corners)
-    w = rule.weights
+    q = asm.VolumeQuad(ct, ERROR_QUAD_DEGREE)
+    w, det, pts = q.w, q.det, q.points
 
-    coeffs = sol.u[2 * layout.elem_nodes[:, :, None] + np.arange(2)]
-    uh = np.einsum("qn,mnc->mqc", basis.vals, coeffs)
-    G = physical_gradients(basis.grads, invT)
-    guh = np.einsum("mqnd,mnc->mqcd", G, coeffs)
+    coeffs = sol.u[vector_dofs(layout.elem_nodes)]
+    uh = np.einsum("qn,mnc->mqc", q.p2, coeffs)
+    guh = np.einsum("mqnd,mnc->mqcd", q.grads, coeffs)
 
     du = uh - np.asarray(case.u(pts))
     dgu = guh - np.asarray(case.grad_u(pts))
@@ -203,7 +197,7 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
     h1_u = math.sqrt(float(np.einsum("q,m,mqcd,mqcd->", w, det, dgu, dgu)))
 
     area = 0.5 * float(det.sum())
-    ph = np.einsum("qk,mk->mq", p1.vals, sol.p.reshape(-1, 3))
+    ph = np.einsum("qk,mk->mq", q.p1, sol.p.reshape(-1, 3))
     pex = np.asarray(case.p(pts))
     mean_h = float(np.einsum("q,m,mq->", w, det, ph)) / area
     mean_ex = float(np.einsum("q,m,mq->", w, det, pex)) / area
@@ -241,26 +235,28 @@ class LevelStructure:
     blocks: Optional[SystemBlocks]
     assumption: AssumptionReport
     sigma: float
-    vol_rule: object
     system: Optional[SaddleSystem] = None
 
 
-def build_level(dom: LevelSetDomain, n: int, sigma: float,
-                quad_volume: int = asm.DEFAULT_VOLUME_DEGREE,
-                quad_edge: int = asm.DEFAULT_EDGE_POINTS) -> LevelStructure:
-    """Build mesh, layout, boundary data and saddle blocks for one level."""
-    bg = build_type1_mesh(n, dom.bounding_box)
-    macro = clip_to_interior(bg, dom)
-    ct = clough_tocher(macro)
-    layout = build_dof_layout(ct)
-    erule = edge_rule(quad_edge)
-    vrule = triangle_rule(quad_volume)
-    bqd = build_boundary_data(ct, layout, dom, erule)
-    blocks = assemble_blocks(ct, layout, bqd, sigma, vrule)
-    assumption = check_assumption_a(ct, dom, erule.points)
+def build_level(dom: LevelSetDomain, n: int, sigma: float) -> LevelStructure:
+    """Build mesh, layout, boundary data and saddle blocks for one level.
+
+    Raises:
+        MeshError, ProjectionError: the level cannot resolve the domain;
+            the message starts with n=<n>.
+    """
+    try:
+        bg = build_type1_mesh(n, dom.bounding_box)
+        macro = clip_to_interior(bg, dom)
+        ct = clough_tocher(macro)
+        layout = build_dof_layout(ct)
+        bqd = build_boundary_data(ct, layout, dom)
+        blocks = assemble_blocks(ct, layout, bqd, sigma)
+        assumption = check_assumption_a(ct, dom, bqd.delta)
+    except (MeshError, ProjectionError) as exc:
+        raise type(exc)(f"n={n}: {exc}") from exc
     return LevelStructure(n=n, ct=ct, layout=layout, bqd=bqd,
-                          blocks=blocks, assumption=assumption, sigma=sigma,
-                          vol_rule=vrule)
+                          blocks=blocks, assumption=assumption, sigma=sigma)
 
 
 def level_system(level: LevelStructure) -> SaddleSystem:
@@ -276,7 +272,7 @@ def level_system(level: LevelStructure) -> SaddleSystem:
 def solve_on_level(level: LevelStructure, case: ManufacturedCase):
     """Solve the case on the level (p, lambda, gamma scaled back by nu)."""
     rhs = assemble_rhs(case.f, case.u, level.ct, level.layout, level.bqd,
-                       case.nu, level.sigma, level.vol_rule)
+                       case.nu, level.sigma)
     sol = solve_direct(level_system(level), rhs)
     sol = replace(sol, p=case.nu * sol.p, lam=case.nu * sol.lam,
                   gamma=case.nu * sol.gamma)
@@ -335,8 +331,6 @@ class RateTable:
 def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
                     nus: Sequence[float], sigma: float,
                     case_factory: Callable[[float], ManufacturedCase] = paper_case,
-                    quad_volume: int = asm.DEFAULT_VOLUME_DEGREE,
-                    quad_edge: int = asm.DEFAULT_EDGE_POINTS,
                     progress: Optional[Callable[[str], None]] = None
                     ) -> Dict[float, RateTable]:
     """Full refinement study: one RateTable per viscosity.
@@ -350,10 +344,7 @@ def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
         raise ValueError("levels must be strictly increasing")
     tables = {nu: RateTable(nu=nu, sigma=sigma, domain=dom.name) for nu in nus}
     for n in levels:
-        try:
-            level = build_level(dom, n, sigma, quad_volume, quad_edge)
-        except Exception as exc:
-            raise RuntimeError(f"level n={n} failed during setup: {exc}") from exc
+        level = build_level(dom, n, sigma)
         for nu in nus:
             try:
                 _, report = solve_on_level(level, case_factory(nu))
@@ -412,7 +403,7 @@ def infsup_estimate(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
         boundary = ct.edge_counts == 1
         nodes = np.r_[ct.edges[boundary].ravel(), layout.n_mvert + np.flatnonzero(boundary)]
         keep = np.setdiff1d(np.arange(layout.n_u), np.r_[2 * nodes, 2 * nodes + 1])
-        X = asm.assemble_a(ct, layout, bqd, 0.0, include_boundary=False)[keep][:, keep]
+        X = asm.assemble_stiffness(ct, layout)[keep][:, keep]
         B = B_div[:, keep]
         Y, sigma, k = Mp, -INFSUP_SHIFT, 2
         lu = spla.splu(sp.bmat([[X, B.T], [B, sigma * Y]], format="csc"))

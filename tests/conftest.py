@@ -5,7 +5,7 @@ import pytest
 
 from ctstokes.geometry import LevelSetDomain, circle_domain, star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
-from ctstokes.fem import build_dof_layout, edge_rule
+from ctstokes.fem import build_dof_layout
 from ctstokes.assembly import (assemble_blocks, assemble_rhs,
                                build_boundary_data, compose_system)
 from ctstokes.solver import solve_direct
@@ -60,11 +60,11 @@ def box_sdf():
     return box_sdf_domain()
 
 
-def make_level(dom, n, sigma=40.0, edge_points=6):
+def make_level(dom, n, sigma=40.0):
     """Mesh + layout + boundary data + blocks, without the verify-module wrapper."""
     ct = clough_tocher(clip_to_interior(build_type1_mesh(n, dom.bounding_box), dom))
     layout = build_dof_layout(ct)
-    bqd = build_boundary_data(ct, layout, dom, edge_rule(edge_points))
+    bqd = build_boundary_data(ct, layout, dom)
     blocks = assemble_blocks(ct, layout, bqd, sigma)
     return ct, layout, bqd, blocks
 

@@ -17,8 +17,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from conftest import make_level, solve_case
-from ctstokes.assembly import DEFAULT_EDGE_POINTS
-from ctstokes.fem import edge_rule, triangle_rule
+from ctstokes.assembly import EDGE_RULE, VOLUME_DEGREE
+from ctstokes.fem import triangle_rule
 from ctstokes.geometry import star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
 from ctstokes.verify import compute_errors, infsup_estimate, patch_case
@@ -80,7 +80,7 @@ def _transfer_jumps(n, curve_tree):
     """
     dom = star_domain()
     ct = clough_tocher(clip_to_interior(build_type1_mesh(n, dom.bounding_box), dom))
-    s = np.concatenate([[0.0], edge_rule(DEFAULT_EDGE_POINTS).points, [1.0]])
+    s = np.concatenate([[0.0], EDGE_RULE.points, [1.0]])
     edges = ct.boundary_edges
     pa = ct.vertices[[e.a for e in edges]]
     pb = ct.vertices[[e.b for e in edges]]
@@ -210,11 +210,11 @@ def test_criterion_6_invariants(tables, star, tmp_path):
     ok &= good
     details.append(f"projection residuals {max(phi_res, orth):.1e} <= 1e-10: {good}")
 
-    # quadrature exactness
-    r = triangle_rule(6)
+    # exactness of the rules assembly uses: degree 6 on triangles, 11 on edges
+    r = triangle_rule(VOLUME_DEGREE)
     tri_err = abs(np.sum(r.weights * r.points[:, 0] ** 3 * r.points[:, 1] ** 3)
                   - math.factorial(3) ** 2 / math.factorial(8))
-    e = edge_rule(6)
+    e = EDGE_RULE
     edge_err = abs(np.sum(e.weights * e.points ** 11) - 1.0 / 12.0)
     good = tri_err <= 1e-15 and edge_err <= 1e-15
     ok &= good

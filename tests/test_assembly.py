@@ -4,10 +4,12 @@ import scipy.sparse as sp
 
 from conftest import (box_sdf_domain, everywhere_inside_domain, make_level,
                       solve_case)
+from ctstokes import assembly
 from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_blocks, assemble_constraints,
-                               assemble_rhs, build_boundary_data,
-                               gram_h1_velocity, norm_h1_direct, taylor_trace)
+                               assemble_rhs, assemble_stiffness,
+                               build_boundary_data, gram_h1_velocity,
+                               norm_h1_direct, taylor_trace)
 from ctstokes.fem import build_dof_layout, edge_rule, triangle_rule
 from ctstokes.geometry import circle_domain, star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
@@ -55,7 +57,7 @@ def test_boundary_data_zero_delta_identity():
 
 def test_volume_stiffness_symmetric_and_kernel(star_n8):
     ct, layout, bqd, blocks = star_n8
-    A = assemble_a(ct, layout, bqd, 40.0, include_boundary=False)
+    A = assemble_stiffness(ct, layout)
     assert abs(A - A.T).max() <= 1e-12
     const = np.zeros(layout.n_u)
     const[0::2] = 1.0
@@ -65,7 +67,7 @@ def test_volume_stiffness_symmetric_and_kernel(star_n8):
 def test_a_interior_rows_unaffected_by_boundary(star_n8):
     ct, layout, bqd, blocks = star_n8
     A = assemble_a(ct, layout, bqd, 40.0)
-    Avol = assemble_a(ct, layout, bqd, 40.0, include_boundary=False)
+    Avol = assemble_stiffness(ct, layout)
     boundary_nodes = set(bqd.elem_nodes.ravel().tolist())
     interior = np.array([2 * n + c for n in range(layout.n_nodes)
                          if n not in boundary_nodes for c in (0, 1)])
@@ -196,19 +198,17 @@ def test_patch_reproduced_on_circle(circle_n8):
         assert rep.linf_div <= 1e-8
 
 
-def test_edge_quadrature_refinement_stability(circle):
-    # circle fixture at n = 16: doubling the edge rule barely moves entries
+def test_edge_quadrature_refinement_stability(circle, monkeypatch):
+    # circle fixture at n = 16: a 10-point edge rule barely moves the
+    # entries the 6-point rule in use gives
     ct = clough_tocher(clip_to_interior(build_type1_mesh(16), circle))
     layout = build_dof_layout(ct)
-    b5 = assemble_blocks(ct, layout,
-                         build_boundary_data(ct, layout, circle, edge_rule(5)),
-                         40.0)
-    b10 = assemble_blocks(ct, layout,
-                          build_boundary_data(ct, layout, circle, edge_rule(10)),
-                          40.0)
+    b6 = assemble_blocks(ct, layout, build_boundary_data(ct, layout, circle), 40.0)
+    monkeypatch.setattr(assembly, "EDGE_RULE", edge_rule(10))
+    b10 = assemble_blocks(ct, layout, build_boundary_data(ct, layout, circle), 40.0)
     for name in ("a", "B_lam_e"):
-        M5, M10 = getattr(b5, name), getattr(b10, name)
-        rel = sp.linalg.norm(M5 - M10) / sp.linalg.norm(M10)
+        M6, M10 = getattr(b6, name), getattr(b10, name)
+        rel = sp.linalg.norm(M6 - M10) / sp.linalg.norm(M10)
         assert rel <= 1e-8
 
 

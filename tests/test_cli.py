@@ -19,7 +19,6 @@ def test_defaults_reproduce_reference_study():
     assert cfg.sigma == 40.0
     assert cfg.levels == [8, 16, 32, 64, 128]
     assert cfg.nus == [1e-1, 1e-3, 1e-5]
-    assert cfg.quad_volume == 6 and cfg.quad_edge == 6
 
 
 def test_flag_overrides():
@@ -41,20 +40,24 @@ def test_invalid_values_rejected(tmp_path, capsys):
         parse_config(["solve", "--nu", "0"])
     with pytest.raises(UsageError):
         parse_config(["solve", "--format", "xml"])
-    with pytest.raises(UsageError):
-        parse_config(["solve", "--quad-volume", "12"])
-    with pytest.raises(UsageError):
-        parse_config(["solve", "--quad-edge", "0"])
     assert main(["solve", "--sigma", "-1"]) == 2
-    assert main(["converge", "--quad-edge", "0"]) == 2
     out = tmp_path / "x"
     assert main(["converge", "--levels", "16,8", "--out", str(out)]) == 2
     assert not out.exists()
-    # the removed --vtk flag is an unknown option; --format vtk remains
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--vtk", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "error: unrecognized arguments: --vtk" in capsys.readouterr().err
+    # the removed --vtk and quadrature flags are unknown options;
+    # --format vtk remains
+    for flag in (["--vtk"], ["--quad-volume", "6"], ["--quad-edge", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+    # the quadrature is fixed in assembly: its old config keys are unknown
+    cfg_file = tmp_path / "quad.cfg"
+    for key in ("quad_volume", "quad_edge"):
+        cfg_file.write_text(f"{key} = 6\n")
+        assert main(["converge", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert f"unknown key(s): {key}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -147,6 +150,23 @@ def test_converge_writes_tables(tmp_path):
     payload = json.loads((out / "convergence.json").read_text())
     assert payload["0.1"]["domain"] == "circle"
     assert len(payload["0.1"]["runs"]) == 2
+
+
+def test_solve_unresolvable_domain_is_usage_error(tmp_path, capsys):
+    # no background triangle at n = 4 fits inside a circle of radius 0.05
+    rc = main(["solve", "--domain", "circle", "--radius", "0.05", "--levels", "4",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: n=4: mesh too coarse for domain: no interior triangles\n")
+
+
+def test_converge_unresolvable_domain_is_usage_error(tmp_path, capsys):
+    rc = main(["converge", "--domain", "circle", "--radius", "0.05",
+               "--levels", "4,8", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: n=4: mesh too coarse for domain: no interior triangles\n")
 
 
 def test_converge_needs_two_levels(tmp_path):

@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from conftest import box_sdf_domain, everywhere_inside_domain
-from ctstokes.fem import edge_rule
-from ctstokes.geometry import circle_domain, star_domain
+from ctstokes.assembly import EDGE_RULE, build_boundary_data
+from ctstokes.fem import build_dof_layout
+from ctstokes.geometry import circle_domain, project_points, star_domain
 from ctstokes.mesh import (CLIP_TOL, MacroMesh, MeshError, build_type1_mesh,
                            check_assumption_a, classify_interior,
                            clip_to_interior, clough_tocher, extract_boundary,
                            write_vtk)
+from ctstokes.verify import build_level
+
+
+def _assumption(ct, dom):
+    """check_assumption_a on the transfer lengths build_boundary_data finds."""
+    bqd = build_boundary_data(ct, build_dof_layout(ct), dom)
+    return check_assumption_a(ct, dom, bqd.delta)
 
 
 def test_type1_counts():
@@ -138,7 +146,7 @@ def test_nonmanifold_edge_rejected():
 def test_assumption_a_fitted_box_is_zero():
     box = box_sdf_domain()
     ct = clough_tocher(clip_to_interior(build_type1_mesh(4), box))
-    rep = check_assumption_a(ct, box, edge_rule(6).points)
+    rep = _assumption(ct, box)
     assert rep.max_ratio == 0.0
     assert len(rep.flagged) == 0
 
@@ -148,7 +156,7 @@ def test_assumption_a_circle_regression():
     # length on interior-clipped meshes, so this diagnostic is advisory only
     c = circle_domain((0.5, 0.5), 0.4)
     ct = clough_tocher(clip_to_interior(build_type1_mesh(16), c))
-    rep = check_assumption_a(ct, c, edge_rule(6).points)
+    rep = _assumption(ct, c)
     assert rep.max_ratio == pytest.approx(1.4, abs=1e-9)
     assert np.all(np.isfinite(rep.ratios))
 
@@ -156,10 +164,27 @@ def test_assumption_a_circle_regression():
 def test_assumption_a_star_reports():
     s = star_domain()
     ct = clough_tocher(clip_to_interior(build_type1_mesh(24), s))
-    rep = check_assumption_a(ct, s, edge_rule(6).points)
+    rep = _assumption(ct, s)
     assert np.isfinite(rep.max_ratio)
     assert rep.ratios.shape == (len(ct.boundary_edges),)
     assert np.all(np.isfinite(rep.ratios)) and np.all(rep.ratios >= 0)
+
+
+@pytest.mark.parametrize("dom, n", [(star_domain(), 8), (star_domain(), 16),
+                                    (circle_domain((0.45, 0.52), 0.35), 8)])
+def test_assumption_a_reuses_boundary_transfer_lengths(dom, n):
+    # a level projects each edge's endpoints only and takes the quadrature
+    # points' transfer lengths from its boundary data; the ratios must equal
+    # those of one projection of endpoints and EDGE_RULE points together
+    level = build_level(dom, n, 40.0)
+    edges = level.ct.boundary_edges
+    s = np.concatenate([EDGE_RULE.points, [0.0, 1.0]])
+    pa = level.ct.vertices[[e.a for e in edges]]
+    pb = level.ct.vertices[[e.b for e in edges]]
+    pts = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
+    _, delta, _ = project_points(dom, pts.reshape(-1, 2))
+    ratios = delta.reshape(len(edges), -1).max(axis=1) / np.array([e.length for e in edges])
+    assert np.array_equal(level.assumption.ratios, ratios)
 
 
 def test_classification_is_deterministic():

@@ -50,3 +50,27 @@ def test_tracer_installs_and_uninstalls():
     assert metrics["solver.splu_calls"][0] == 1
     assert metrics["fem.element_maps_calls"][0] > 0
     assert metrics["mesh.micro_triangles"][0] == level.ct.n_triangles
+
+
+def test_tracer_covers_converge_command(tmp_path):
+    # the CLI wrappers and the stage table read call signatures of the
+    # program; a small study must give one complete row per level, and each
+    # boundary edge is projected at its quadrature points and endpoints only
+    tr = _load_tracer()
+    tracer = tr.Tracer()
+    ns = types.SimpleNamespace(cli=cli, verify=verify, assembly=assembly,
+                               solver=solver, mesh=mesh, geometry=geometry)
+    try:
+        tr.install(tracer, ns)
+        rc = cli.main(["converge", "--domain", "circle", "--levels", "4,8",
+                       "--nu", "1", "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+
+    rows = tr.stage_rows(tracer.spans)
+    assert [r["n"] for r in rows] == [4, 8]
+    metrics = tr.layer_metrics(tracer.spans)
+    assert metrics["cli.converge_s"][0] > 0
+    edges = metrics["mesh.boundary_edges"][0]
+    assert 0 < metrics["geometry.points_projected"][0] <= 8 * edges
