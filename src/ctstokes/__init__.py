@@ -8,9 +8,8 @@ Nitsche form plus a boundary Lagrange multiplier.
 """
 
 from .geometry import LevelSetDomain, circle_domain, star_domain
-from .mesh import (BoundaryEdge, CtMesh, MacroMesh, build_type1_mesh,
-                   check_assumption_a, clip_to_interior, clough_tocher,
-                   extract_boundary)
+from .mesh import (CtMesh, MacroMesh, build_type1_mesh, check_assumption_a,
+                   clip_to_interior, clough_tocher, extract_boundary)
 from .fem import DofLayout, build_dof_layout, edge_rule, eval_p1, eval_p2, triangle_rule
 from .assembly import SaddleSystem
 from .solver import SolutionFields, solve_direct
@@ -20,7 +19,7 @@ from .verify import (ErrorReport, ManufacturedCase, RateTable, compute_errors,
 
 __all__ = [
     "LevelSetDomain", "circle_domain", "star_domain",
-    "MacroMesh", "CtMesh", "BoundaryEdge", "build_type1_mesh",
+    "MacroMesh", "CtMesh", "build_type1_mesh",
     "clip_to_interior", "clough_tocher", "extract_boundary",
     "check_assumption_a",
     "DofLayout", "build_dof_layout", "triangle_rule", "edge_rule",

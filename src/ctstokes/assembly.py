@@ -67,7 +67,6 @@ class BoundaryQuadData:
     x_star: np.ndarray        # (B, Q, 2)
     delta: np.ndarray         # (B, Q)
     vals: np.ndarray          # (B, Q, 6)
-    grads: np.ndarray         # (B, Q, 6, 2)
     sh: np.ndarray            # (B, Q, 6)
     dn: np.ndarray            # (B, Q, 6)
     mu: np.ndarray            # (Q, 3)
@@ -91,15 +90,9 @@ def build_boundary_data(ct: CtMesh, layout: DofLayout,
     """Project the EDGE_RULE points of every boundary edge and tabulate
     corrected traces."""
     rule = EDGE_RULE
-    edges = ct.boundary_edges
-    if not edges:
-        raise ValueError("mesh has no boundary edges")
-    B, Q = len(edges), len(rule.points)
-    a = ct.vertices[[e.a for e in edges]]
-    b = ct.vertices[[e.b for e in edges]]
-    tris = np.array([e.tri for e in edges], dtype=np.int64)
-    normals = np.array([e.normal for e in edges])
-    lengths = np.array([e.length for e in edges])
+    tris, normals, lengths = ct.boundary_tris, ct.boundary_normals, ct.boundary_lengths
+    B, Q = len(tris), len(rule.points)
+    a, b = ct.vertices[ct.boundary_edges.T]
 
     t = rule.points
     points = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
@@ -114,8 +107,8 @@ def build_boundary_data(ct: CtMesh, layout: DofLayout,
     if np.any(degenerate):
         dirs[degenerate] = np.broadcast_to(normals[:, None, :], dirs.shape)[degenerate]
 
-    J, det, inv, invT = element_maps(ct)
-    Jb, invb, invTb = J[tris], inv[tris], invT[tris]
+    _, _, inv, invT = element_maps(ct)
+    invb, invTb = inv[tris], invT[tris]
     v0 = ct.vertices[ct.triangles[tris, 0]]
     ref = np.einsum("bij,bqj->bqi", invb, points - v0[:, None, :])
     basis = eval_p2(ref.reshape(-1, 2))
@@ -130,8 +123,8 @@ def build_boundary_data(ct: CtMesh, layout: DofLayout,
     edge_mult = layout.edge_mult
     return BoundaryQuadData(normals=normals, lengths=lengths, points=points,
                             ds=ds, x_star=x_star, delta=delta, vals=vals,
-                            grads=grads, sh=sh, dn=dn, mu=mu,
-                            elem_nodes=elem_nodes, edge_mult=edge_mult)
+                            sh=sh, dn=dn, mu=mu, elem_nodes=elem_nodes,
+                            edge_mult=edge_mult)
 
 
 class VolumeQuad:

@@ -274,6 +274,10 @@ def main(argv=None) -> int:
         # build_level names the level in mesh and projection failures
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        # run_convergence names the level and viscosity of a failed solve
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -150,13 +150,12 @@ class DofLayout:
 
     Order: the two velocity components interleaved over nodes (micro vertices
     by index, then micro edge midpoints by lexicographic edge order), then
-    three pressure values per micro triangle, then multiplier values at
-    boundary vertices (loop order) followed by boundary edge midpoints, then
-    the three scalar constraint unknowns.
+    three pressure values per micro triangle, then multiplier values at the
+    start vertices of the boundary edges (edge order) followed by the edge
+    midpoints, then the three scalar constraint unknowns.
     """
 
     def __init__(self, ct):
-        self.ct = ct
         self.n_mvert = ct.n_vertices
         self.n_medge = len(ct.edges)
         self.n_mtri = ct.n_triangles
@@ -172,36 +171,19 @@ class DofLayout:
         self.elem_nodes = np.concatenate(
             [ct.triangles, self.n_mvert + ct.tri_edges], axis=1)
 
-        # multiplier dofs: boundary vertices in loop order, then edge midpoints
-        edges = ct.boundary_edges
-        self.boundary_vertex_ids = []
-        seen = set()
-        for e in edges:
-            if e.a not in seen:
-                seen.add(e.a)
-                self.boundary_vertex_ids.append(e.a)
-        self.n_bvert = len(self.boundary_vertex_ids)
-        self.n_bedge = len(edges)
-        self.n_lam = self.n_bvert + self.n_bedge
-        vert_to_mult = {v: i for i, v in enumerate(self.boundary_vertex_ids)}
-        # per boundary edge: multiplier dofs of (vertex a, vertex b, midpoint)
-        self.edge_mult = np.array(
-            [[vert_to_mult[e.a], vert_to_mult[e.b], self.n_bvert + i]
-             for i, e in enumerate(edges)], dtype=np.int64).reshape(-1, 3)
+        # multiplier dofs: the B boundary edges' start vertices, then their
+        # midpoints; an edge ends where its loop's next edge starts
+        B = len(ct.boundary_edges)
+        self.n_lam = 2 * B
+        i = np.arange(B)
+        self.edge_mult = np.column_stack([i, ct.boundary_next, B + i])
+        p = ct.vertices[ct.boundary_edges]
+        self.mult_coords = np.vstack([p[:, 0], 0.5 * (p[:, 0] + p[:, 1])])
 
         self.offset_p = self.n_u
         self.offset_lam = self.n_u + self.n_p
         self.offset_scalar = self.offset_lam + self.n_lam
         self.n_total = self.offset_scalar + 3
-
-        # multiplier dof coordinates (boundary vertices then edge midpoints)
-        if edges:
-            pa = ct.vertices[[e.a for e in edges]]
-            pb = ct.vertices[[e.b for e in edges]]
-            self.mult_coords = np.vstack(
-                [ct.vertices[self.boundary_vertex_ids], 0.5 * (pa + pb)])
-        else:
-            self.mult_coords = np.zeros((0, 2))
 
     @property
     def alpha(self) -> int:

@@ -3,14 +3,13 @@
 The computational mesh keeps exactly the background triangles whose closure
 lies inside the physical domain.  Each retained macro triangle is split into
 three micro triangles through its barycenter; the boundary edges of the
-refined mesh coincide with those of the macro mesh and are organized into
-oriented closed loops with outward normals.
+refined mesh coincide with those of the macro mesh and are stored as
+arrays of oriented closed loops with outward normals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -149,25 +148,18 @@ def clip_to_interior(bg: MacroMesh, dom: LevelSetDomain) -> MacroMesh:
     return MacroMesh(bg.vertices[used], remap[tris])
 
 
-@dataclass
-class BoundaryEdge:
-    """Oriented boundary edge of the refined mesh.
-
-    Loops run counterclockwise (positive enclosed area): the tangent points
-    from vertex a to vertex b and the outward normal is the tangent rotated
-    90 degrees clockwise.
-    """
-
-    a: int
-    b: int
-    tri: int           # owning micro triangle
-    normal: np.ndarray
-    tangent: np.ndarray
-    length: float
-
-
 class CtMesh(MacroMesh):
-    """Barycentric refinement of a macro mesh (three micro triangles each)."""
+    """Barycentric refinement of a macro mesh (three micro triangles each).
+
+    The boundary is stored as arrays over its B edges, loop after loop:
+    boundary_edges (B, 2) holds the from/to vertex ids, boundary_tris the
+    owning micro triangle, boundary_next the index of the following edge
+    of the same loop, boundary_normals (B, 2) the outward unit normals and
+    boundary_lengths (B,) the edge lengths.  Every edge runs as its
+    counterclockwise owning triangle does, so the domain lies to the left
+    of travel: outer loops are counterclockwise, hole loops clockwise, and
+    the outward normal is the tangent rotated 90 degrees clockwise.
+    """
 
     def __init__(self, macro: MacroMesh):
         bary = macro.vertices[macro.triangles].mean(axis=1)
@@ -180,25 +172,31 @@ class CtMesh(MacroMesh):
         micro[2::3] = np.column_stack([t[:, 2], t[:, 0], z])
         super().__init__(np.vstack([macro.vertices, bary]), micro)
         self.parent = np.repeat(np.arange(T), 3)
-        self.boundary_loops: List[List[BoundaryEdge]] = []
-        self.boundary_edges: List[BoundaryEdge] = []
+        self.boundary_edges, self.boundary_tris, self.boundary_next = \
+            extract_boundary(self)
+        p = self.vertices[self.boundary_edges]
+        tv = p[:, 1] - p[:, 0]
+        # matmul takes each dot product through BLAS, as np.linalg.norm does
+        # for one vector; a sum of squares can differ in the last bit
+        self.boundary_lengths = np.sqrt(tv[:, None, :] @ tv[:, :, None]).ravel()
+        self.boundary_normals = (np.column_stack([tv[:, 1], -tv[:, 0]])
+                                 / self.boundary_lengths[:, None])
 
 
 def clough_tocher(mesh: MacroMesh) -> CtMesh:
-    """Split every macro triangle through its barycenter and extract boundary loops."""
-    ct = CtMesh(mesh)
-    ct.boundary_loops = extract_boundary(ct)
-    ct.boundary_edges = [e for loop in ct.boundary_loops for e in loop]
-    return ct
+    """Split every macro triangle through its barycenter and extract the boundary."""
+    return CtMesh(mesh)
 
 
-def extract_boundary(ct: CtMesh) -> List[List[BoundaryEdge]]:
-    """Oriented boundary loops of the refined mesh.
+def extract_boundary(ct: MacroMesh):
+    """Oriented boundary loops of a triangulation as arrays.
 
-    Boundary edges are the micro edges with exactly one incident triangle
-    (the barycentric spokes are always shared).  Each directed edge keeps the
-    orientation induced by its counterclockwise owning triangle, which makes
-    outer loops counterclockwise with outward normals to the right of travel.
+    Boundary edges are the edges with exactly one incident triangle (the
+    barycentric spokes are always shared).  Each directed edge keeps the
+    orientation induced by its counterclockwise owning triangle.  Loops are
+    ordered by their smallest vertex id and each starts at that vertex.
+    Returns (edges (B, 2) from/to vertex ids, owning triangles (B,), index
+    of the next edge in the loop (B,)).
     """
     if np.any(ct.edge_counts > 2):
         raise MeshError("non-manifold boundary: an edge has more than two triangles")
@@ -207,35 +205,24 @@ def extract_boundary(ct: CtMesh) -> List[List[BoundaryEdge]]:
     k, owner = np.nonzero(ct.edge_counts[ct.tri_edges.T] == 1)
     b_from = ct.triangles[owner, (k + 1) % 3]
     b_to = ct.triangles[owner, (k + 2) % 3]
+    if len(np.unique(b_from)) < len(b_from):
+        raise MeshError("non-manifold boundary vertex encountered")
 
-    succ = {}
-    for a, b, t in zip(b_from.tolist(), b_to.tolist(), owner.tolist()):
-        if a in succ:
-            raise MeshError("non-manifold boundary vertex encountered")
-        succ[a] = (b, t)
-
-    loops: List[List[BoundaryEdge]] = []
-    visited = set()
-    for start in sorted(succ):
-        if start in visited:
-            continue
-        loop: List[BoundaryEdge] = []
-        a = start
-        while True:
-            b, t = succ[a]
-            visited.add(a)
-            pa, pb = ct.vertices[a], ct.vertices[b]
-            tv = pb - pa
-            length = float(np.linalg.norm(tv))
-            tangent = tv / length
-            normal = np.array([tangent[1], -tangent[0]])
-            loop.append(BoundaryEdge(a=a, b=b, tri=t, normal=normal,
-                                     tangent=tangent, length=length))
-            a = b
-            if a == start:
-                break
-        loops.append(loop)
-    return loops
+    # every boundary vertex starts exactly one edge and ends exactly one
+    starts = np.empty(ct.n_vertices, dtype=np.int64)
+    starts[b_from] = np.arange(len(b_from))
+    succ = starts[b_to]
+    order, placed, walk = [], [False] * len(succ), succ.tolist()
+    for j in np.argsort(b_from).tolist():
+        while not placed[j]:
+            placed[j] = True
+            order.append(j)
+            j = walk[j]
+    order = np.array(order, dtype=np.int64)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    edges = np.column_stack([b_from[order], b_to[order]])
+    return edges, owner[order], rank[succ[order]]
 
 
 @dataclass
@@ -259,13 +246,10 @@ def check_assumption_a(ct: CtMesh, dom: LevelSetDomain,
     separate admissible levels: on the star domain it is 1.01-1.30 at
     n = 16...64, where the reference errors are reproduced.
     """
-    edges = ct.boundary_edges
-    if not edges:
-        raise MeshError("mesh has no boundary edges")
-    ends = ct.vertices[[e.a for e in edges] + [e.b for e in edges]]
+    ends = ct.vertices[ct.boundary_edges.T.ravel()]
     _, delta_ends, _ = project_points(dom, ends)
     top = np.maximum(delta.max(axis=1), delta_ends.reshape(2, -1).max(axis=0))
-    ratios = top / np.array([e.length for e in edges])
+    ratios = top / ct.boundary_lengths
     return AssumptionReport(ratios=ratios, max_ratio=float(ratios.max()),
                             flagged=np.where(ratios > ASSUMPTION_THRESHOLD)[0])
 

@@ -30,7 +30,8 @@ from .fem import (DofLayout, build_dof_layout, element_maps, eval_p2,
 from .geometry import LevelSetDomain, ProjectionError
 from .mesh import (AssumptionReport, CtMesh, MeshError, build_type1_mesh,
                    check_assumption_a, clip_to_interior, clough_tocher)
-from .solver import N_BORDER, SolutionFields, factorize, solve_direct
+from .solver import (N_BORDER, SolutionFields, SolverError, factorize,
+                     solve_direct)
 
 ERROR_QUAD_DEGREE = 8
 
@@ -338,6 +339,10 @@ def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
     Levels should be increasing (rates assume each step halves h).  The
     saddle matrix does not depend on the viscosity: each level's first solve
     factorizes it and every viscosity reuses that factor.
+
+    Raises:
+        MeshError, ProjectionError: as build_level.
+        SolverError: a solve failed; the message starts with n=<n> nu=<nu>.
     """
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -348,8 +353,8 @@ def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
         for nu in nus:
             try:
                 _, report = solve_on_level(level, case_factory(nu))
-            except Exception as exc:
-                raise RuntimeError(f"level n={n}, nu={nu} failed: {exc}") from exc
+            except SolverError as exc:
+                raise SolverError(f"n={n} nu={nu:g}: {exc}") from exc
             tables[nu].reports.append(report)
             if progress is not None:
                 progress(f"n={n} nu={nu:g}: l2_u={report.l2_u:.4e} "

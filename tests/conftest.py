@@ -1,7 +1,10 @@
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ctstokes.geometry import LevelSetDomain, circle_domain, star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
@@ -9,6 +12,15 @@ from ctstokes.fem import build_dof_layout
 from ctstokes.assembly import (assemble_blocks, assemble_rhs,
                                build_boundary_data, compose_system)
 from ctstokes.solver import solve_direct
+
+# fixed examples and no example database, so runs repeat; hypothesis still
+# caches the constants it reads from source files in its storage directory,
+# which defaults to ./.hypothesis
+settings.register_profile("ctstokes", derandomize=True, deadline=None,
+                          database=None, max_examples=25)
+settings.load_profile("ctstokes")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "ctstokes-hypothesis"))
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +65,40 @@ def everywhere_inside_domain():
         return np.zeros(x.shape)
 
     return LevelSetDomain(phi, grad, None, (0.0, 0.0, 1.0, 1.0), "all")
+
+
+def annulus_domain():
+    """Ring 0.15 <= r <= 0.4 about (0.5, 0.5): phi = |r - 0.275| - 0.125.
+
+    Its mesh boundary is two loops, the outer one counterclockwise and the
+    hole's clockwise, from n = 16 up; at n = 8 the clipped mesh pinches."""
+    c = np.array([0.5, 0.5])
+
+    def radial(x):
+        d = np.asarray(x, dtype=float) - c
+        r = np.linalg.norm(d, axis=-1)
+        return d, r, np.sign(r - 0.275)
+
+    def phi(x):
+        _, r, _ = radial(x)
+        return np.abs(r - 0.275) - 0.125
+
+    def grad(x):
+        d, r, side = radial(x)
+        return side[..., None] * d / r[..., None]
+
+    def hess(x):
+        d, r, side = radial(x)
+        e = d / r[..., None]
+        return (side[..., None, None] * (np.eye(2) - e[..., :, None] * e[..., None, :])
+                / r[..., None, None])
+
+    return LevelSetDomain(phi, grad, hess, (0.0, 0.0, 1.0, 1.0), "annulus")
+
+
+@pytest.fixture(scope="session")
+def annulus():
+    return annulus_domain()
 
 
 @pytest.fixture(scope="session")

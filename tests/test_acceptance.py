@@ -81,14 +81,12 @@ def _transfer_jumps(n, curve_tree):
     dom = star_domain()
     ct = clough_tocher(clip_to_interior(build_type1_mesh(n, dom.bounding_box), dom))
     s = np.concatenate([[0.0], EDGE_RULE.points, [1.0]])
-    edges = ct.boundary_edges
-    pa = ct.vertices[[e.a for e in edges]]
-    pb = ct.vertices[[e.b for e in edges]]
+    pa, pb = ct.vertices[ct.boundary_edges.T]
     pts = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
     _, idx = curve_tree.query(pts.reshape(-1, 2))
-    foot = curve_tree.data[idx].reshape(len(edges), len(s), 2)
+    foot = curve_tree.data[idx].reshape(len(pa), len(s), 2)
     gap = np.linalg.norm(np.diff(foot, axis=1), axis=2).max(axis=1)
-    gap /= np.array([e.length for e in edges])
+    gap /= ct.boundary_lengths
     return int(np.sum(gap > JUMP_LIMIT)), float(gap.max())
 
 

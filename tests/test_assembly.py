@@ -185,12 +185,15 @@ def test_patch_reproduced_exactly(star_n8):
     assert rep.linf_div <= 1e-8
 
 
-def test_patch_reproduced_on_circle(circle_n8):
-    # the centred fixture, and an off-centre circle whose boundary data has
-    # a nonzero net flux through the mesh boundary
+def test_patch_reproduced_on_circle(circle_n8, annulus):
+    # the centred fixture, an off-centre circle whose boundary data has a
+    # nonzero net flux through the mesh boundary, and an annulus whose
+    # boundary is two loops
     off_centre = make_level(circle_domain((0.45, 0.52), 0.35), 8)
-    for ct, layout, bqd, blocks in (circle_n8, off_centre):
-        case = patch_case(0.1)
+    ring = make_level(annulus, 16)
+    for (ct, layout, bqd, blocks), nu in ((circle_n8, 0.1), (off_centre, 0.1),
+                                          (ring, 1.0)):
+        case = patch_case(nu)
         sol = solve_case(ct, layout, bqd, blocks, case)
         rep = compute_errors(sol, case, ct, layout, bqd, n=8, max_delta_ratio=0.0)
         assert rep.h1_u <= 1e-8

@@ -6,9 +6,11 @@ import pytest
 
 from scipy.io import mmread
 
+from ctstokes import verify
 from ctstokes.cli import RunConfig, UsageError, main, parse_config
 from ctstokes.geometry import circle_domain
 from ctstokes.assembly import compose_system
+from ctstokes.solver import SolverError
 from ctstokes.verify import build_level
 
 
@@ -167,6 +169,19 @@ def test_converge_unresolvable_domain_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: n=4: mesh too coarse for domain: no interior triangles\n")
+
+
+def test_converge_solver_failure_is_reported(tmp_path, capsys, monkeypatch):
+    def fail(system, rhs):
+        raise SolverError("residual contract violated")
+
+    monkeypatch.setattr(verify, "solve_direct", fail)
+    rc = main(["converge", "--domain", "circle", "--levels", "4,8", "--nu", "1",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=4 nu=1: residual contract violated")
+    assert "Traceback" not in err
 
 
 def test_converge_needs_two_levels(tmp_path):

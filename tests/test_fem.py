@@ -121,7 +121,8 @@ def test_pushforward_reproduces_quadratic():
 def test_dof_layout_counts_single_triangle():
     one = MacroMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     np.array([[0, 1, 2]]))
-    layout = build_dof_layout(clough_tocher(one))
+    ct = clough_tocher(one)
+    layout = build_dof_layout(ct)
     # 4 micro vertices + 6 micro edges -> 20 velocity dofs; 3 micro triangles
     # -> 9 pressure dofs; 3 boundary vertices + 3 midpoints -> 6 multiplier
     # dofs; plus 3 scalars
@@ -131,7 +132,7 @@ def test_dof_layout_counts_single_triangle():
     assert layout.n_total == 38
     assert layout.n_total == (2 * (layout.n_mvert + layout.n_medge)
                               + 3 * layout.n_mtri
-                              + layout.n_bvert + layout.n_bedge + 3)
+                              + 2 * len(ct.boundary_edges) + 3)
 
 
 def test_dof_layout_counts_unit_box():

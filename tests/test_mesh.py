@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import box_sdf_domain, everywhere_inside_domain
 from ctstokes.assembly import EDGE_RULE, build_boundary_data
@@ -16,6 +17,48 @@ def _assumption(ct, dom):
     """check_assumption_a on the transfer lengths build_boundary_data finds."""
     bqd = build_boundary_data(ct, build_dof_layout(ct), dom)
     return check_assumption_a(ct, dom, bqd.delta)
+
+
+def _loops(nxt):
+    """The cycles of the permutation nxt, each as an array of edge indices."""
+    seen = np.zeros(len(nxt), dtype=bool)
+    loops = []
+    for i in range(len(nxt)):
+        if not seen[i]:
+            loop = [i]
+            j = nxt[i]
+            while j != i:
+                loop.append(j)
+                j = nxt[j]
+            seen[loop] = True
+            loops.append(np.array(loop))
+    return loops
+
+
+def _assert_boundary_invariants(ct, dom, n_loops):
+    """Closed loops with outward normals; returns each loop's signed area."""
+    edges, nxt = ct.boundary_edges, ct.boundary_next
+    assert np.array_equal(np.sort(nxt), np.arange(len(edges)))
+    assert np.array_equal(edges[:, 1], edges[nxt, 0])
+    loops = _loops(nxt)
+    assert len(loops) == n_loops
+    # outward normals: phi grows along n_h, which is normal to its edge
+    pa, pb = ct.vertices[edges[:, 0]], ct.vertices[edges[:, 1]]
+    mid = 0.5 * (pa + pb)
+    eps = ct.boundary_lengths[:, None] / 10
+    assert np.all(dom.phi(mid + eps * ct.boundary_normals) > dom.phi(mid))
+    assert np.all(np.abs(np.einsum("ij,ij->i", ct.boundary_normals, pb - pa)) < 1e-14)
+    assert np.allclose(ct.boundary_lengths, np.linalg.norm(pb - pa, axis=1),
+                       rtol=1e-15, atol=0.0)
+    areas = []
+    for loop in loops:
+        x, y = pa[loop, 0], pa[loop, 1]
+        areas.append(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    assert sum(areas) == pytest.approx(ct.signed_areas().sum(), rel=1e-12)
+    # a multiplier edge's end dof is the start dof of the loop's next edge
+    edge_mult = build_dof_layout(ct).edge_mult
+    assert np.array_equal(edge_mult[:, 1], edge_mult[nxt, 0])
+    return areas
 
 
 def test_type1_counts():
@@ -99,31 +142,42 @@ def test_clough_tocher_counts_and_areas():
 def test_boundary_full_box_single_loop():
     ct = clough_tocher(clip_to_interior(build_type1_mesh(2),
                                         everywhere_inside_domain()))
-    assert len(ct.boundary_loops) == 1
-    loop = ct.boundary_loops[0]
-    assert len(loop) == 8
-    assert loop[-1].b == loop[0].a
+    assert len(ct.boundary_edges) == 8
+    assert np.array_equal(ct.boundary_next, np.r_[1:8, 0])
+    assert ct.boundary_edges[-1, 1] == ct.boundary_edges[0, 0]
 
 
-def test_boundary_loops_star():
+def test_boundary_star_single_loop():
     s = star_domain()
     ct = clough_tocher(clip_to_interior(build_type1_mesh(24), s))
-    for loop in ct.boundary_loops:
-        pts = ct.vertices[[e.a for e in loop]]
-        x, y = pts[:, 0], pts[:, 1]
-        signed_area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-        assert signed_area > 0
-        t = np.array([e.tangent for e in loop])
+    _assert_boundary_invariants(ct, s, n_loops=1)
+    for loop in _loops(ct.boundary_next):
+        e = ct.boundary_edges[loop]
+        t = ct.vertices[e[:, 1]] - ct.vertices[e[:, 0]]
         tn = np.roll(t, -1, axis=0)
         turning = np.arctan2(t[:, 0] * tn[:, 1] - t[:, 1] * tn[:, 0],
                              np.einsum("ij,ij->i", t, tn)).sum()
         assert turning == pytest.approx(2 * np.pi, abs=1e-10)
-    # outward normals: phi grows along n_h
-    for e in ct.boundary_edges:
-        mid = 0.5 * (ct.vertices[e.a] + ct.vertices[e.b])
-        eps = e.length / 10
-        assert s.phi(mid + eps * e.normal) > s.phi(mid)
-        assert abs(np.dot(e.normal, ct.vertices[e.b] - ct.vertices[e.a])) < 1e-14
+
+
+@pytest.mark.parametrize("n, areas", [(16, (0.4219, -0.1172)),
+                                      (32, (0.4551, -0.0830))], ids=["n16", "n32"])
+def test_boundary_annulus_two_loops(annulus, n, areas):
+    # an outer counterclockwise loop and a clockwise hole loop
+    ct = clough_tocher(clip_to_interior(build_type1_mesh(n), annulus))
+    found = _assert_boundary_invariants(ct, annulus, n_loops=2)
+    assert found == pytest.approx(areas, abs=5e-5)
+
+
+@given(r=st.floats(0.30, 0.45), s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0),
+       n=st.sampled_from([8, 16]))
+def test_boundary_invariants_random_circles(r, s, t, n):
+    # the radii and centres of the random-circle sweep: the centre keeps
+    # the circle 0.02 inside the unit square
+    lo, hi = r + 0.02, 1.0 - r - 0.02
+    dom = circle_domain((lo + s * (hi - lo), lo + t * (hi - lo)), r)
+    ct = clough_tocher(clip_to_interior(build_type1_mesh(n, dom.bounding_box), dom))
+    _assert_boundary_invariants(ct, dom, n_loops=1)
 
 
 def test_euler_characteristic():
@@ -141,6 +195,17 @@ def test_nonmanifold_edge_rejected():
         mesh.validate()
     with pytest.raises(MeshError):
         clough_tocher(mesh)
+
+
+def test_pinched_boundary_vertex_rejected(annulus):
+    # a bow-tie: two triangles that share only vertex 0
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    bow_tie = MacroMesh(verts, np.array([[0, 1, 2], [0, 3, 4]]))
+    with pytest.raises(MeshError, match="non-manifold boundary vertex"):
+        clough_tocher(bow_tie)
+    # the annulus at n = 8 keeps triangles that meet only at a vertex
+    with pytest.raises(MeshError, match="n=8: non-manifold boundary vertex"):
+        build_level(annulus, 8, 40.0)
 
 
 def test_assumption_a_fitted_box_is_zero():
@@ -177,13 +242,12 @@ def test_assumption_a_reuses_boundary_transfer_lengths(dom, n):
     # points' transfer lengths from its boundary data; the ratios must equal
     # those of one projection of endpoints and EDGE_RULE points together
     level = build_level(dom, n, 40.0)
-    edges = level.ct.boundary_edges
+    ct = level.ct
     s = np.concatenate([EDGE_RULE.points, [0.0, 1.0]])
-    pa = level.ct.vertices[[e.a for e in edges]]
-    pb = level.ct.vertices[[e.b for e in edges]]
+    pa, pb = ct.vertices[ct.boundary_edges.T]
     pts = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
     _, delta, _ = project_points(dom, pts.reshape(-1, 2))
-    ratios = delta.reshape(len(edges), -1).max(axis=1) / np.array([e.length for e in edges])
+    ratios = delta.reshape(len(pa), -1).max(axis=1) / ct.boundary_lengths
     assert np.array_equal(level.assumption.ratios, ratios)
 
 
