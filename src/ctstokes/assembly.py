@@ -103,9 +103,6 @@ def build_boundary_data(ct: CtMesh, layout: DofLayout,
     x_star = x_star.reshape(B, Q, 2)
     delta = delta.reshape(B, Q)
     dirs = dirs.reshape(B, Q, 2)
-    degenerate = delta == 0.0
-    if np.any(degenerate):
-        dirs[degenerate] = np.broadcast_to(normals[:, None, :], dirs.shape)[degenerate]
 
     _, _, inv, invT = element_maps(ct)
     invb, invTb = inv[tris], invT[tris]

@@ -29,6 +29,8 @@ from .verify import (build_level, infsup_estimate, paper_case, run_convergence,
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
 DEFAULT_NUS = (1e-1, 1e-3, 1e-5)
 OUTDIR_ENV = "CTSTOKES_OUTDIR"
+TRUE_WORDS = ("1", "true", "yes", "on")     # config-file flag values
+FALSE_WORDS = ("0", "false", "no", "off")
 
 
 class UsageError(ValueError):
@@ -160,9 +162,11 @@ def parse_config(argv) -> tuple:
             cfg.formats = _parse_list(val, str) if isinstance(val, str) else list(val)
         for flag in ("check_assumption", "infsup", "dump_matrix"):
             if flag in merged:
-                val = merged[flag]
-                setattr(cfg, flag, val if isinstance(val, bool)
-                        else str(val).lower() in ("1", "true", "yes", "on"))
+                word = str(merged[flag]).lower()   # a word from the file, or True
+                if word not in TRUE_WORDS + FALSE_WORDS:
+                    raise UsageError(f"{flag} = {merged[flag]}: expected "
+                                     "1/true/yes/on or 0/false/no/off")
+                setattr(cfg, flag, word in TRUE_WORDS)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 

@@ -182,7 +182,7 @@ def multiplier_values_on_edges(layout: DofLayout, bqd: BoundaryQuadData,
 
 def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
                    layout: DofLayout, bqd: BoundaryQuadData,
-                   n: int = 0, sigma: float = 0.0,
+                   n: int = 0, h: float = float("nan"), sigma: float = 0.0,
                    max_delta_ratio: float = float("nan")) -> ErrorReport:
     """Error norms of a discrete solution against the manufactured fields."""
     q = asm.VolumeQuad(ct, ERROR_QUAD_DEGREE)
@@ -219,7 +219,7 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
     diff = (vals_lam - mean_lam) - (vals_mu - mean_mu)
     lam_diag = math.sqrt(float(np.sum(bqd.ds * bqd.lengths[:, None] * diff ** 2)))
 
-    return ErrorReport(n=n, h=(1.0 / n if n else float("nan")), nu=case.nu,
+    return ErrorReport(n=n, h=h, nu=case.nu,
                        sigma=sigma, dofs=layout.n_total, l2_u=l2_u, h1_u=h1_u,
                        l2_p=l2_p, linf_div=linf_div, lam_diag=lam_diag,
                        max_delta_ratio=max_delta_ratio, residual=sol.residual)
@@ -230,6 +230,7 @@ class LevelStructure:
     """Mesh-level data and the saddle system every viscosity shares."""
 
     n: int
+    h: float                  # background grid spacing: larger box side / n
     ct: CtMesh
     layout: DofLayout
     bqd: BoundaryQuadData
@@ -256,8 +257,9 @@ def build_level(dom: LevelSetDomain, n: int, sigma: float) -> LevelStructure:
         assumption = check_assumption_a(ct, dom, bqd.delta)
     except (MeshError, ProjectionError) as exc:
         raise type(exc)(f"n={n}: {exc}") from exc
-    return LevelStructure(n=n, ct=ct, layout=layout, bqd=bqd,
-                          blocks=blocks, assumption=assumption, sigma=sigma)
+    x0, y0, x1, y1 = dom.bounding_box
+    return LevelStructure(n=n, h=max(x1 - x0, y1 - y0) / n, ct=ct, layout=layout,
+                          bqd=bqd, blocks=blocks, assumption=assumption, sigma=sigma)
 
 
 def level_system(level: LevelStructure) -> SaddleSystem:
@@ -278,7 +280,7 @@ def solve_on_level(level: LevelStructure, case: ManufacturedCase):
     sol = replace(sol, p=case.nu * sol.p, lam=case.nu * sol.lam,
                   gamma=case.nu * sol.gamma)
     report = compute_errors(sol, case, level.ct, level.layout, level.bqd,
-                            n=level.n, sigma=level.sigma,
+                            n=level.n, h=level.h, sigma=level.sigma,
                             max_delta_ratio=level.assumption.max_ratio)
     return sol, report
 

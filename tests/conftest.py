@@ -33,6 +33,10 @@ def circle():
     return circle_domain((0.5, 0.5), 0.4)
 
 
+def zero_hessian(x):
+    return np.zeros(np.shape(x) + (2,))
+
+
 def box_sdf_domain():
     """Unit square as its own level set: the mesh boundary is exactly the
     physical boundary, so every transfer length vanishes."""
@@ -50,7 +54,8 @@ def box_sdf_domain():
         gy = np.where(pick_x, 0.0, np.sign(dy))
         return np.stack([gx, gy], axis=-1)
 
-    return LevelSetDomain(phi, grad, None, (0.0, 0.0, 1.0, 1.0), "box")
+    # phi is piecewise linear
+    return LevelSetDomain(phi, grad, zero_hessian, (0.0, 0.0, 1.0, 1.0), "box")
 
 
 def everywhere_inside_domain():
@@ -64,7 +69,7 @@ def everywhere_inside_domain():
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape)
 
-    return LevelSetDomain(phi, grad, None, (0.0, 0.0, 1.0, 1.0), "all")
+    return LevelSetDomain(phi, grad, zero_hessian, (0.0, 0.0, 1.0, 1.0), "all")
 
 
 def annulus_domain():
@@ -94,6 +99,25 @@ def annulus_domain():
                 / r[..., None, None])
 
     return LevelSetDomain(phi, grad, hess, (0.0, 0.0, 1.0, 1.0), "annulus")
+
+
+def ellipse_domain(center, axes, bounding_box=(0.0, 0.0, 1.0, 1.0)):
+    """Axis-aligned ellipse as the algebraic level set
+    phi = ((x - cx)/a)^2 + ((y - cy)/b)^2 - 1, which is not a distance."""
+    c = np.asarray(center, dtype=float)
+    scale = 1.0 / np.asarray(axes, dtype=float) ** 2
+
+    def phi(x):
+        d = np.asarray(x, dtype=float) - c
+        return np.sum(scale * d * d, axis=-1) - 1.0
+
+    def grad(x):
+        return 2.0 * scale * (np.asarray(x, dtype=float) - c)
+
+    def hess(x):
+        return np.broadcast_to(np.diag(2.0 * scale), np.shape(x) + (2,)).copy()
+
+    return LevelSetDomain(phi, grad, hess, bounding_box, "ellipse")
 
 
 @pytest.fixture(scope="session")

@@ -100,6 +100,18 @@ def test_config_file_and_precedence(tmp_path):
     with pytest.raises(UsageError, match="vtk"):
         parse_config(["solve", "--config", str(old)])
     assert main(["solve", "--config", str(old)]) == 2
+    # flag values: the four spellings of each truth value, anything else is
+    # an error rather than a silent False
+    flags = tmp_path / "flags.cfg"
+    for word, value in (("1", True), ("TRUE", True), ("yes", True), ("on", True),
+                        ("0", False), ("false", False), ("No", False), ("off", False)):
+        flags.write_text(f"infsup = {word}\n")
+        _, cfg = parse_config(["solve", "--config", str(flags)])
+        assert cfg.infsup is value
+    flags.write_text("infsup = ture\n")
+    with pytest.raises(UsageError, match="infsup = ture"):
+        parse_config(["solve", "--config", str(flags)])
+    assert main(["solve", "--config", str(flags)]) == 2
 
 
 def test_empty_levels_rejected(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import annulus_domain, ellipse_domain, zero_hessian
 from ctstokes.geometry import (LevelSetDomain, ProjectionError, circle_domain,
                                project_points, star_domain)
 
@@ -22,18 +23,40 @@ def test_star_gradient_center_is_error():
         s.hess_phi(np.array([0.5, 0.5]))
 
 
-def test_star_derivatives_match_finite_differences():
-    s = star_domain()
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0.05, 0.45, size=(50, 2)) * rng.choice([-1, 1], size=(50, 2)) + 0.5
+def _points_about(center, n=50, seed=3):
+    """Points 0.05-0.45 off the center along each axis, in random quadrants."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.05, 0.45, size=(n, 2)) * rng.choice([-1, 1], size=(n, 2)) + center
+
+
+def _annulus_points():
+    # off the kink of |r - 0.275|, where grad phi jumps
+    pts = _points_about((0.5, 0.5))
+    return pts[np.abs(np.linalg.norm(pts - 0.5, axis=1) - 0.275) > 1e-3]
+
+
+@pytest.mark.parametrize("dom, pts", [
+    (star_domain(), _points_about((0.5, 0.5))),
+    (circle_domain((0.45, 0.52), 0.35), _points_about((0.45, 0.52))),
+    (annulus_domain(), _annulus_points()),
+    (ellipse_domain((0.5, 0.45), (0.4, 0.25)), _points_about((0.5, 0.45))),
+], ids=["star", "circle", "annulus", "ellipse"])
+def test_derivatives_match_finite_differences(dom, pts):
+    # central differences are the reference for the analytic gradient and
+    # Hessian that every domain supplies
     eps = 1e-6
     for j in range(2):
         d = np.zeros(2)
         d[j] = eps
-        fd_grad = (s.phi(pts + d) - s.phi(pts - d)) / (2 * eps)
-        assert np.allclose(fd_grad, s.grad_phi(pts)[:, j], atol=1e-8)
-        fd_hess = (s.grad_phi(pts + d) - s.grad_phi(pts - d)) / (2 * eps)
-        assert np.allclose(fd_hess, s.hess_phi(pts)[:, :, j], atol=1e-6)
+        fd_grad = (dom.phi(pts + d) - dom.phi(pts - d)) / (2 * eps)
+        assert np.allclose(fd_grad, dom.grad_phi(pts)[:, j], atol=1e-8)
+        fd_hess = (dom.grad_phi(pts + d) - dom.grad_phi(pts - d)) / (2 * eps)
+        assert np.allclose(fd_hess, dom.hess_phi(pts)[:, :, j], atol=1e-6)
+
+
+def test_hessian_is_required():
+    with pytest.raises(TypeError):
+        LevelSetDomain(lambda x: np.asarray(x)[..., 0], lambda x: np.ones(np.shape(x)))
 
 
 def test_circle_values():
@@ -56,8 +79,9 @@ def test_project_circle_radial():
 
 
 def test_project_on_boundary_degenerates():
-    # a point on the boundary: zero transfer and a zero direction row, which
-    # the caller replaces (build_boundary_data uses the edge normal)
+    # a point on the boundary: zero transfer and a zero direction row; at
+    # delta = 0 both Taylor terms of the corrected trace vanish, so the
+    # direction is never needed there
     c = circle_domain((0.5, 0.5), 0.4)
     x_star, delta, dirs = project_points(c, np.array([[0.9, 0.5]]))
     assert delta[0] == 0.0
@@ -139,20 +163,38 @@ def test_validate_rejects_empty_and_flat_domains():
     star_domain().validate()
     circle_domain((0.5, 0.5), 0.4).validate()
     empty = LevelSetDomain(lambda x: np.ones(np.asarray(x).shape[:-1]),
-                           lambda x: np.asarray(x) * 0.0)
+                           lambda x: np.asarray(x) * 0.0, zero_hessian)
     with pytest.raises(ValueError):
         empty.validate()
     flat = LevelSetDomain(lambda x: np.asarray(x)[..., 0] - 0.5,
-                          lambda x: np.asarray(x) * 0.0)
+                          lambda x: np.asarray(x) * 0.0, zero_hessian)
     with pytest.raises(ValueError):
         flat.validate()
 
 
 def test_projection_failure_is_reported():
     # gradient pointing away from the zero set makes Newton diverge
+    def hess(x):
+        out = zero_hessian(x)
+        out[..., 0, 0] = 2.0
+        return out
+
     bad = LevelSetDomain(lambda x: np.asarray(x)[..., 0] ** 2 + 1.0,
                          lambda x: np.stack([2 * np.asarray(x)[..., 0],
                                              np.zeros(np.asarray(x).shape[:-1])],
-                                            axis=-1))
-    with pytest.raises(ProjectionError):
+                                            axis=-1), hess)
+    with pytest.raises(ProjectionError, match=r"x = \[0\.3, 0\.4\] \(residual"):
         project_points(bad, np.array([[0.3, 0.4]]))
+
+
+def test_singular_jacobian_is_reported():
+    # phi = |y - c|^2 - r^2 has grad phi = 0 at c, so the Newton Jacobian
+    # started there is zero; the failure names that point, not a LinAlgError
+    c = np.array([0.5, 0.25])
+    dom = LevelSetDomain(lambda x: np.sum((np.asarray(x) - c) ** 2, axis=-1) - 0.09,
+                         lambda x: 2.0 * (np.asarray(x) - c),
+                         lambda x: np.broadcast_to(2.0 * np.eye(2), np.shape(x) + (2,)))
+    pts = np.array([[0.5, 0.5], c, [0.6, 0.25]])
+    with pytest.raises(ProjectionError,
+                       match=r"x = \[0\.5, 0\.25\] \(singular Newton Jacobian\)"):
+        project_points(dom, pts)

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import make_level, solve_case
+from conftest import ellipse_domain, make_level, solve_case
 from ctstokes.fem import element_maps, eval_p1, triangle_rule
-from ctstokes.geometry import star_domain
+from ctstokes.geometry import (LevelSetDomain, ProjectionError, circle_domain,
+                               star_domain)
+from ctstokes.mesh import MeshError
 from ctstokes.solver import SolutionFields
 from ctstokes.verify import (ErrorReport, RateTable, build_level,
                              compute_errors, infsup_estimate, paper_case,
@@ -258,10 +261,71 @@ def test_infsup_star_n32(star):
 def test_solve_on_level_reports(star):
     level = build_level(star, 8, 40.0)
     sol, rep = solve_on_level(level, paper_case(0.1))
-    assert rep.n == 8 and rep.h == pytest.approx(1 / 8)
+    assert rep.n == 8 and rep.h == 1 / 8
     assert rep.dofs == level.layout.n_total
     assert np.isfinite(rep.max_delta_ratio)
     assert rep.residual <= 1e-10
     for field in ("l2_u", "h1_u", "l2_p", "linf_div", "lam_diag"):
         v = getattr(rep, field)
         assert np.isfinite(v) and v >= 0
+
+
+def test_reported_h_is_grid_spacing_of_padded_box():
+    # a circle of radius 0.45 gets a box of side 2.5 r = 1.125, so the grid
+    # spacing at n = 8 is 1.125 / 8, not 1 / 8
+    dom = circle_domain((0.5, 0.5), 0.45)
+    _, rep = solve_on_level(build_level(dom, 8, 40.0), patch_case(1.0))
+    assert rep.h == 0.140625
+
+
+def _shifted_box(center, half, shift):
+    """Square box containing center +- half with a 0.02 margin: side
+    max(1, 2.5 * max(half)) as circle_domain picks it, lower-left corner
+    placed by shift in [0, 1]^2 between its extreme admissible positions."""
+    c, half = np.asarray(center), np.asarray(half)
+    side = max(1.0, 2.5 * float(half.max()))
+    lo = c + half + 0.02 - side
+    x0 = lo + np.asarray(shift) * (c - half - 0.02 - lo)
+    return (x0[0], x0[1], x0[0] + side, x0[1] + side)
+
+
+def _assert_patch_or_diagnosed(dom, n=16):
+    """The quadratic patch is reproduced with every structural guarantee,
+    or the level is rejected with a diagnosed error naming it."""
+    try:
+        level = build_level(dom, n, 40.0)
+    except (MeshError, ProjectionError) as exc:
+        assert str(exc).startswith(f"n={n}: ")
+        return
+    m_q, m_mu = level.blocks.m_q, level.blocks.m_mu
+    sol, rep = solve_on_level(level, patch_case(1.0))
+    assert rep.h1_u <= 1e-8 and rep.l2_p <= 1e-8
+    assert rep.linf_div <= 1e-8
+    assert rep.residual <= 1e-10
+    assert abs(float(m_q @ sol.p)) <= 1e-10
+    assert abs(float(m_mu @ sol.lam)) <= 1e-10
+    x0, y0, x1, y1 = dom.bounding_box
+    assert rep.h == max(x1 - x0, y1 - y0) / n
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@given(r=st.floats(0.30, 0.45), s=_unit, t=_unit, shift=st.tuples(_unit, _unit))
+def test_patch_on_random_circles(r, s, t, shift):
+    # the radii and centres of the random-circle sweep, in a shifted box
+    lo, hi = r + 0.02, 1.0 - r - 0.02
+    c = (lo + s * (hi - lo), lo + t * (hi - lo))
+    circle = circle_domain(c, r)
+    dom = LevelSetDomain(circle.phi, circle.grad_phi, circle.hess_phi,
+                         _shifted_box(c, (r, r), shift), "circle")
+    _assert_patch_or_diagnosed(dom)
+
+
+@given(a=st.floats(0.20, 0.45), b=st.floats(0.20, 0.45), s=_unit, t=_unit,
+       shift=st.tuples(_unit, _unit))
+def test_patch_on_random_ellipses(a, b, s, t, shift):
+    half = np.array([a, b])
+    lo, hi = half + 0.02, 1.0 - half - 0.02
+    c = lo + np.array([s, t]) * (hi - lo)
+    _assert_patch_or_diagnosed(ellipse_domain(c, half, _shifted_box(c, half, shift)))
