@@ -19,28 +19,39 @@ divided by nu and the unknowns are u, p/nu, lambda/nu, alpha, beta and
 gamma/nu: every viscosity shares the nu = 1 matrix and changes only the rhs.
 
 The quadrature is fixed here.  Every element integral uses the conical
-Gauss rule of degree VOLUME_DEGREE on each micro triangle, tabulated per
-call by VolumeQuad; every boundary integral uses the Gauss-Legendre rule
-EDGE_RULE on each boundary edge.
+Gauss rule of degree VOLUME_DEGREE on each micro triangle; every boundary
+integral uses the Gauss-Legendre rule EDGE_RULE on each boundary edge.
+Every micro triangle is an affine image of the reference triangle, so each
+volume element matrix is a reference integral, computed once at import,
+scaled by the Jacobian determinant and contracted with the inverse map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fem import (DofLayout, edge_rule, element_maps, eval_p1, eval_p2,
-                  physical_gradients, physical_hessians, triangle_rule,
-                  vector_dofs)
+                  physical_hessians, triangle_rule, vector_dofs)
 from .geometry import LevelSetDomain, project_points
 from .mesh import CtMesh
 
 VOLUME_DEGREE = 6         # triangle_rule degree on each micro triangle
 EDGE_RULE = edge_rule(6)  # 6-point Gauss-Legendre on each boundary edge
+
+# VOLUME_DEGREE rule on the reference triangle: weights, P1 values, P2 values
+# and P2 gradients at its points, and the reference integrals built from them
+_RULE = triangle_rule(VOLUME_DEGREE)
+_W = _RULE.weights
+_P1 = eval_p1(_RULE.points).vals                                  # (Q, 3)
+_P2 = eval_p2(_RULE.points)
+_K_REF = np.einsum("q,qia,qjb->abij", _W, _P2.grads, _P2.grads)  # (2, 2, 6, 6)
+_B_REF = np.einsum("q,qk,qia->kia", _W, _P1, _P2.grads)          # (3, 6, 2)
+_MASS_P1_REF = np.einsum("q,qi,qj->ij", _W, _P1, _P1)             # (3, 3)
+_MEAN_P1_REF = _W @ _P1                                           # (3,)
 
 
 def edge_shape_values(t: np.ndarray) -> np.ndarray:
@@ -124,34 +135,6 @@ def build_boundary_data(ct: CtMesh, layout: DofLayout,
                             edge_mult=edge_mult)
 
 
-class VolumeQuad:
-    """A triangle rule mapped onto every micro triangle of the mesh.
-
-    w (Q,) holds the reference weights and det (M,) the Jacobian
-    determinants, so point q of triangle m weighs w[q] * det[m]; p1 (Q, 3)
-    and p2 (Q, 6) are the basis values at the rule points.  The physical
-    points (M, Q, 2) and the P2 physical gradients (M, Q, 6, 2) are
-    computed when first read.
-    """
-
-    def __init__(self, ct: CtMesh, degree: int = VOLUME_DEGREE):
-        rule = triangle_rule(degree)
-        self._ct = ct
-        self.w = rule.weights
-        _, self.det, _, self._invT = element_maps(ct)
-        self.p1 = eval_p1(rule.points).vals
-        self._p2 = eval_p2(rule.points)
-        self.p2 = self._p2.vals
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        return np.einsum("qk,mkc->mqc", self.p1, self._ct.vertices[self._ct.triangles])
-
-    @cached_property
-    def grads(self) -> np.ndarray:
-        return physical_gradients(self._p2.grads, self._invT)
-
-
 def _triplets(rows, cols, blocks):
     """Flatten per-element blocks (E, *r, *c) with row ids (E, *r) and
     column ids (E, *c) into (rows, cols, data) triplets."""
@@ -180,8 +163,9 @@ def _pressure_dofs(ct: CtMesh) -> np.ndarray:
 
 
 def _stiffness_triplets(ct, layout):
-    q = VolumeQuad(ct)
-    Ke = np.einsum("q,m,mqic,mqjc->mij", q.w, q.det, q.grads, q.grads)  # test i, trial j
+    _, det, inv, _ = element_maps(ct)
+    metric = det[:, None, None] * np.einsum("mac,mbc->mab", inv, inv)
+    Ke = np.einsum("mab,abij->mij", metric, _K_REF)  # test i, trial j
     return _velocity_triplets(layout.elem_nodes, layout.elem_nodes, Ke)
 
 
@@ -217,8 +201,8 @@ def assemble_b(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData):
 
     B_div holds -(div u, q): rows pressure dofs, cols velocity dofs.
     """
-    q = VolumeQuad(ct)
-    Be = -np.einsum("q,m,qj,mqic->mjic", q.w, q.det, q.p1, q.grads)  # (M, 3, 6, 2)
+    _, det, _, invT = element_maps(ct)
+    Be = -np.einsum("m,mca,kia->mkic", det, invT, _B_REF)  # (M, 3, 6, 2)
     B_div = _sparse((layout.n_p, layout.n_u),
                     _triplets(_pressure_dofs(ct), vector_dofs(layout.elem_nodes), Be))
     B_lam = _sparse((layout.n_lam, layout.n_u), _multiplier_triplets(bqd, bqd.vals))
@@ -241,8 +225,8 @@ def assemble_constraints(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData):
     m_mu[k] the k-th multiplier shape over the boundary, and c_n[k] the
     normal trace of the k-th velocity basis function over the boundary.
     """
-    q = VolumeQuad(ct)
-    m_q = np.einsum("q,m,qj->mj", q.w, q.det, q.p1).ravel()
+    _, det, _, _ = element_maps(ct)
+    m_q = np.outer(det, _MEAN_P1_REF).ravel()
 
     m_mu = np.zeros(layout.n_lam)
     vals = np.einsum("bq,qm->bm", bqd.ds, bqd.mu)
@@ -269,9 +253,10 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
     """
     rhs = np.zeros(layout.n_total)
 
-    q = VolumeQuad(ct)
-    fvals = np.asarray(f(q.points)) / nu
-    fe = np.einsum("q,m,mqc,qi->mic", q.w, q.det, fvals, q.p2)
+    _, det, _, _ = element_maps(ct)
+    points = np.einsum("qk,mkc->mqc", _P1, ct.vertices[ct.triangles])
+    fvals = np.asarray(f(points)) / nu
+    fe = np.einsum("q,m,mqc,qi->mic", _W, det, fvals, _P2.vals)
     np.add.at(rhs, vector_dofs(layout.elem_nodes).ravel(), fe.ravel())
 
     if g is not None:
@@ -353,8 +338,8 @@ def gram_h1_velocity(ct: CtMesh, layout: DofLayout,
 
 def gram_pressure_mass(ct: CtMesh, layout: DofLayout) -> sp.csr_matrix:
     """L2 mass matrix of the discontinuous pressure space."""
-    q = VolumeQuad(ct)
-    Me = np.einsum("q,m,qi,qj->mij", q.w, q.det, q.p1, q.p1)
+    _, det, _, _ = element_maps(ct)
+    Me = det[:, None, None] * _MASS_P1_REF
     dofs = _pressure_dofs(ct)
     return _sparse((layout.n_p, layout.n_p), _triplets(dofs, dofs, Me))
 
@@ -370,9 +355,10 @@ def gram_multiplier(layout: DofLayout, bqd: BoundaryQuadData) -> sp.csr_matrix:
 def norm_h1_direct(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
                    u: np.ndarray) -> float:
     """Mesh-dependent H1 norm evaluated by quadrature on the fields themselves."""
-    q = VolumeQuad(ct)
-    gu = np.einsum("mqnd,mnc->mqcd", q.grads, u[vector_dofs(layout.elem_nodes)])
-    total = float(np.einsum("q,m,mqcd,mqcd->", q.w, q.det, gu, gu))
+    _, det, _, invT = element_maps(ct)
+    gu_ref = np.einsum("qna,mnc->mqca", _P2.grads, u[vector_dofs(layout.elem_nodes)])
+    gu = np.einsum("mda,mqca->mqcd", invT, gu_ref)
+    total = float(np.einsum("q,m,mqcd,mqcd->", _W, det, gu, gu))
     ub = np.einsum("bqn,bnc->bqc", bqd.vals, u[vector_dofs(bqd.elem_nodes)])
     total += float(np.einsum("bq,b,bqc,bqc->", bqd.ds, 1.0 / bqd.lengths, ub, ub))
     return np.sqrt(total)

@@ -71,9 +71,20 @@ class RunConfig:
             raise UsageError(f"unknown output format(s): {', '.join(bad)}")
 
     def make_domain(self):
+        """The configured domain, validated.
+
+        Raises:
+            UsageError: the level set fails LevelSetDomain.validate.
+        """
         if self.domain == "star":
-            return star_domain()
-        return circle_domain(self.center, self.radius)
+            dom = star_domain()
+        else:
+            dom = circle_domain(self.center, self.radius)
+        try:
+            dom.validate()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        return dom
 
 
 def _parse_list(text, cast):
@@ -204,10 +215,9 @@ def _export_vtk(path, level, sol):
 
 def cmd_solve(cfg: RunConfig) -> int:
     """One solve per (level, viscosity); writes per-run reports."""
+    dom = cfg.make_domain()
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    dom = cfg.make_domain()
-    dom.validate()
     ok = True
     reports = []
     for n in cfg.levels:
@@ -248,10 +258,9 @@ def cmd_converge(cfg: RunConfig) -> int:
         raise UsageError("convergence study needs at least two levels")
     if any(b <= a for a, b in zip(cfg.levels, cfg.levels[1:])):
         raise UsageError("convergence levels must be strictly increasing")
+    dom = cfg.make_domain()
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    dom = cfg.make_domain()
-    dom.validate()
     tables = run_convergence(dom, cfg.levels, cfg.nus, cfg.sigma, progress=print)
     ok = True
     for nu, table in sorted(tables.items()):

@@ -130,11 +130,6 @@ def element_maps(ct):
     return J, det, inv, invT
 
 
-def physical_gradients(grads_ref: np.ndarray, invT: np.ndarray) -> np.ndarray:
-    """Push reference gradients (Q, n, 2) to physical ones per element (M, Q, n, 2)."""
-    return np.einsum("mij,qnj->mqni", invT, grads_ref)
-
-
 def physical_hessians(hess_ref: np.ndarray, inv: np.ndarray, invT: np.ndarray) -> np.ndarray:
     """Push constant reference Hessians (n, 2, 2) to physical ones (M, n, 2, 2)."""
     return np.einsum("mij,njk,mkl->mnil", invT, hess_ref, inv)

@@ -239,16 +239,17 @@ def check_assumption_a(ct: CtMesh, dom: LevelSetDomain,
     """Estimate max over boundary edges of (max transfer length)/(edge length).
 
     delta (B, Q) holds the transfer lengths at each boundary edge's
-    quadrature points, as build_boundary_data found them; only the two
-    endpoints of every edge are projected here.  Edges whose ratio exceeds
+    quadrature points, as build_boundary_data found them; only the start
+    vertex of every edge is projected here, since an edge ends where its
+    boundary_next edge starts.  Edges whose ratio exceeds
     ASSUMPTION_THRESHOLD are flagged.  The ratio is advisory: the method's
     stability theory assumes it is uniformly below one.  It does not
     separate admissible levels: on the star domain it is 1.01-1.30 at
     n = 16...64, where the reference errors are reproduced.
     """
-    ends = ct.vertices[ct.boundary_edges.T.ravel()]
-    _, delta_ends, _ = project_points(dom, ends)
-    top = np.maximum(delta.max(axis=1), delta_ends.reshape(2, -1).max(axis=0))
+    _, delta_start, _ = project_points(dom, ct.vertices[ct.boundary_edges[:, 0]])
+    delta_ends = np.maximum(delta_start, delta_start[ct.boundary_next])
+    top = np.maximum(delta.max(axis=1), delta_ends)
     ratios = top / ct.boundary_lengths
     return AssumptionReport(ratios=ratios, max_ratio=float(ratios.max()),
                             flagged=np.where(ratios > ASSUMPTION_THRESHOLD)[0])

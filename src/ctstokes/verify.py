@@ -25,8 +25,8 @@ from .assembly import (BoundaryQuadData, SaddleSystem, SystemBlocks,
                        assemble_blocks, assemble_rhs, build_boundary_data,
                        compose_system, gram_h1_velocity, gram_multiplier,
                        gram_pressure_mass)
-from .fem import (DofLayout, build_dof_layout, element_maps, eval_p2,
-                  physical_gradients, vector_dofs)
+from .fem import (DofLayout, build_dof_layout, element_maps, eval_p1, eval_p2,
+                  triangle_rule, vector_dofs)
 from .geometry import LevelSetDomain, ProjectionError
 from .mesh import (AssumptionReport, CtMesh, MeshError, build_type1_mesh,
                    check_assumption_a, clip_to_interior, clough_tocher)
@@ -34,6 +34,13 @@ from .solver import (N_BORDER, SolutionFields, SolverError, factorize,
                      solve_direct)
 
 ERROR_QUAD_DEGREE = 8
+
+# the error rule on the reference triangle: weights, P1 values and the P2
+# basis at its points; and the P2 gradients at the reference vertices
+_ERROR_RULE = triangle_rule(ERROR_QUAD_DEGREE)
+_ERROR_P1 = eval_p1(_ERROR_RULE.points).vals
+_ERROR_P2 = eval_p2(_ERROR_RULE.points)
+_VERTEX_GRADS = eval_p2([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]).grads
 
 
 @dataclass(frozen=True)
@@ -165,13 +172,10 @@ class ErrorReport:
 
 def _divergence_at_vertices(ct: CtMesh, layout: DofLayout, u: np.ndarray) -> np.ndarray:
     """|div u_h| sampled at the three vertices of every micro triangle."""
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    J, det, inv, invT = element_maps(ct)
-    basis = eval_p2(verts)
-    G = physical_gradients(basis.grads, invT)           # (M, 3, 6, 2)
+    _, _, _, invT = element_maps(ct)
     coeffs = u[vector_dofs(layout.elem_nodes)]
-    div = np.einsum("mqnc,mnc->mq", G, coeffs)
-    return np.abs(div)
+    grad_ref = np.einsum("qna,mnc->mqca", _VERTEX_GRADS, coeffs)
+    return np.abs(np.einsum("mca,mqca->mq", invT, grad_ref))
 
 
 def multiplier_values_on_edges(layout: DofLayout, bqd: BoundaryQuadData,
@@ -185,12 +189,14 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
                    n: int = 0, h: float = float("nan"), sigma: float = 0.0,
                    max_delta_ratio: float = float("nan")) -> ErrorReport:
     """Error norms of a discrete solution against the manufactured fields."""
-    q = asm.VolumeQuad(ct, ERROR_QUAD_DEGREE)
-    w, det, pts = q.w, q.det, q.points
+    w = _ERROR_RULE.weights
+    _, det, _, invT = element_maps(ct)
+    pts = np.einsum("qk,mkc->mqc", _ERROR_P1, ct.vertices[ct.triangles])
 
     coeffs = sol.u[vector_dofs(layout.elem_nodes)]
-    uh = np.einsum("qn,mnc->mqc", q.p2, coeffs)
-    guh = np.einsum("mqnd,mnc->mqcd", q.grads, coeffs)
+    uh = np.einsum("qn,mnc->mqc", _ERROR_P2.vals, coeffs)
+    guh = np.einsum("mda,mqca->mqcd", invT,
+                    np.einsum("qna,mnc->mqca", _ERROR_P2.grads, coeffs))
 
     du = uh - np.asarray(case.u(pts))
     dgu = guh - np.asarray(case.grad_u(pts))
@@ -198,7 +204,7 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
     h1_u = math.sqrt(float(np.einsum("q,m,mqcd,mqcd->", w, det, dgu, dgu)))
 
     area = 0.5 * float(det.sum())
-    ph = np.einsum("qk,mk->mq", q.p1, sol.p.reshape(-1, 3))
+    ph = np.einsum("qk,mk->mq", _ERROR_P1, sol.p.reshape(-1, 3))
     pex = np.asarray(case.p(pts))
     mean_h = float(np.einsum("q,m,mq->", w, det, ph)) / area
     mean_ex = float(np.einsum("q,m,mq->", w, det, pex)) / area

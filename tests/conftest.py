@@ -12,6 +12,7 @@ from ctstokes.fem import build_dof_layout
 from ctstokes.assembly import (assemble_blocks, assemble_rhs,
                                build_boundary_data, compose_system)
 from ctstokes.solver import solve_direct
+from ctstokes.verify import ManufacturedCase
 
 # fixed examples and no example database, so runs repeat; hypothesis still
 # caches the constants it reads from source files in its storage directory,
@@ -128,6 +129,22 @@ def annulus():
 @pytest.fixture(scope="session")
 def box_sdf():
     return box_sdf_domain()
+
+
+def hydrostatic_case(nu, phi, grad_phi):
+    """No flow under a gradient load: u = 0, p = phi, f = grad phi.
+
+    The exact velocity does not depend on nu, so any discrete velocity is a
+    defect of the scheme's pressure robustness."""
+
+    def u(pts):
+        return np.zeros(np.shape(pts))
+
+    def grad_u(pts):
+        return np.zeros(np.shape(pts) + (2,))
+
+    return ManufacturedCase(name="hydrostatic", nu=nu, u=u, grad_u=grad_u,
+                            p=phi, f=grad_phi)
 
 
 def make_level(dom, n, sigma=40.0):

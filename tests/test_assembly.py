@@ -10,10 +10,17 @@ from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_rhs, assemble_stiffness,
                                build_boundary_data, gram_h1_velocity,
                                norm_h1_direct, taylor_trace)
-from ctstokes.fem import build_dof_layout, edge_rule, triangle_rule
+from ctstokes.fem import (build_dof_layout, edge_rule, element_maps, eval_p1,
+                          eval_p2, triangle_rule)
 from ctstokes.geometry import circle_domain, star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
 from ctstokes.verify import paper_case, patch_case, compute_errors, solve_on_level
+
+
+def push_forward(grads_ref, invT):
+    """Physical gradients (..., Q, n, 2) at every rule point from reference
+    gradients (Q, n, 2) and inverse-transpose Jacobians (..., 2, 2)."""
+    return np.einsum("...ij,qnj->...qni", invT, grads_ref)
 
 
 def test_taylor_trace_shifts_polynomials_exactly():
@@ -99,8 +106,6 @@ def test_divergence_block_matches_quadrature(star_n8):
     # spot check entries of the pressure-test block against independent
     # quadrature of -(div of one basis function) * (one pressure function)
     ct, layout, bqd, blocks = star_n8
-    from ctstokes.fem import element_maps, eval_p1, eval_p2, physical_gradients
-
     rule = triangle_rule(4)
     J, det, inv, invT = element_maps(ct)
     p2 = eval_p2(rule.points)
@@ -108,7 +113,7 @@ def test_divergence_block_matches_quadrature(star_n8):
     rng = np.random.default_rng(9)
     B = blocks.B_div.tocsr()
     for k in rng.choice(ct.n_triangles, 5, replace=False):
-        G = physical_gradients(p2.grads, invT[k:k + 1])[0]
+        G = push_forward(p2.grads, invT[k])
         for j in range(3):
             for i in range(6):
                 for c in range(2):
@@ -116,6 +121,26 @@ def test_divergence_block_matches_quadrature(star_n8):
                     row = 3 * k + j
                     col = 2 * layout.elem_nodes[k, i] + c
                     assert B[row, col] == pytest.approx(val, abs=1e-13)
+
+
+def test_stiffness_matches_quadrature(star_n8):
+    # spot check entries of the stiffness against independent quadrature of
+    # grad(phi_i) . grad(phi_j), summed over the elements sharing both nodes
+    ct, layout, bqd, blocks = star_n8
+    rule = triangle_rule(4)
+    J, det, inv, invT = element_maps(ct)
+    G = push_forward(eval_p2(rule.points).grads, invT)           # (M, Q, 6, 2)
+    Ke = np.einsum("q,m,mqic,mqjc->mij", rule.weights, det, G, G)
+    K = assemble_stiffness(ct, layout).tocsr()
+    rng = np.random.default_rng(10)
+    for k in rng.choice(ct.n_triangles, 5, replace=False):
+        for a in layout.elem_nodes[k]:
+            for b in layout.elem_nodes[k]:
+                val = np.einsum("mi,mij,mj->", layout.elem_nodes == a, Ke,
+                                layout.elem_nodes == b)
+                for c in range(2):
+                    assert K[2 * a + c, 2 * b + c] == pytest.approx(val, abs=1e-13)
+                    assert K[2 * a + c, 2 * b + 1 - c] == 0.0
 
 
 def test_be_shares_divergence_part(star_n8, star):

@@ -183,6 +183,18 @@ def test_converge_unresolvable_domain_is_usage_error(tmp_path, capsys):
         "error: n=4: mesh too coarse for domain: no interior triangles\n")
 
 
+def test_invalid_domain_is_usage_error_before_output(tmp_path, capsys):
+    # a circle too small for any validation sample to fall inside it
+    for command, levels in (("solve", "4"), ("converge", "4,8")):
+        out = tmp_path / command
+        rc = main([command, "--domain", "circle", "--radius", "1e-6",
+                   "--levels", levels, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: level set has no interior points in the bounding box\n")
+        assert not out.exists()
+
+
 def test_converge_solver_failure_is_reported(tmp_path, capsys, monkeypatch):
     def fail(system, rhs):
         raise SolverError("residual contract violated")

@@ -73,4 +73,4 @@ def test_tracer_covers_converge_command(tmp_path):
     metrics = tr.layer_metrics(tracer.spans)
     assert metrics["cli.converge_s"][0] > 0
     edges = metrics["mesh.boundary_edges"][0]
-    assert 0 < metrics["geometry.points_projected"][0] <= 8 * edges
+    assert 0 < metrics["geometry.points_projected"][0] <= 7 * edges

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ellipse_domain, make_level, solve_case
+from conftest import ellipse_domain, hydrostatic_case, make_level, solve_case
 from ctstokes.fem import element_maps, eval_p1, triangle_rule
 from ctstokes.geometry import (LevelSetDomain, ProjectionError, circle_domain,
                                star_domain)
@@ -256,6 +256,65 @@ def test_infsup_star_n32(star):
     print(f"inf-sup estimates (star, n = 32): {beta:.6f}, interior {beta_interior:.6f}")
     assert np.isfinite(beta) and beta > 0.0
     assert np.isfinite(beta_interior) and beta_interior > 0.0
+
+
+HYDROSTATIC_NUS = (1.0, 1e-4, 1e-8)
+HYDROSTATIC_DOMAINS = {"star": star_domain(),
+                       "circle": circle_domain((0.45, 0.52), 0.35)}
+
+
+def _xy(pts):
+    pts = np.asarray(pts, dtype=float)
+    return pts[..., 0], pts[..., 1]
+
+
+def quadratic_pressure(pts):
+    x, y = _xy(pts)
+    return 2.0 * x * x - x * y + 0.5 * y * y + 3.0 * x - y + 0.25
+
+
+def quadratic_pressure_grad(pts):
+    x, y = _xy(pts)
+    return np.stack([4.0 * x - y + 3.0, -x + y - 1.0], axis=-1)
+
+
+def smooth_pressure(pts):
+    x, y = _xy(pts)
+    return np.sin(3.0 * x) * np.exp(y)
+
+
+def smooth_pressure_grad(pts):
+    x, y = _xy(pts)
+    return np.stack([3.0 * np.cos(3.0 * x) * np.exp(y),
+                     np.sin(3.0 * x) * np.exp(y)], axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(HYDROSTATIC_DOMAINS))
+def test_hydrostatic_quadratic_pressure_gives_no_flow(name):
+    # div V_h lies in the pressure space and phi on the mesh boundary in the
+    # multiplier space, so a quadratic pressure's gradient load moves nothing
+    level = build_level(HYDROSTATIC_DOMAINS[name], 16, 40.0)
+    for nu in HYDROSTATIC_NUS:
+        case = hydrostatic_case(nu, quadratic_pressure, quadratic_pressure_grad)
+        _, report = solve_on_level(level, case)
+        assert nu * report.l2_u <= 1e-14
+        assert nu * report.h1_u <= 1e-12
+
+
+@pytest.mark.parametrize("name, levels", [("star", (8, 16, 32)), ("circle", (16,))])
+def test_hydrostatic_smooth_pressure_defect_scales_with_inverse_nu(name, levels):
+    # beyond quadratics the scheme is not pressure robust: nu * u_h is the
+    # same for every viscosity, so the velocity error grows like 1/nu
+    tables = run_convergence(
+        HYDROSTATIC_DOMAINS[name], levels, HYDROSTATIC_NUS, 40.0,
+        case_factory=lambda nu: hydrostatic_case(nu, smooth_pressure,
+                                                 smooth_pressure_grad))
+    scaled = np.array([[nu * r.l2_u for r in tables[nu].reports]
+                       for nu in HYDROSTATIC_NUS])
+    assert np.all(scaled > 0)
+    assert np.allclose(scaled, scaled[0], rtol=1e-6, atol=0.0)
+    rates = " ".join(f"{r:.2f}" for r in tables[1.0].rates()["l2_u"])
+    print(f"{name}: nu * l2_u = {scaled[0]} at n = {levels}, rates {rates}")
 
 
 def test_solve_on_level_reports(star):
