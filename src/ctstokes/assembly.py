@@ -322,7 +322,7 @@ def compose_system(blocks: SystemBlocks, layout: DofLayout) -> SaddleSystem:
 
 
 # ---------------------------------------------------------------------------
-# norm Gram matrices and direct norm evaluation (diagnostics and cross-checks)
+# norm Gram matrices (diagnostics)
 
 def gram_h1_velocity(ct: CtMesh, layout: DofLayout,
                      bqd: BoundaryQuadData) -> sp.csr_matrix:
@@ -350,15 +350,3 @@ def gram_multiplier(layout: DofLayout, bqd: BoundaryQuadData) -> sp.csr_matrix:
     Me = np.einsum("bq,b,qi,qj->bij", bqd.ds, bqd.lengths, bqd.mu, bqd.mu)
     return _sparse((layout.n_lam, layout.n_lam),
                    _triplets(bqd.edge_mult, bqd.edge_mult, Me))
-
-
-def norm_h1_direct(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
-                   u: np.ndarray) -> float:
-    """Mesh-dependent H1 norm evaluated by quadrature on the fields themselves."""
-    _, det, _, invT = element_maps(ct)
-    gu_ref = np.einsum("qna,mnc->mqca", _P2.grads, u[vector_dofs(layout.elem_nodes)])
-    gu = np.einsum("mda,mqca->mqcd", invT, gu_ref)
-    total = float(np.einsum("q,m,mqcd,mqcd->", _W, det, gu, gu))
-    ub = np.einsum("bqn,bnc->bqc", bqd.vals, u[vector_dofs(bqd.elem_nodes)])
-    total += float(np.einsum("bq,b,bqc,bqc->", bqd.ds, 1.0 / bqd.lengths, ub, ub))
-    return np.sqrt(total)

@@ -147,7 +147,10 @@ class DofLayout:
     by index, then micro edge midpoints by lexicographic edge order), then
     three pressure values per micro triangle, then multiplier values at the
     start vertices of the boundary edges (edge order) followed by the edge
-    midpoints, then the three scalar constraint unknowns.
+    midpoints, then the three scalar constraint unknowns.  interior (T, 16)
+    lists each macro triangle's 8 bubble velocity unknowns and 8 of its 9
+    pressure unknowns; their rows and columns couple only to unknowns of the
+    same macro and to the three scalars.
     """
 
     def __init__(self, ct):
@@ -179,6 +182,19 @@ class DofLayout:
         self.offset_lam = self.n_u + self.n_p
         self.offset_scalar = self.offset_lam + self.n_lam
         self.n_total = self.offset_scalar + 3
+
+        # unknowns interior to each macro triangle t: the velocity at its
+        # barycentre (vertex n_mvert - T + t) and at the midpoints of its
+        # three spokes (the edges ending there), then the pressure of its
+        # three micro triangles 3t, 3t+1, 3t+2 except the first value
+        T = self.n_mtri // 3
+        z0 = self.n_mvert - T
+        spokes = np.flatnonzero(ct.edges[:, 1] >= z0)
+        spokes = spokes[np.argsort(ct.edges[spokes, 1], kind="stable")].reshape(T, 3)
+        nodes = np.column_stack([z0 + np.arange(T), self.n_mvert + spokes])
+        self.interior = np.hstack([
+            vector_dofs(nodes).reshape(T, 8),
+            self.offset_p + 9 * np.arange(T)[:, None] + np.arange(1, 9)])
 
     @property
     def alpha(self) -> int:

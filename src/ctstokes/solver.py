@@ -2,12 +2,27 @@
 
 The matrix is non-symmetric (non-symmetric boundary penalty and the
 corrected continuity pairing), so a sparse LU factorization with partial
-pivoting is used.  The three scalar constraint unknowns carry dense rows and
-columns which ruin fill-reducing orderings, so every system is solved in
-bordered form: the field block is factorized sparsely after a sparse
-rank-one shift that removes its one-dimensional kernel (the joint constant
-pressure/multiplier mode), and the dense border is eliminated through a
-3x3 Schur complement.  Iterative refinement with the same factors
+pivoting is used, after two exact reductions.
+
+First, static condensation.  Each macro triangle's 8 bubble velocity
+unknowns and 8 of its 9 pressure unknowns (the layout's ``interior``) couple
+only to unknowns of their own macro and to the scalars, and their 16x16
+block [[a, C], [B, 0]] is invertible: B, the bubbles' divergence against 8
+pressures, is the local Scott-Vogelius inf-sup condition on a Clough-Tocher
+split.  Its inverse is explicit, [[0, B^-1], [C^-1, -C^-1 a B^-1]], batched
+over macros; the whole block is never inverted, because its condition
+number reaches 7.5e15 at n = 128.  The
+remaining unknowns solve the Schur complement S = A_KK - A_KI A_II^-1 A_IK,
+about a quarter of the system, and the interior ones are recovered macro by
+macro.
+
+Second, the bordered form.  The three scalar constraint unknowns carry dense
+rows and columns which ruin fill-reducing orderings, so S is solved with its
+field block factorized sparsely after a sparse rank-one shift that removes
+its one-dimensional kernel (the joint constant pressure/multiplier mode),
+and the dense border is eliminated through a 3x3 Schur complement.
+
+Iterative refinement with the same factors, against the full matrix,
 drives the residual to near machine precision, which the pointwise
 divergence guarantee needs: a continuity-row residual is amplified by the
 inverse pressure mass, i.e. by 1/h^2.
@@ -26,6 +41,7 @@ from .assembly import SaddleSystem
 RESIDUAL_TOL = 1e-10
 REFINE_TARGET = 1e-13
 MAX_REFINE = 5
+STALL = 0.5  # a step keeping more of the continuity residual than this has stalled
 N_BORDER = 3  # alpha, beta, gamma: the layout's trailing scalar unknowns
 
 
@@ -62,19 +78,18 @@ class _BorderedLU:
     M = [[K, B], [C, D]] with K the sparse field block and B, C, D the dense
     border of the three scalar unknowns.  K has a one-dimensional kernel
     (the joint constant pressure/multiplier mode) that the border completes,
-    so K is shifted by the first border column b0 pinned at its largest
-    entry j: S = K + b0 e_j^T.  With y = z + e_0 x_j the system becomes
-    [[S, B], [C', D]], C' = C + D[:, 0] e_j^T, which block elimination
-    solves through X = S^{-1} B and the Schur complement D - C' X; each
-    right-hand side then costs one sparse solve.
+    so K is shifted by the first border column b0 pinned at row j, where the
+    kernel mode does not vanish: S = K + b0 e_j^T.  With y = z + e_0 x_j the
+    system becomes [[S, B], [C', D]], C' = C + D[:, 0] e_j^T, which block
+    elimination solves through X = S^{-1} B and the Schur complement
+    D - C' X; each right-hand side then costs one sparse solve.
     """
 
-    def __init__(self, M: sp.csc_matrix):
+    def __init__(self, M: sp.csc_matrix, j: int):
         N = M.shape[0] - N_BORDER
-        self.N = N
+        self.N, self.j = N, j
         B = M[:N, N:].toarray()
         D = M[N:, N:].toarray()
-        self.j = j = int(np.argmax(np.abs(B[:, 0])))
         rows = np.flatnonzero(B[:, 0])
         S = M[:N, :N] + sp.csc_matrix((B[rows, 0], (rows, np.full(rows.size, j))),
                                       shape=(N, N))
@@ -102,22 +117,99 @@ class _BorderedLU:
         return float(np.abs(self.lu.U.diagonal()).min())
 
 
-def factorize(matrix: sp.spmatrix) -> _BorderedLU:
-    """Factorize the saddle system, whose last N_BORDER unknowns are scalars."""
-    A = matrix.tocsc()
+def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
+    """Inverses of the (T, 16, 16) macro blocks [[a, C], [B, 0]].
+
+    Raises:
+        SolverError: B or C of some macro is singular to working precision.
+    """
+    a, C, B = blocks[:, :8, :8], blocks[:, :8, 8:], blocks[:, 8:, :8]
+    pair = np.stack([B, C], axis=1)
+    s = np.linalg.svd(pair, compute_uv=False)
+    singular = ~(s[..., -1] > 8 * np.finfo(float).eps * s[..., 0])
+    if singular.any():
+        t, k = np.argwhere(singular)[0]
+        name = ("divergence", "momentum pressure")[k]
+        raise SolverError(f"macro {t}: interior {name} block is singular to "
+                          f"working precision (singular values {s[t, k, -1]:.1e} "
+                          f"to {s[t, k, 0]:.1e})")
+    Binv, Cinv = np.moveaxis(np.linalg.inv(pair), 1, 0)
+    inv = np.zeros_like(blocks)
+    inv[:, :8, 8:] = Binv
+    inv[:, 8:, :8] = Cinv
+    inv[:, 8:, 8:] = -Cinv @ a @ Binv
+    return inv
+
+
+class _CondensedLU:
+    """The system with its macro-interior unknowns eliminated.
+
+    kept holds the remaining unknowns in their order, the scalar border
+    last; bordered factorizes their Schur complement.  The pin is the
+    largest entry of the assembled first border column on the kept field
+    rows: in a saddle system that column holds the pressure means, so the
+    pin lands on a kept pressure row, where the kernel mode lives.
+    """
+
+    def __init__(self, A: sp.csr_matrix, interior: np.ndarray):
+        n, T = A.shape[0], len(interior)
+        self.interior = interior
+        inner = interior.ravel()
+        mask = np.ones(n, dtype=bool)
+        mask[inner] = False
+        self.kept = kept = np.flatnonzero(mask)
+        rows_k, rows_i = A[kept], A[inner]
+        A_II = rows_i[:, inner].tocoo()
+        if np.any(A_II.row // 16 != A_II.col // 16):
+            raise SolverError("interior unknowns of different macros are coupled")
+        blocks = np.zeros((T, 16, 16))
+        blocks[A_II.row // 16, A_II.row % 16, A_II.col % 16] = A_II.data
+        self.inv = _interior_inverse(blocks)
+        self.A_KI = rows_k[:, inner].tocsr()
+        self.A_IK = rows_i[:, kept].tocsr()
+        inv_sp = sp.bsr_matrix((self.inv, np.arange(T), np.arange(T + 1)),
+                               shape=(16 * T, 16 * T))
+        S = rows_k[:, kept] - self.A_KI @ (inv_sp @ self.A_IK)
+        alpha = np.abs(A[kept[:-N_BORDER], n - N_BORDER].toarray().ravel())
+        self.bordered = _BorderedLU(S.tocsc(), int(np.argmax(alpha)))
+
+    def _inner(self, v):
+        return np.einsum("tij,tj->ti", self.inv, v)
+
+    def solve(self, b):
+        b_I = b[self.interior]
+        x_K = self.bordered.solve(b[self.kept] - self.A_KI @ self._inner(b_I).ravel())
+        x = np.empty(b.shape[0])
+        x[self.kept] = x_K
+        x[self.interior] = self._inner(b_I - (self.A_IK @ x_K).reshape(-1, 16))
+        return x
+
+    def min_pivot(self):
+        return self.bordered.min_pivot()
+
+
+def factorize(matrix: sp.spmatrix, layout) -> _CondensedLU:
+    """Factorize the saddle system, whose last N_BORDER unknowns are scalars,
+    after condensing the macro-interior unknowns layout.interior."""
+    A = matrix.tocsr()
     if A.shape[0] != A.shape[1] or A.shape[0] <= N_BORDER:
         raise SolverError(f"system is not square with a field block: {A.shape}")
-    return _BorderedLU(A)
+    if not np.all(np.isfinite(A.data)):
+        raise SolverError("system matrix has non-finite entries")
+    return _CondensedLU(A, layout.interior)
 
 
 def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
     """Solve one rhs under the residual contract; factorize on first use.
 
-    Refinement runs past the contract down to stagnation of both the global
-    residual and the continuity-block residual: the discrete divergence
-    equals the inverse pressure mass applied to the continuity residual, an
-    amplification of order 1/h^2, so those rows must be resolved to near
-    machine precision for the pointwise divergence guarantee.
+    Refinement runs past the contract down to stagnation of the
+    continuity-block residual: it stops once the global residual is at
+    REFINE_TARGET and a step has lowered the continuity residual by less
+    than the factor STALL, or when a step lowers neither residual.  The
+    discrete divergence equals the inverse pressure mass applied to the
+    continuity residual, an amplification of order 1/h^2, so those rows
+    must be resolved to near machine precision for the pointwise divergence
+    guarantee.
 
     Raises:
         SolverError: singular factorization, non-finite solution, or a
@@ -127,7 +219,7 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
     layout = system.layout
     p_rows = slice(layout.offset_p, layout.offset_p + layout.n_p)
     if system.factor is None:
-        system.factor = factorize(A)
+        system.factor = factorize(A, layout)
     lu = system.factor
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
@@ -143,13 +235,14 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
 
     res, res_p = residuals(x)
     for _ in range(MAX_REFINE):
-        if res <= REFINE_TARGET and res_p <= 1e-15:
-            break
         x_new = x + lu.solve(b - A @ x)
         res_new, res_p_new = residuals(x_new)
         if res_new >= res and res_p_new >= res_p:
             break
+        stalled = res_p_new >= STALL * res_p
         x, res, res_p = x_new, res_new, res_p_new
+        if stalled and res <= REFINE_TARGET:
+            break
     if res > RESIDUAL_TOL:
         raise SolverError(f"residual contract violated: {res:.3e} > {RESIDUAL_TOL:.1e}")
     return SolutionFields.from_vector(x, system.layout, float(res))

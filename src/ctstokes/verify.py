@@ -271,7 +271,8 @@ def build_level(dom: LevelSetDomain, n: int, sigma: float) -> LevelStructure:
 def level_system(level: LevelStructure) -> SaddleSystem:
     """The level's saddle system; the first call composes it and drops the
     blocks.  Composed in build_level, or kept next to the blocks, it
-    fragmented the heap (peak RSS of a 50-circle sweep rose 10-30 %)."""
+    fragmented the heap: peak RSS of a 50-circle sweep at n = 16 rose
+    10-30 % with the full LU and still 5-10 % with the condensed one."""
     if level.system is None:
         level.system = compose_system(level.blocks, level.layout)
         level.blocks = None
@@ -378,59 +379,38 @@ def write_json(path, tables: Dict[float, RateTable]) -> None:
         fh.write("\n")
 
 
-INFSUP_SHIFT = 1e-3  # s of the interior pair's shifted norm saddle system
-
-
-def infsup_estimate(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
-                    include_multiplier: bool = True) -> float:
-    """Numeric inf-sup constant of the continuity pairing.
+def infsup_estimate(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData) -> float:
+    """Numeric inf-sup constant of the continuity pairing with the multiplier.
 
     Returns sqrt(mu) for the smallest eigenvalue mu of S y = mu Y y
     (Chapelle & Bathe's inf-sup test), where S = B X^{-1} B^T, X is the Gram
-    matrix of the mesh-dependent H1 norm on the velocity and Y that of the
-    natural product norm on the pressure (and multiplier).  Shift-invert
-    Lanczos finds it; each step is one solve with a norm saddle system
-    [[X, B^T], [B, sigma Y]] factored once.  The start vector is fixed, so
-    repeated calls are bit-identical.
-
-    With the multiplier, B stacks the divergence and uncorrected multiplier
-    pairings and the norm system is composed and factored like the Stokes
-    system, whose scalar border imposes zero flux on the velocity and zero
-    means on pressure and multiplier.  With include_multiplier=False the
-    velocity vanishes on the mesh boundary and only the pressure is kept:
-    the plain Stokes-pair constant.  There sigma = -s, so the constant
-    pressure, S's one kernel mode, is the eigenvalue nearest sigma and the
-    next one is Y-orthogonal to it, i.e. of zero mean.  Reported as a
-    diagnostic; no bound is asserted.
+    matrix of the mesh-dependent H1 norm on the velocity, Y that of the
+    natural product norm on pressure and multiplier, and B stacks the
+    divergence and uncorrected multiplier pairings.  Shift-invert Lanczos
+    finds it; each step is one solve with the norm saddle system
+    [[X, B^T], [B, 0]], composed and factorized like the Stokes system,
+    whose scalar border imposes zero flux on the velocity and zero means on
+    pressure and multiplier.  X is the bubbles' stiffness on their macro, so
+    the factorization condenses them as it does for the Stokes system.  The
+    start vector is fixed, so repeated calls are bit-identical.  Reported
+    as a diagnostic; no bound is asserted.
     """
     B_div, B_lam = asm.assemble_b(ct, layout, bqd)
-    Mp = gram_pressure_mass(ct, layout)
-    if include_multiplier:
-        m_q, m_mu, c_n = asm.assemble_constraints(ct, layout, bqd)
-        blocks = SystemBlocks(a=gram_h1_velocity(ct, layout, bqd), B_div=B_div,
-                              B_lam=B_lam, B_lam_e=B_lam, m_q=m_q, m_mu=m_mu, c_n=c_n)
-        lu = factorize(compose_system(blocks, layout).matrix)
-        Y, sigma, k = sp.block_diag([Mp, gram_multiplier(layout, bqd)]), 0.0, 1
-        head, tail = layout.n_u, N_BORDER
-    else:
-        boundary = ct.edge_counts == 1
-        nodes = np.r_[ct.edges[boundary].ravel(), layout.n_mvert + np.flatnonzero(boundary)]
-        keep = np.setdiff1d(np.arange(layout.n_u), np.r_[2 * nodes, 2 * nodes + 1])
-        X = asm.assemble_stiffness(ct, layout)[keep][:, keep]
-        B = B_div[:, keep]
-        Y, sigma, k = Mp, -INFSUP_SHIFT, 2
-        lu = spla.splu(sp.bmat([[X, B.T], [B, sigma * Y]], format="csc"))
-        head, tail = keep.size, 0
+    m_q, m_mu, c_n = asm.assemble_constraints(ct, layout, bqd)
+    blocks = SystemBlocks(a=gram_h1_velocity(ct, layout, bqd), B_div=B_div,
+                          B_lam=B_lam, B_lam_e=B_lam, m_q=m_q, m_mu=m_mu, c_n=c_n)
+    lu = factorize(compose_system(blocks, layout).matrix, layout)
+    Y = sp.block_diag([gram_pressure_mass(ct, layout), gram_multiplier(layout, bqd)])
 
     def solve(g):
-        # the norm system's solution for the rhs [0; g] has y = -(S - sigma Y)^{-1} g
-        x = lu.solve(np.concatenate([np.zeros(head), g, np.zeros(tail)]))
-        return -x[head:head + g.size]
+        # the norm system's solution for the rhs [0; g] has y = -S^{-1} g
+        x = lu.solve(np.concatenate([np.zeros(layout.n_u), g, np.zeros(N_BORDER)]))
+        return -x[layout.n_u:layout.n_u + g.size]
 
     m = Y.shape[0]
     opinv = spla.LinearOperator((m, m), matvec=solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(m)
     # in shift-invert mode eigsh reads only the shape and dtype of its A
-    mu = spla.eigsh(Y, k=k, M=Y, sigma=sigma, OPinv=opinv, v0=v0,
+    mu = spla.eigsh(Y, k=1, M=Y, sigma=0.0, OPinv=opinv, v0=v0,
                     return_eigenvectors=False)
     return float(np.sqrt(max(mu.max(), 0.0)))

@@ -9,9 +9,9 @@ from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_blocks, assemble_constraints,
                                assemble_rhs, assemble_stiffness,
                                build_boundary_data, gram_h1_velocity,
-                               norm_h1_direct, taylor_trace)
+                               taylor_trace)
 from ctstokes.fem import (build_dof_layout, edge_rule, element_maps, eval_p1,
-                          eval_p2, triangle_rule)
+                          eval_p2, triangle_rule, vector_dofs)
 from ctstokes.geometry import circle_domain, star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
 from ctstokes.verify import paper_case, patch_case, compute_errors, solve_on_level
@@ -238,6 +238,18 @@ def test_edge_quadrature_refinement_stability(circle, monkeypatch):
         M6, M10 = getattr(b6, name), getattr(b10, name)
         rel = sp.linalg.norm(M6 - M10) / sp.linalg.norm(M10)
         assert rel <= 1e-8
+
+
+def norm_h1_direct(ct, layout, bqd, u):
+    """Mesh-dependent H1 norm evaluated by quadrature on the field itself."""
+    rule = triangle_rule(assembly.VOLUME_DEGREE)
+    _, det, _, invT = element_maps(ct)
+    gu = push_forward(eval_p2(rule.points).grads, invT)
+    gu = np.einsum("mqna,mnc->mqca", gu, u[vector_dofs(layout.elem_nodes)])
+    total = float(np.einsum("q,m,mqca,mqca->", rule.weights, det, gu, gu))
+    ub = np.einsum("bqn,bnc->bqc", bqd.vals, u[vector_dofs(bqd.elem_nodes)])
+    total += float(np.einsum("bq,b,bqc,bqc->", bqd.ds, 1.0 / bqd.lengths, ub, ub))
+    return np.sqrt(total)
 
 
 def test_norm_gram_matches_direct_evaluation(star_n8):

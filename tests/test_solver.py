@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import make_level
 from ctstokes import solver
+from ctstokes.geometry import circle_domain
 from ctstokes.assembly import SaddleSystem, assemble_rhs, compose_system
 from ctstokes.solver import (SolverError, dump_matrix_market, factorize,
                              solve_direct)
@@ -22,6 +23,7 @@ class _ScalarOnlyLayout:
         self.offset_lam = n
         self.n_lam = 0
         self.alpha = self.beta = self.gamma = n - 1
+        self.interior = np.empty((0, 16), dtype=np.int64)
 
 
 def _raw_system(A):
@@ -52,7 +54,7 @@ def test_two_by_two_hand_solve():
 def test_non_square_rejected():
     A = sp.csr_matrix(np.ones((2, 3)))
     with pytest.raises(SolverError):
-        factorize(A)
+        factorize(A, _ScalarOnlyLayout(3))
 
 
 def test_singular_matrix_rejected():
@@ -71,7 +73,7 @@ def test_singular_schur_complement_rejected():
     # and their own block is zero
     A = sp.block_diag([sp.eye(2), sp.csr_matrix((3, 3))])
     with pytest.raises(SolverError, match="Schur complement"):
-        factorize(A)
+        factorize(A, _ScalarOnlyLayout(5))
 
 
 def test_star_system_residual_contract(star):
@@ -101,10 +103,16 @@ def test_factorize_bordered_with_one_pin(star):
         case = paper_case(0.1)
         rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
         A = compose_system(blocks, layout).matrix
-        lu = factorize(A)
-        N = A.shape[0] - solver.N_BORDER
-        # the sparse factor covers the field block only
-        assert lu.lu.shape == (N, N)
+        lu = factorize(A, layout)
+        T = len(layout.interior)
+        assert layout.interior.shape == (T, 16) and 3 * T == layout.n_mtri
+        assert lu.kept.size == layout.n_total - 16 * T
+        N = A.shape[0] - solver.N_BORDER - 16 * T
+        # the sparse factor covers the condensed field block only
+        assert lu.bordered.lu.shape == (N, N)
+        # pinned at the kept pressure unknown of some macro
+        pin = lu.kept[lu.bordered.j] - layout.offset_p
+        assert 0 <= pin < layout.n_p and pin % 9 == 0
         x = lu.solve(rhs)
         # the unrefined solve already meets the residual contract
         assert np.linalg.norm(A @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
@@ -149,9 +157,9 @@ def test_one_factorization_serves_every_viscosity(circle, monkeypatch):
     calls = []
     original = solver.factorize
 
-    def counting(matrix):
+    def counting(matrix, layout):
         calls.append(matrix.shape)
-        return original(matrix)
+        return original(matrix, layout)
 
     monkeypatch.setattr(solver, "factorize", counting)
     run_convergence(circle, [8, 16], [1e-1, 1e-3, 1e-5], 40.0)
@@ -181,3 +189,65 @@ def test_one_factorization_serves_every_viscosity(circle, monkeypatch):
     p = x[layout.offset_p:layout.offset_p + layout.n_p]
     assert np.abs(sol.u - u).max() <= 1e-8 * np.abs(u).max()
     assert np.abs(sol.p - p).max() <= 1e-8 * np.abs(p).max()
+
+
+def _paper_system(dom, n):
+    ct, layout, bqd, blocks = make_level(dom, n)
+    case = paper_case(0.1)
+    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
+    return compose_system(blocks, layout), rhs
+
+
+def test_interior_unknowns_couple_within_their_macro(star):
+    ct, layout, bqd, blocks = make_level(star, 8)
+    T = len(layout.interior)
+    macro = np.full(layout.n_total, -1)
+    macro[layout.interior] = np.arange(T)[:, None]
+    # every other unknown of a macro: its micro triangles' velocity nodes
+    # and pressures, and the multipliers of its boundary edges
+    members = np.zeros((T, layout.n_total), dtype=bool)
+    t = np.arange(3 * T) // 3
+    members[t[:, None], 2 * layout.elem_nodes] = True
+    members[t[:, None], 2 * layout.elem_nodes + 1] = True
+    members[t[:, None], layout.offset_p + 3 * np.arange(3 * T)[:, None] + np.arange(3)] = True
+    members[ct.boundary_tris[:, None] // 3, layout.offset_lam + layout.edge_mult] = True
+    members[:, layout.alpha:] = True
+    A = compose_system(blocks, layout).matrix.tocoo()
+    for i, j in ((A.row, A.col), (A.col, A.row)):
+        inner = macro[i] >= 0
+        assert members[macro[i][inner], j[inner]].all()
+
+
+@pytest.mark.parametrize("case", ["star", "circle"])
+def test_condensed_solve_matches_full_solve(star, case):
+    dom, n = (star, 8) if case == "star" else (circle_domain((0.45, 0.52), 0.35), 16)
+    system, rhs = _paper_system(dom, n)
+    sol = solve_direct(system, rhs)
+    x = np.concatenate([sol.u, sol.p, sol.lam, [sol.alpha, sol.beta, sol.gamma]])
+    # the reference: a full-matrix spsolve and one refinement step with it,
+    # which brings its own error (3.5e-9 relative unrefined) below 1e-11
+    A = system.matrix.tocsc()
+    ref = spla.spsolve(A, rhs)
+    ref = ref + spla.spsolve(A, rhs - A @ ref)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_condensation_keeps_fill_small(star):
+    # star n = 32: 0.62 M entries in L + U, against 6.5 M uncondensed
+    system, _ = _paper_system(star, 32)
+    lu = factorize(system.matrix, system.layout)
+    assert lu.bordered.lu.nnz < 1.0e6
+
+
+@pytest.mark.parametrize("block", ["divergence", "momentum pressure"])
+def test_singular_macro_block_is_diagnosed(star, block):
+    system, rhs = _paper_system(star, 8)
+    layout = system.layout
+    t = 17
+    keep = np.ones(layout.n_total)
+    keep[layout.offset_p + 9 * t + np.arange(9)] = 0.0
+    A = system.matrix
+    # zero the macro's continuity rows, or its pressure columns
+    A = sp.diags(keep) @ A if block == "divergence" else A @ sp.diags(keep)
+    with pytest.raises(SolverError, match=f"macro {t}: interior {block} block is singular"):
+        solve_direct(SaddleSystem(matrix=A.tocsr(), layout=layout), rhs)

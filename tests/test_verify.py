@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
 from conftest import ellipse_domain, hydrostatic_case, make_level, solve_case
+from ctstokes import assembly as asm
 from ctstokes.fem import element_maps, eval_p1, triangle_rule
 from ctstokes.geometry import (LevelSetDomain, ProjectionError, circle_domain,
                                star_domain)
@@ -201,16 +204,48 @@ def test_level_failure_context(star):
         run_convergence(star, [2, 4], [0.1], 40.0)
 
 
+INFSUP_SHIFT = 1e-3  # s of the interior pair's shifted norm saddle system
+
+
+def infsup_interior(ct, layout, bqd):
+    """Inf-sup constant of the plain Stokes pair, the reference that
+    infsup_estimate's multiplier pair is compared with.
+
+    The velocity vanishes on the mesh boundary and only the pressure is
+    kept.  Shift-invert Lanczos on S y = mu M_p y, S = B X^{-1} B^T, with
+    one LU of the shifted norm saddle system [[X, B^T], [B, -s M_p]]: the
+    constant pressure, S's one kernel mode, is the eigenvalue nearest -s
+    and the next one is M_p-orthogonal to it, i.e. of zero mean.
+    """
+    boundary = ct.edge_counts == 1
+    nodes = np.r_[ct.edges[boundary].ravel(), layout.n_mvert + np.flatnonzero(boundary)]
+    keep = np.setdiff1d(np.arange(layout.n_u), np.r_[2 * nodes, 2 * nodes + 1])
+    X = asm.assemble_stiffness(ct, layout)[keep][:, keep]
+    B = asm.assemble_b(ct, layout, bqd)[0][:, keep]
+    Y = asm.gram_pressure_mass(ct, layout)
+    lu = spla.splu(sp.bmat([[X, B.T], [B, -INFSUP_SHIFT * Y]], format="csc"))
+
+    def solve(g):
+        return -lu.solve(np.concatenate([np.zeros(keep.size), g]))[keep.size:]
+
+    m = Y.shape[0]
+    opinv = spla.LinearOperator((m, m), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(m)
+    mu = spla.eigsh(Y, k=2, M=Y, sigma=-INFSUP_SHIFT, OPinv=opinv, v0=v0,
+                    return_eigenvectors=False)
+    return float(np.sqrt(max(mu.max(), 0.0)))
+
+
 def test_infsup_positive_and_reported(circle):
     values = {}
     for n in (4, 6, 8):
         ct, layout, bqd, blocks = make_level(circle, n)
-        values[n] = infsup_estimate(ct, layout, bqd, include_multiplier=True)
+        values[n] = infsup_estimate(ct, layout, bqd)
         assert values[n] > 0.0
     # trend is reported, not asserted against a bound
     print("inf-sup estimates (circle):", values)
     ct, layout, bqd, blocks = make_level(circle, 4)
-    sv = infsup_estimate(ct, layout, bqd, include_multiplier=False)
+    sv = infsup_interior(ct, layout, bqd)
     assert sv > 0.0
 
 
@@ -232,26 +267,22 @@ INFSUP_DENSE = {("star", 8): (0.154558083367, 0.229891635932),
 def test_infsup_matches_dense_values(star, circle):
     for (name, n), expected in INFSUP_DENSE.items():
         level = build_level(star if name == "star" else circle, n, 40.0)
-        for include_multiplier, ref in zip((True, False), expected):
-            beta = infsup_estimate(level.ct, level.layout, level.bqd,
-                                   include_multiplier=include_multiplier)
-            assert beta == pytest.approx(ref, rel=1e-8), (name, n, include_multiplier)
+        for estimate, ref in zip((infsup_estimate, infsup_interior), expected):
+            beta = estimate(level.ct, level.layout, level.bqd)
+            assert beta == pytest.approx(ref, rel=1e-8), (name, n, estimate.__name__)
 
 
 def test_infsup_repeatable(star):
     level = build_level(star, 16, 40.0)
-    for include_multiplier in (True, False):
-        values = {infsup_estimate(level.ct, level.layout, level.bqd,
-                                  include_multiplier=include_multiplier)
-                  for _ in range(3)}
+    for estimate in (infsup_estimate, infsup_interior):
+        values = {estimate(level.ct, level.layout, level.bqd) for _ in range(3)}
         assert len(values) == 1, values
 
 
 def test_infsup_star_n32(star):
     level = build_level(star, 32, 40.0)
     beta = infsup_estimate(level.ct, level.layout, level.bqd)
-    beta_interior = infsup_estimate(level.ct, level.layout, level.bqd,
-                                    include_multiplier=False)
+    beta_interior = infsup_interior(level.ct, level.layout, level.bqd)
     # reported, not asserted against a bound
     print(f"inf-sup estimates (star, n = 32): {beta:.6f}, interior {beta_interior:.6f}")
     assert np.isfinite(beta) and beta > 0.0
