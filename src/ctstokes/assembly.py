@@ -163,9 +163,11 @@ def _pressure_dofs(ct: CtMesh) -> np.ndarray:
 
 
 def _stiffness_triplets(ct, layout):
-    _, det, inv, _ = element_maps(ct)
-    metric = det[:, None, None] * np.einsum("mac,mbc->mab", inv, inv)
-    Ke = np.einsum("mab,abij->mij", metric, _K_REF)  # test i, trial j
+    _, det, inv, invT = element_maps(ct)
+    M = len(det)
+    metric = det[:, None, None] * (inv @ invT)
+    # test i, trial j
+    Ke = (metric.reshape(M, 4) @ _K_REF.reshape(4, 36)).reshape(M, 6, 6)
     return _velocity_triplets(layout.elem_nodes, layout.elem_nodes, Ke)
 
 
@@ -201,8 +203,9 @@ def assemble_b(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData):
 
     B_div holds -(div u, q): rows pressure dofs, cols velocity dofs.
     """
-    _, det, _, invT = element_maps(ct)
-    Be = -np.einsum("m,mca,kia->mkic", det, invT, _B_REF)  # (M, 3, 6, 2)
+    _, det, inv, _ = element_maps(ct)
+    M = len(det)
+    Be = (_B_REF.reshape(18, 2) @ (-det[:, None, None] * inv)).reshape(M, 3, 6, 2)
     B_div = _sparse((layout.n_p, layout.n_u),
                     _triplets(_pressure_dofs(ct), vector_dofs(layout.elem_nodes), Be))
     B_lam = _sparse((layout.n_lam, layout.n_u), _multiplier_triplets(bqd, bqd.vals))
@@ -254,20 +257,19 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
     rhs = np.zeros(layout.n_total)
 
     _, det, _, _ = element_maps(ct)
-    points = np.einsum("qk,mkc->mqc", _P1, ct.vertices[ct.triangles])
+    points = _P1 @ ct.vertices[ct.triangles]
     fvals = np.asarray(f(points)) / nu
-    fe = np.einsum("q,m,mqc,qi->mic", _W, det, fvals, _P2.vals)
+    fe = det[:, None, None] * ((_W[:, None] * _P2.vals).T @ fvals)
     np.add.at(rhs, vector_dofs(layout.elem_nodes).ravel(), fe.ravel())
 
     if g is not None:
         gm = np.asarray(g(bqd.x_star))                     # (B, Q, 2)
-        ge = (np.einsum("bq,bqi,bqc->bic", bqd.ds, bqd.dn, gm)
-              + sigma * np.einsum("bq,b,bqi,bqc->bic", bqd.ds,
-                                  1.0 / bqd.lengths, bqd.sh, gm))
+        test = bqd.dn + (sigma / bqd.lengths)[:, None, None] * bqd.sh
+        ge = np.swapaxes(test, 1, 2) @ (bqd.ds[..., None] * gm)
         np.add.at(rhs, vector_dofs(bqd.elem_nodes).ravel(), ge.ravel())
 
         gn = np.einsum("bqc,bc->bq", gm, bqd.normals)
-        gmu = np.einsum("bq,bq,qm->bm", bqd.ds, gn, bqd.mu)
+        gmu = (bqd.ds * gn) @ bqd.mu
         np.add.at(rhs, layout.offset_lam + bqd.edge_mult.ravel(), gmu.ravel())
     return rhs
 

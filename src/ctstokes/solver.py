@@ -120,25 +120,48 @@ class _BorderedLU:
 def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
     """Inverses of the (T, 16, 16) macro blocks [[a, C], [B, 0]].
 
+    B or C is singular to working precision when its 1-norm condition
+    number, taken from the computed inverse, reaches 1 / (8 eps), 8 being
+    the order of the blocks.
+
     Raises:
         SolverError: B or C of some macro is singular to working precision.
     """
     a, C, B = blocks[:, :8, :8], blocks[:, :8, 8:], blocks[:, 8:, :8]
     pair = np.stack([B, C], axis=1)
-    s = np.linalg.svd(pair, compute_uv=False)
-    singular = ~(s[..., -1] > 8 * np.finfo(float).eps * s[..., 0])
+    try:
+        pinv = np.linalg.inv(pair)
+    except np.linalg.LinAlgError:
+        # an exactly singular block stops the batched inverse; invert the
+        # blocks one by one, an exactly singular one getting NaNs
+        pinv = np.array([[_inverse_or_nan(X) for X in both] for both in pair])
+    cond = _norm1(pair) * _norm1(pinv)
+    cond[np.isnan(cond)] = np.inf
+    singular = cond >= 1.0 / (8 * np.finfo(float).eps)
     if singular.any():
         t, k = np.argwhere(singular)[0]
         name = ("divergence", "momentum pressure")[k]
         raise SolverError(f"macro {t}: interior {name} block is singular to "
-                          f"working precision (singular values {s[t, k, -1]:.1e} "
-                          f"to {s[t, k, 0]:.1e})")
-    Binv, Cinv = np.moveaxis(np.linalg.inv(pair), 1, 0)
+                          f"working precision (1-norm condition number "
+                          f"{cond[t, k]:.1e})")
+    Binv, Cinv = np.moveaxis(pinv, 1, 0)
     inv = np.zeros_like(blocks)
     inv[:, :8, 8:] = Binv
     inv[:, 8:, :8] = Cinv
     inv[:, 8:, 8:] = -Cinv @ a @ Binv
     return inv
+
+
+def _norm1(X: np.ndarray) -> np.ndarray:
+    """1-norms, the largest absolute column sums, of a stack of matrices."""
+    return np.abs(X).sum(axis=-2).max(axis=-1)
+
+
+def _inverse_or_nan(X: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(X)
+    except np.linalg.LinAlgError:
+        return np.full_like(X, np.nan)
 
 
 class _CondensedLU:
@@ -174,7 +197,7 @@ class _CondensedLU:
         self.bordered = _BorderedLU(S.tocsc(), int(np.argmax(alpha)))
 
     def _inner(self, v):
-        return np.einsum("tij,tj->ti", self.inv, v)
+        return (self.inv @ v[:, :, None])[:, :, 0]
 
     def solve(self, b):
         b_I = b[self.interior]

@@ -251,3 +251,26 @@ def test_singular_macro_block_is_diagnosed(star, block):
     A = sp.diags(keep) @ A if block == "divergence" else A @ sp.diags(keep)
     with pytest.raises(SolverError, match=f"macro {t}: interior {block} block is singular"):
         solve_direct(SaddleSystem(matrix=A.tocsr(), layout=layout), rhs)
+
+
+@pytest.mark.parametrize("block", ["divergence", "momentum pressure"])
+def test_near_singular_macro_block_is_diagnosed(star, block):
+    # one continuity row or pressure column of macro 17 scaled, not zeroed:
+    # the block's 1-norm condition number goes from about 20 to c / scale,
+    # 1.4e13 or 3.9e12 at 1e-12 and 1.4e17 or 3.9e16 at 1e-16, on either
+    # side of the working-precision limit 1 / (8 eps) = 5.6e14
+    system, _ = _paper_system(star, 8)
+    layout = system.layout
+    t = 17
+
+    def scaled(scale):
+        keep = np.ones(layout.n_total)
+        keep[layout.offset_p + 9 * t + 1] = scale
+        A = system.matrix
+        A = sp.diags(keep) @ A if block == "divergence" else A @ sp.diags(keep)
+        return A.tocsr()
+
+    factorize(scaled(1e-12), layout)
+    match = f"macro {t}: interior {block} block is singular"
+    with pytest.raises(SolverError, match=match):
+        factorize(scaled(1e-16), layout)

@@ -289,6 +289,14 @@ def test_infsup_star_n32(star):
     assert np.isfinite(beta_interior) and beta_interior > 0.0
 
 
+def test_infsup_star_n64(star):
+    # pinned one level further; reported, not asserted against a bound
+    level = build_level(star, 64, 40.0)
+    beta = infsup_estimate(level.ct, level.layout, level.bqd)
+    print(f"inf-sup estimate (star, n = 64): {beta:.12f}")
+    assert beta == pytest.approx(0.149367911387, rel=1e-8)
+
+
 HYDROSTATIC_NUS = (1.0, 1e-4, 1e-8)
 HYDROSTATIC_DOMAINS = {"star": star_domain(),
                        "circle": circle_domain((0.45, 0.52), 0.35)}
