@@ -13,9 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List
 
 import numpy as np
 
@@ -37,154 +35,126 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated run options shared by both commands."""
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # every usage error, flag or config file, ends in main as `error: …`
+        raise UsageError(message)
 
-    domain: str = "star"
-    radius: float = 0.4
-    center: tuple = (0.5, 0.5)
-    levels: List[int] = field(default_factory=lambda: list(DEFAULT_LEVELS))
-    nus: List[float] = field(default_factory=lambda: list(DEFAULT_NUS))
-    sigma: float = 40.0
-    out: str = "results"
-    formats: List[str] = field(default_factory=lambda: ["csv", "json"])
-    check_assumption: bool = False
-    infsup: bool = False
-    dump_matrix: bool = False
 
-    def validate(self) -> None:
-        if self.domain not in ("star", "circle"):
-            raise UsageError(f"unknown domain '{self.domain}'")
-        if self.sigma <= 0:
-            raise UsageError("sigma must be positive")
-        if not self.levels:
-            raise UsageError("levels list must not be empty")
-        if any(n < 1 for n in self.levels):
-            raise UsageError("levels must be positive integers")
-        if not self.nus or any(nu <= 0 for nu in self.nus):
-            raise UsageError("viscosities must be positive")
-        if self.radius <= 0:
-            raise UsageError("radius must be positive")
-        bad = [f for f in self.formats if f not in ("csv", "json", "vtk")]
-        if bad:
-            raise UsageError(f"unknown output format(s): {', '.join(bad)}")
-
-    def make_domain(self):
-        """The configured domain, validated.
-
-        Raises:
-            UsageError: the level set fails LevelSetDomain.validate.
-        """
-        if self.domain == "star":
-            dom = star_domain()
-        else:
-            dom = circle_domain(self.center, self.radius)
+def _typed(cast, what, ok, into=list):
+    """argparse type: comma- or space-separated `cast` values that pass `ok`."""
+    def convert(text):
         try:
-            dom.validate()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        return dom
+            values = [cast(tok) for tok in text.replace(",", " ").split()]
+        except ValueError:
+            values = None
+        if values is None or not ok(values):
+            raise argparse.ArgumentTypeError(f"expected {what}, got '{text}'")
+        return into(values)
+    return convert
 
 
-def _parse_list(text, cast):
-    return [cast(tok) for tok in str(text).replace(",", " ").split()]
+def _build_parser() -> tuple:
+    """The command-line parser, and the parent parser that holds the options."""
+    options = _Parser(add_help=False)
+    opt = options.add_argument
+    positive = _typed(float, "a positive number",
+                      lambda v: len(v) == 1 and v[0] > 0, into=lambda v: v[0])
+    opt("--config", help="flat key=value config file")
+    opt("--domain", choices=("star", "circle"), default="star")
+    opt("--radius", type=positive, default=0.4)
+    opt("--center", type=_typed(float, "two coordinates x,y",
+                                lambda v: len(v) == 2, into=tuple),
+        default=(0.5, 0.5), help="circle center as 'x,y'")
+    opt("--levels", type=_typed(int, "positive integers",
+                                lambda v: v and min(v) >= 1),
+        default=list(DEFAULT_LEVELS), help="comma-separated refinement levels")
+    opt("--nu", dest="nus", type=_typed(
+            float, "distinct positive viscosities",
+            lambda v: v and all(x > 0 for x in v) and len(set(v)) == len(v)),
+        default=list(DEFAULT_NUS), help="comma-separated viscosities")
+    opt("--sigma", type=positive, default=40.0)
+    opt("--out", default="results")
+    opt("--format", dest="formats", type=_typed(
+            str, "formats among csv, json, vtk",
+            lambda v: set(v) <= {"csv", "json", "vtk"}),
+        default=["csv", "json"], help="comma-separated output formats (csv,json,vtk)")
+    for flag in ("--check-assumption", "--infsup", "--dump-matrix"):
+        opt(flag, action="store_true")
+    parser = _Parser(prog="ctstokes",
+                     description="Divergence-free Stokes solver on unfitted meshes")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in (("solve", "single solves, one per level/viscosity"),
+                            ("converge", "refinement study with rate tables")):
+        sub.add_parser(name, help=help_text, parents=[options])
+    return parser, options
 
 
-def _read_config_file(path) -> dict:
-    """Flat key = value file; blank lines and #-comments ignored."""
-    values = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
+def _config_tokens(path, options) -> list:
+    """A flat key = value file as `--option=value` tokens for `options`.
+
+    Blank lines and #-comments are ignored.  A key is an option's flag or
+    dest, written with '-' or '_'; a flag's true word gives the bare flag.
+    """
+    by_key = {name.lstrip("-").replace("-", "_"): action
+              for action in options._actions if action.dest != "config"
+              for name in (action.dest, *action.option_strings)}
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise UsageError(f"argument --config: {exc}") from exc
+    tokens, unknown = {}, set()     # the last line for an option wins
+    for line_no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{line_no}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
-    return values
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ctstokes",
-        description="Divergence-free Stokes solver on unfitted meshes")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("solve", "single solves, one per level/viscosity"),
-                            ("converge", "refinement study with rate tables")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--domain", choices=("star", "circle"))
-        p.add_argument("--radius", type=float)
-        p.add_argument("--center", help="circle center as 'x,y'")
-        p.add_argument("--levels", help="comma-separated refinement levels")
-        p.add_argument("--nu", dest="nus", help="comma-separated viscosities")
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--out")
-        p.add_argument("--format", dest="formats",
-                       help="comma-separated output formats (csv,json,vtk)")
-        p.add_argument("--check-assumption", action="store_true", default=None,
-                       dest="check_assumption")
-        p.add_argument("--infsup", action="store_true", default=None)
-        p.add_argument("--dump-matrix", action="store_true", default=None,
-                       dest="dump_matrix")
-    return parser
+        action = by_key.get(key.replace("-", "_"))
+        if action is None:
+            unknown.add(key)
+        elif action.nargs != 0:
+            tokens[action.dest] = f"{action.option_strings[0]}={val}"
+        elif val.lower() in TRUE_WORDS:     # a store_true flag
+            tokens[action.dest] = action.option_strings[0]
+        elif val.lower() in FALSE_WORDS:
+            tokens[action.dest] = None
+        else:
+            raise UsageError(f"{key} = {val}: expected 1/true/yes/on or 0/false/no/off")
+    if unknown:
+        raise UsageError(f"{path}: unknown key(s): {', '.join(sorted(unknown))}")
+    return [tok for tok in tokens.values() if tok]
 
 
 def parse_config(argv) -> tuple:
-    """Parse command-line arguments (and optional config file) into a RunConfig."""
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig()
-
-    options = set(vars(args)) - {"command", "config"}
-    file_values = _read_config_file(args.config) if args.config else {}
-    # the file may name a list option by its flag (nu, format)
-    aliases = {"nu": "nus", "format": "formats"}
-    file_values = {aliases.get(k, k): v for k, v in file_values.items()}
-    unknown = sorted(set(file_values) - options)
-    if unknown:
-        raise UsageError(f"{args.config}: unknown key(s): {', '.join(unknown)}")
-    merged = dict(file_values)
-    for key in options:
-        cli_val = getattr(args, key)
-        if cli_val is not None:
-            merged[key] = cli_val
-
-    try:
-        if "domain" in merged:
-            cfg.domain = str(merged["domain"])
-        if "radius" in merged:
-            cfg.radius = float(merged["radius"])
-        if "center" in merged:
-            c = _parse_list(merged["center"], float)
-            if len(c) != 2:
-                raise UsageError("center needs exactly two coordinates")
-            cfg.center = tuple(c)
-        if "levels" in merged:
-            cfg.levels = _parse_list(merged["levels"], int)
-        if "nus" in merged:
-            cfg.nus = _parse_list(merged["nus"], float)
-        if "sigma" in merged:
-            cfg.sigma = float(merged["sigma"])
-        if "out" in merged:
-            cfg.out = str(merged["out"])
-        if "formats" in merged:
-            val = merged["formats"]
-            cfg.formats = _parse_list(val, str) if isinstance(val, str) else list(val)
-        for flag in ("check_assumption", "infsup", "dump_matrix"):
-            if flag in merged:
-                word = str(merged[flag]).lower()   # a word from the file, or True
-                if word not in TRUE_WORDS + FALSE_WORDS:
-                    raise UsageError(f"{flag} = {merged[flag]}: expected "
-                                     "1/true/yes/on or 0/false/no/off")
-                setattr(cfg, flag, word in TRUE_WORDS)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-
+    """Parse the command line and an optional config file into (command, options)."""
+    parser, options = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        at = argv.index(args.command) + 1   # file tokens before flags: flags win
+        args = parser.parse_args(
+            [*argv[:at], *_config_tokens(args.config, options), *argv[at:]])
     if OUTDIR_ENV in os.environ:
-        cfg.out = os.environ[OUTDIR_ENV]
-    cfg.validate()
-    return args.command, cfg
+        args.out = os.environ[OUTDIR_ENV]
+    return args.command, args
+
+
+def make_domain(cfg):
+    """The configured domain, validated.
+
+    Raises:
+        UsageError: the level set fails LevelSetDomain.validate.
+    """
+    if cfg.domain == "star":
+        dom = star_domain()
+    else:
+        dom = circle_domain(cfg.center, cfg.radius)
+    try:
+        dom.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return dom
 
 
 def _report_lines(report) -> str:
@@ -213,9 +183,9 @@ def _export_vtk(path, level, sol):
               cell_data={"pressure": p_cells, "div_u": div_cells})
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: argparse.Namespace) -> int:
     """One solve per (level, viscosity); writes per-run reports."""
-    dom = cfg.make_domain()
+    dom = make_domain(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     ok = True
@@ -252,13 +222,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_converge(cfg: RunConfig) -> int:
+def cmd_converge(cfg: argparse.Namespace) -> int:
     """Refinement study over all configured levels and viscosities."""
     if len(cfg.levels) < 2:
         raise UsageError("convergence study needs at least two levels")
     if any(b <= a for a, b in zip(cfg.levels, cfg.levels[1:])):
         raise UsageError("convergence levels must be strictly increasing")
-    dom = cfg.make_domain()
+    dom = make_domain(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     tables = run_convergence(dom, cfg.levels, cfg.nus, cfg.sigma, progress=print)

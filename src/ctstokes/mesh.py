@@ -39,12 +39,11 @@ def _edge_table(triangles: np.ndarray):
 
 
 class MacroMesh:
-    """Triangulation with vertices, counterclockwise triangles, and edge table."""
+    """Triangulation with vertices and counterclockwise triangles."""
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
-        self.edges, self.tri_edges, self.edge_counts = _edge_table(self.triangles)
 
     @property
     def n_vertices(self) -> int:
@@ -63,7 +62,7 @@ class MacroMesh:
     def validate(self) -> None:
         if np.any(self.signed_areas() <= 0.0):
             raise MeshError("mesh contains a triangle with non-positive area")
-        if np.any(self.edge_counts > 2):
+        if np.any(_edge_table(self.triangles)[2] > 2):
             raise MeshError("non-manifold edge: more than two incident triangles")
 
 
@@ -151,6 +150,7 @@ def clip_to_interior(bg: MacroMesh, dom: LevelSetDomain) -> MacroMesh:
 class CtMesh(MacroMesh):
     """Barycentric refinement of a macro mesh (three micro triangles each).
 
+    edges, tri_edges and edge_counts hold its edge table (see _edge_table).
     The boundary is stored as arrays over its B edges, loop after loop:
     boundary_edges (B, 2) holds the from/to vertex ids, boundary_tris the
     owning micro triangle, boundary_next the index of the following edge
@@ -171,6 +171,7 @@ class CtMesh(MacroMesh):
         micro[1::3] = np.column_stack([t[:, 1], t[:, 2], z])
         micro[2::3] = np.column_stack([t[:, 2], t[:, 0], z])
         super().__init__(np.vstack([macro.vertices, bary]), micro)
+        self.edges, self.tri_edges, self.edge_counts = _edge_table(self.triangles)
         self.parent = np.repeat(np.arange(T), 3)
         self.boundary_edges, self.boundary_tris, self.boundary_next = \
             extract_boundary(self)
@@ -188,7 +189,7 @@ def clough_tocher(mesh: MacroMesh) -> CtMesh:
     return CtMesh(mesh)
 
 
-def extract_boundary(ct: MacroMesh):
+def extract_boundary(ct: CtMesh):
     """Oriented boundary loops of a triangulation as arrays.
 
     Boundary edges are the edges with exactly one incident triangle (the

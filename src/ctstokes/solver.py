@@ -252,18 +252,18 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
     nb = np.linalg.norm(b)
 
     def residuals(x):
-        r = A @ x - b
+        r = b - A @ x
         rel = np.linalg.norm(r) / nb if nb > 0 else np.linalg.norm(r)
-        return rel, float(np.abs(r[p_rows]).max(initial=0.0))
+        return r, rel, float(np.abs(r[p_rows]).max(initial=0.0))
 
-    res, res_p = residuals(x)
+    r, res, res_p = residuals(x)
     for _ in range(MAX_REFINE):
-        x_new = x + lu.solve(b - A @ x)
-        res_new, res_p_new = residuals(x_new)
+        x_new = x + lu.solve(r)
+        r_new, res_new, res_p_new = residuals(x_new)
         if res_new >= res and res_p_new >= res_p:
             break
         stalled = res_p_new >= STALL * res_p
-        x, res, res_p = x_new, res_new, res_p_new
+        x, r, res, res_p = x_new, r_new, res_new, res_p_new
         if stalled and res <= REFINE_TARGET:
             break
     if res > RESIDUAL_TOL:

@@ -367,12 +367,15 @@ def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
     factorizes it and every viscosity reuses that factor.
 
     Raises:
+        ValueError: levels not strictly increasing, or a viscosity repeated.
         MeshError, ProjectionError: as build_level.
         SolverError: a solve failed; the message starts with n=<n> nu=<nu>.
     """
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
+    if len(set(nus)) < len(nus):
+        raise ValueError("viscosities must be distinct")
     tables = {nu: RateTable(nu=nu, sigma=sigma, domain=dom.name) for nu in nus}
     for n in levels:
         level = build_level(dom, n, sigma)

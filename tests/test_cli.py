@@ -7,7 +7,7 @@ import pytest
 from scipy.io import mmread
 
 from ctstokes import verify
-from ctstokes.cli import RunConfig, UsageError, main, parse_config
+from ctstokes.cli import UsageError, main, parse_config
 from ctstokes.geometry import circle_domain
 from ctstokes.assembly import compose_system
 from ctstokes.solver import SolverError
@@ -49,9 +49,7 @@ def test_invalid_values_rejected(tmp_path, capsys):
     # the removed --vtk and quadrature flags are unknown options;
     # --format vtk remains
     for flag in (["--vtk"], ["--quad-volume", "6"], ["--quad-edge", "6"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", *flag, "--out", str(out)])
-        assert exc.value.code == 2
+        assert main(["solve", *flag, "--out", str(out)]) == 2
         assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
     # the quadrature is fixed in assembly: its old config keys are unknown
@@ -221,3 +219,57 @@ def test_outputs_deterministic(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("convergence_nu0.1.csv", "convergence.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("sigma", "abc"), ("sigma", "-1"), ("center", "1,2,3"),
+    ("domain", "square"), ("format", "xml"), ("levels", "0")])
+def test_bad_value_same_error_from_flag_or_file(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    out = tmp_path / "run"
+    errors = []
+    for args in ([f"--{key}", value], ["--config", str(cfg_file)]):
+        with pytest.raises(UsageError) as exc:
+            parse_config(["solve", *args])
+        errors.append(str(exc.value))
+        assert main(["solve", *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {errors[-1]}\n"
+        assert captured.err.startswith(f"error: argument --{key}: ")
+        assert captured.out == ""
+    assert errors[0] == errors[1]
+    assert not out.exists()
+
+
+def test_config_file_uses_flag_parsing(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    # a value that starts with '-' is a value, not a flag
+    cfg_file.write_text("domain = circle\ncenter = -0.25, 0.5\n")
+    _, cfg = parse_config(["solve", "--config", str(cfg_file)])
+    assert cfg.center == (-0.25, 0.5)
+    # a false word in the file does not hold against the flag
+    cfg_file.write_text("infsup = no\n")
+    _, cfg = parse_config(["solve", "--config", str(cfg_file), "--infsup"])
+    assert cfg.infsup is True
+    # keys are flag names or their dests, with '-' or '_'
+    for text in ("nu = 0.1 0.01\nformat = json,vtk\ncheck-assumption = yes\n",
+                 "nus = 0.1,0.01\nformats = json vtk\ncheck_assumption = on\n"):
+        cfg_file.write_text(text)
+        _, cfg = parse_config(["solve", "--config", str(cfg_file)])
+        assert cfg.nus == [0.1, 0.01] and cfg.formats == ["json", "vtk"]
+        assert cfg.check_assumption is True and cfg.dump_matrix is False
+
+
+def test_usage_errors_are_one_line(tmp_path, capsys):
+    out = tmp_path / "run"
+    for argv, message in (
+            (["converge", "--nu", "0.1,0.1", "--out", str(out)],
+             "error: argument --nu: expected distinct positive viscosities"),
+            (["solve", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)],
+             "error: argument --config: "),
+            ([], "error: the following arguments are required: command")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()

@@ -6,10 +6,10 @@ from conftest import box_sdf_domain, everywhere_inside_domain
 from ctstokes.assembly import EDGE_RULE, build_boundary_data
 from ctstokes.fem import build_dof_layout
 from ctstokes.geometry import circle_domain, project_points, star_domain
-from ctstokes.mesh import (CLIP_TOL, MacroMesh, MeshError, build_type1_mesh,
-                           check_assumption_a, classify_interior,
-                           clip_to_interior, clough_tocher, extract_boundary,
-                           write_vtk)
+from ctstokes.mesh import (CLIP_TOL, MacroMesh, MeshError, _edge_table,
+                           build_type1_mesh, check_assumption_a,
+                           classify_interior, clip_to_interior, clough_tocher,
+                           extract_boundary, write_vtk)
 from ctstokes.verify import build_level
 
 
@@ -81,7 +81,7 @@ def test_type1_validates():
     m.validate()
     assert np.all(m.signed_areas() > 0)
     # interior edges twice, boundary edges once
-    assert set(np.unique(m.edge_counts)) <= {1, 2}
+    assert set(np.unique(_edge_table(m.triangles)[2])) <= {1, 2}
 
 
 def test_clip_matches_dense_classification():
@@ -183,7 +183,7 @@ def test_boundary_invariants_random_circles(r, s, t, n):
 def test_euler_characteristic():
     s = star_domain()
     mac = clip_to_interior(build_type1_mesh(24), s)
-    V, E, F = mac.n_vertices, len(mac.edges), mac.n_triangles
+    V, E, F = mac.n_vertices, len(_edge_table(mac.triangles)[0]), mac.n_triangles
     assert V - E + F == 1
 
 

@@ -189,6 +189,12 @@ def test_run_convergence_requires_increasing_levels(star):
         run_convergence(star, [16, 8], [0.1], 40.0)
 
 
+def test_run_convergence_rejects_repeated_viscosities(star):
+    # one RateTable per viscosity: a repeat would append each run twice
+    with pytest.raises(ValueError, match="distinct"):
+        run_convergence(star, [4, 8], [0.1, 0.1], 40.0)
+
+
 def test_run_convergence_small(circle):
     tables = run_convergence(circle, [4, 8], [0.1], 40.0)
     table = tables[0.1]
