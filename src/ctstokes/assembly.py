@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import (DofLayout, edge_rule, element_maps, eval_p1, eval_p2,
-                  physical_hessians, triangle_rule, vector_dofs)
+                  triangle_rule, vector_dofs)
 from .geometry import LevelSetDomain, project_points
 from .mesh import CtMesh
 
@@ -53,22 +53,24 @@ _B_REF = np.einsum("q,qk,qia->kia", _W, _P1, _P2.grads)          # (3, 6, 2)
 _MASS_P1_REF = np.einsum("q,qi,qj->ij", _W, _P1, _P1)             # (3, 3)
 _MEAN_P1_REF = _W @ _P1                                           # (3,)
 
-
-def edge_shape_values(t: np.ndarray) -> np.ndarray:
-    """Quadratic Lagrange shapes on [0, 1] with nodes at 0, 1, 1/2."""
-    t = np.asarray(t, dtype=float)
-    return np.stack([(1.0 - t) * (1.0 - 2.0 * t),
-                     t * (2.0 * t - 1.0),
-                     4.0 * t * (1.0 - t)], axis=-1)
+# the P2 basis at the EDGE_RULE points (t, 0) on local edge 0->1, which
+# every boundary edge is; the multiplier shapes, its columns at the start,
+# end and midpoint nodes; and the edge mass table of its traces on [0, 1]
+EDGE_NODES = [0, 1, 5]
+EDGE_P2 = eval_p2(np.column_stack([EDGE_RULE.points, 0.0 * EDGE_RULE.points]))
+EDGE_MU = EDGE_P2.vals[:, EDGE_NODES]                             # (Q, 3)
+EDGE_MASS = np.einsum("q,qi,qj->ij", EDGE_RULE.weights, EDGE_P2.vals,
+                      EDGE_P2.vals)                                # (6, 6)
 
 
 @dataclass
 class BoundaryQuadData:
     """Per-edge, per-quadrature-point boundary data.
 
-    Arrays are indexed (edge, point, ...).  sh holds the corrected traces of
-    the owning element's six scalar basis functions, dn their outward normal
-    derivatives, and mu the three multiplier shapes at the rule points.
+    Arrays are indexed (edge, point, ...) at the EDGE_RULE points.  sh holds
+    the corrected traces of the owning element's six scalar basis functions
+    and dn their outward normal derivatives; the plain traces and the
+    multiplier shapes there are the tables EDGE_P2.vals and EDGE_MU.
     """
 
     normals: np.ndarray       # (B, 2)
@@ -77,62 +79,51 @@ class BoundaryQuadData:
     ds: np.ndarray            # (B, Q) physical weights
     x_star: np.ndarray        # (B, Q, 2)
     delta: np.ndarray         # (B, Q)
-    vals: np.ndarray          # (B, Q, 6)
     sh: np.ndarray            # (B, Q, 6)
     dn: np.ndarray            # (B, Q, 6)
-    mu: np.ndarray            # (Q, 3)
     elem_nodes: np.ndarray    # (B, 6) velocity node ids
     edge_mult: np.ndarray     # (B, 3) multiplier dof ids
 
 
-def taylor_trace(vals, grads, hess, delta, dirs):
-    """Second-order directional Taylor trace of basis functions.
+def taylor_trace(table, delta, dirs):
+    """Second-order directional Taylor trace of a basis tabulated at Q points.
 
-    vals (..., n), grads (..., n, 2), hess broadcastable to (..., n, 2, 2),
-    delta (...,), dirs (..., 2); returns corrected values (..., n).
+    table: vals (Q, n), grads (Q, n, 2), hessians (n, 2, 2); delta (..., Q)
+    and dirs (..., Q, 2) in the table's coordinates; returns (..., Q, n).
     """
-    first = np.einsum("...nc,...c->...n", grads, dirs)
-    second = np.einsum("...c,...ncd,...d->...n", dirs, hess, dirs)
-    return vals + delta[..., None] * first + 0.5 * delta[..., None] ** 2 * second
+    first = (table.grads @ dirs[..., None])[..., 0]
+    dd = (dirs[..., :, None] * dirs[..., None, :]).reshape(dirs.shape[:-1] + (4,))
+    second = dd @ table.hessians.reshape(-1, 4).T
+    d = delta[..., None]
+    return table.vals + d * first + 0.5 * d ** 2 * second
 
 
 def build_boundary_data(ct: CtMesh, layout: DofLayout,
                         dom: LevelSetDomain) -> BoundaryQuadData:
     """Project the EDGE_RULE points of every boundary edge and tabulate
-    corrected traces."""
+    corrected traces.  Gradients map as J^-T grad and Hessians as
+    J^-T H J^-1, so a direction d enters the EDGE_P2 table as J^-1 d."""
     rule = EDGE_RULE
     tris, normals, lengths = ct.boundary_tris, ct.boundary_normals, ct.boundary_lengths
     B, Q = len(tris), len(rule.points)
     a, b = ct.vertices[ct.boundary_edges.T]
 
-    t = rule.points
-    points = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+    points = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
     ds = lengths[:, None] * rule.weights[None, :]
 
-    flat = points.reshape(-1, 2)
-    x_star, delta, dirs = project_points(dom, flat)
+    x_star, delta, dirs = project_points(dom, points.reshape(-1, 2))
     x_star = x_star.reshape(B, Q, 2)
     delta = delta.reshape(B, Q)
-    dirs = dirs.reshape(B, Q, 2)
 
-    _, _, inv, invT = element_maps(ct)
-    invb, invTb = inv[tris], invT[tris]
-    v0 = ct.vertices[ct.triangles[tris, 0]]
-    ref = np.einsum("bij,bqj->bqi", invb, points - v0[:, None, :])
-    basis = eval_p2(ref.reshape(-1, 2))
-    vals = basis.vals.reshape(B, Q, 6)
-    grads = np.einsum("bij,bqnj->bqni", invTb, basis.grads.reshape(B, Q, 6, 2))
-    hess = physical_hessians(basis.hessians, invb, invTb)
-
-    sh = taylor_trace(vals, grads, hess[:, None], delta, dirs)
-    dn = np.einsum("bqnc,bc->bqn", grads, normals)
-    mu = edge_shape_values(t)
-    elem_nodes = layout.elem_nodes[tris]
-    edge_mult = layout.edge_mult
+    _, _, _, invT = element_maps(ct)
+    invTb = invT[tris]
+    sh = taylor_trace(EDGE_P2, delta, dirs.reshape(B, Q, 2) @ invTb)
+    ref_normals = normals[:, None, :] @ invTb                     # (B, 1, 2)
+    dn = (EDGE_P2.grads @ ref_normals[..., None])[..., 0]
     return BoundaryQuadData(normals=normals, lengths=lengths, points=points,
-                            ds=ds, x_star=x_star, delta=delta, vals=vals,
-                            sh=sh, dn=dn, mu=mu, elem_nodes=elem_nodes,
-                            edge_mult=edge_mult)
+                            ds=ds, x_star=x_star, delta=delta, sh=sh, dn=dn,
+                            elem_nodes=layout.elem_nodes[tris],
+                            edge_mult=layout.edge_mult)
 
 
 def _triplets(rows, cols, blocks):
@@ -176,6 +167,11 @@ def assemble_stiffness(ct: CtMesh, layout: DofLayout) -> sp.csr_matrix:
     return _sparse((layout.n_u, layout.n_u), _stiffness_triplets(ct, layout))
 
 
+def _test_traces(bqd, sigma):
+    """dv/dn + sigma/h_e S v (B, Q, 6): tested against S u and against g."""
+    return bqd.dn + (sigma / bqd.lengths)[:, None, None] * bqd.sh
+
+
 def assemble_a(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
                sigma: float) -> sp.csr_matrix:
     """Velocity bilinear form at unit viscosity: stiffness plus boundary terms.
@@ -184,17 +180,17 @@ def assemble_a(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
     with the positive sign on the third term (non-symmetric variant).
     """
     # boundary terms, test index i, trial index j
-    Tb = (-np.einsum("bq,bqi,bqj->bij", bqd.ds, bqd.vals, bqd.dn)
-          + np.einsum("bq,bqi,bqj->bij", bqd.ds, bqd.dn, bqd.sh)
-          + sigma * np.einsum("bq,b,bqi,bqj->bij", bqd.ds, 1.0 / bqd.lengths,
-                              bqd.sh, bqd.sh))
+    ds = bqd.ds[..., None]
+    Tb = (np.swapaxes(_test_traces(bqd, sigma), 1, 2) @ (ds * bqd.sh)
+          - EDGE_P2.vals.T @ (ds * bqd.dn))
     return _sparse((layout.n_u, layout.n_u), _stiffness_triplets(ct, layout),
                    _velocity_triplets(bqd.elem_nodes, bqd.elem_nodes, Tb))
 
 
 def _multiplier_triplets(bqd, trace):
     """Triplets of (trace(u).n, mu): rows multiplier dofs, cols velocity dofs."""
-    L = np.einsum("bq,qm,bqi,bc->bmic", bqd.ds, bqd.mu, trace, bqd.normals)
+    L = ((EDGE_MU.T @ (bqd.ds[..., None] * trace))[..., None]
+         * bqd.normals[:, None, None, :])
     return _triplets(bqd.edge_mult, vector_dofs(bqd.elem_nodes), L)
 
 
@@ -208,7 +204,7 @@ def assemble_b(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData):
     Be = (_B_REF.reshape(18, 2) @ (-det[:, None, None] * inv)).reshape(M, 3, 6, 2)
     B_div = _sparse((layout.n_p, layout.n_u),
                     _triplets(_pressure_dofs(ct), vector_dofs(layout.elem_nodes), Be))
-    B_lam = _sparse((layout.n_lam, layout.n_u), _multiplier_triplets(bqd, bqd.vals))
+    B_lam = _sparse((layout.n_lam, layout.n_u), _multiplier_triplets(bqd, EDGE_P2.vals))
     return B_div, B_lam
 
 
@@ -232,11 +228,10 @@ def assemble_constraints(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData):
     m_q = np.outer(det, _MEAN_P1_REF).ravel()
 
     m_mu = np.zeros(layout.n_lam)
-    vals = np.einsum("bq,qm->bm", bqd.ds, bqd.mu)
-    np.add.at(m_mu, bqd.edge_mult.ravel(), vals.ravel())
+    np.add.at(m_mu, bqd.edge_mult.ravel(), (bqd.ds @ EDGE_MU).ravel())
 
     c_n = np.zeros(layout.n_u)
-    tn = np.einsum("bq,bqi,bc->bic", bqd.ds, bqd.vals, bqd.normals)
+    tn = (bqd.ds @ EDGE_P2.vals)[..., None] * bqd.normals[:, None, :]
     np.add.at(c_n, vector_dofs(bqd.elem_nodes).ravel(), tn.ravel())
     return m_q, m_mu, c_n
 
@@ -264,12 +259,11 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
 
     if g is not None:
         gm = np.asarray(g(bqd.x_star))                     # (B, Q, 2)
-        test = bqd.dn + (sigma / bqd.lengths)[:, None, None] * bqd.sh
-        ge = np.swapaxes(test, 1, 2) @ (bqd.ds[..., None] * gm)
+        ge = np.swapaxes(_test_traces(bqd, sigma), 1, 2) @ (bqd.ds[..., None] * gm)
         np.add.at(rhs, vector_dofs(bqd.elem_nodes).ravel(), ge.ravel())
 
         gn = np.einsum("bqc,bc->bq", gm, bqd.normals)
-        gmu = (bqd.ds * gn) @ bqd.mu
+        gmu = (bqd.ds * gn) @ EDGE_MU
         np.add.at(rhs, layout.offset_lam + bqd.edge_mult.ravel(), gmu.ravel())
     return rhs
 
@@ -329,10 +323,10 @@ def compose_system(blocks: SystemBlocks, layout: DofLayout) -> SaddleSystem:
 def gram_h1_velocity(ct: CtMesh, layout: DofLayout,
                      bqd: BoundaryQuadData) -> sp.csr_matrix:
     """Gram matrix of the mesh-dependent H1 norm on the velocity space:
-    grad L2 squared plus edge L2 terms weighted by 1/h_e."""
+    grad L2 squared plus edge L2 terms weighted by 1/h_e: ds/h_e is the
+    rule weight, so every edge block is EDGE_MASS."""
     K = assemble_stiffness(ct, layout)
-    Me = np.einsum("bq,b,bqi,bqj->bij", bqd.ds, 1.0 / bqd.lengths,
-                   bqd.vals, bqd.vals)
+    Me = np.broadcast_to(EDGE_MASS, (len(bqd.lengths), 6, 6))
     M = _sparse((layout.n_u, layout.n_u),
                 _velocity_triplets(bqd.elem_nodes, bqd.elem_nodes, Me))
     return (K + M).tocsr()
@@ -349,6 +343,6 @@ def gram_pressure_mass(ct: CtMesh, layout: DofLayout) -> sp.csr_matrix:
 def gram_multiplier(layout: DofLayout, bqd: BoundaryQuadData) -> sp.csr_matrix:
     """Gram matrix of the weighted boundary norm on the multiplier space:
     sum over edges of h_e times the edge L2 inner product."""
-    Me = np.einsum("bq,b,qi,qj->bij", bqd.ds, bqd.lengths, bqd.mu, bqd.mu)
+    Me = bqd.lengths[:, None, None] ** 2 * EDGE_MASS[np.ix_(EDGE_NODES, EDGE_NODES)]
     return _sparse((layout.n_lam, layout.n_lam),
                    _triplets(bqd.edge_mult, bqd.edge_mult, Me))

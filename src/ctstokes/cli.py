@@ -2,9 +2,9 @@
 
 Defaults reproduce the reference study: flower-shaped domain, penalty 40,
 viscosities 1e-1, 1e-3, 1e-5 on refinements n = 8, 16, 32, 64, 128 of the
-unit square.  A flat key=value config file can seed any option; command-line
-flags override file values, and the CTSTOKES_OUTDIR environment variable
-overrides the output directory.
+unit square.  Each command takes only the options it uses.  A flat key=value
+config file can seed any of them; command-line flags override file values,
+and the CTSTOKES_OUTDIR environment variable overrides the output directory.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.io import mmwrite
 
 from . import verify
 from .geometry import ProjectionError, circle_domain, star_domain
 from .mesh import ASSUMPTION_THRESHOLD, MeshError, write_vtk
-from .solver import SolverError, dump_matrix_market
-from .verify import (build_level, infsup_estimate, paper_case, run_convergence,
-                     write_json)
+from .solver import SolverError
+from .verify import (StudyError, build_level, infsup_estimate, paper_case,
+                     run_convergence, write_json)
 
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
 DEFAULT_NUS = (1e-1, 1e-3, 1e-5)
@@ -55,9 +56,10 @@ def _typed(cast, what, ok, into=list):
 
 
 def _build_parser() -> tuple:
-    """The command-line parser, and the parent parser that holds the options."""
-    options = _Parser(add_help=False)
-    opt = options.add_argument
+    """The command-line parser, and the subparser of each command.  Options
+    match by their full names only, as config keys do."""
+    common = _Parser(add_help=False, allow_abbrev=False)
+    opt = common.add_argument
     positive = _typed(float, "a positive number",
                       lambda v: len(v) == 1 and v[0] > 0, into=lambda v: v[0])
     opt("--config", help="flat key=value config file")
@@ -75,29 +77,34 @@ def _build_parser() -> tuple:
         default=list(DEFAULT_NUS), help="comma-separated viscosities")
     opt("--sigma", type=positive, default=40.0)
     opt("--out", default="results")
-    opt("--format", dest="formats", type=_typed(
-            str, "formats among csv, json, vtk",
-            lambda v: set(v) <= {"csv", "json", "vtk"}),
-        default=["csv", "json"], help="comma-separated output formats (csv,json,vtk)")
-    for flag in ("--check-assumption", "--infsup", "--dump-matrix"):
-        opt(flag, action="store_true")
-    parser = _Parser(prog="ctstokes",
+    parser = _Parser(prog="ctstokes", allow_abbrev=False,
                      description="Divergence-free Stokes solver on unfitted meshes")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("solve", "single solves, one per level/viscosity"),
-                            ("converge", "refinement study with rate tables")):
-        sub.add_parser(name, help=help_text, parents=[options])
-    return parser, options
+    for name, help_text, formats, default in (
+            ("solve", "single solves, one per level/viscosity",
+             ("json", "vtk"), ["json"]),
+            ("converge", "refinement study with rate tables",
+             ("csv", "json"), ["csv", "json"])):
+        command = sub.add_parser(name, help=help_text, parents=[common],
+                                 allow_abbrev=False)
+        command.add_argument(
+            "--format", dest="formats", default=default,
+            type=_typed(str, f"formats among {', '.join(formats)}",
+                        lambda v, ok=set(formats): set(v) <= ok),
+            help="comma-separated output formats")
+    for flag in ("--check-assumption", "--infsup", "--dump-matrix"):
+        sub.choices["solve"].add_argument(flag, action="store_true")
+    return parser, sub.choices
 
 
-def _config_tokens(path, options) -> list:
-    """A flat key = value file as `--option=value` tokens for `options`.
+def _config_tokens(path, command) -> list:
+    """A flat key = value file as `--option=value` tokens for a command's parser.
 
     Blank lines and #-comments are ignored.  A key is an option's flag or
     dest, written with '-' or '_'; a flag's true word gives the bare flag.
     """
     by_key = {name.lstrip("-").replace("-", "_"): action
-              for action in options._actions if action.dest != "config"
+              for action in command._actions if action.dest not in ("config", "help")
               for name in (action.dest, *action.option_strings)}
     try:
         lines = Path(path).read_text().splitlines()
@@ -129,12 +136,12 @@ def _config_tokens(path, options) -> list:
 
 def parse_config(argv) -> tuple:
     """Parse the command line and an optional config file into (command, options)."""
-    parser, options = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
         at = argv.index(args.command) + 1   # file tokens before flags: flags win
-        args = parser.parse_args(
-            [*argv[:at], *_config_tokens(args.config, options), *argv[at:]])
+        tokens = _config_tokens(args.config, commands[args.command])
+        args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
     if OUTDIR_ENV in os.environ:
         args.out = os.environ[OUTDIR_ENV]
     return args.command, args
@@ -187,11 +194,11 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     """One solve per (level, viscosity); writes per-run reports."""
     dom = make_domain(cfg)
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     ok = True
     reports = []
     for n in cfg.levels:
         level = build_level(dom, n, cfg.sigma)
+        outdir.mkdir(parents=True, exist_ok=True)   # once a level resolves
         if cfg.check_assumption:
             rep = level.assumption
             print(f"n={n}: max delta_e/h_e = {rep.max_ratio:.4f} "
@@ -200,8 +207,8 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
             beta = infsup_estimate(level.ct, level.layout, level.bqd)
             print(f"n={n}: inf-sup estimate = {beta:.6f}")
         if cfg.dump_matrix:
-            dump_matrix_market(outdir / f"system_n{n}.mtx",
-                               verify.level_system(level))
+            mmwrite(str(outdir / f"system_n{n}.mtx"),
+                    verify.level_system(level).matrix.tocoo())
         for nu in cfg.nus:
             case = paper_case(nu)
             try:
@@ -223,15 +230,17 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_converge(cfg: argparse.Namespace) -> int:
-    """Refinement study over all configured levels and viscosities."""
+    """Refinement study over all configured levels and viscosities; the
+    output directory is made once the study has run."""
     if len(cfg.levels) < 2:
         raise UsageError("convergence study needs at least two levels")
-    if any(b <= a for a, b in zip(cfg.levels, cfg.levels[1:])):
-        raise UsageError("convergence levels must be strictly increasing")
     dom = make_domain(cfg)
+    try:
+        tables = run_convergence(dom, cfg.levels, cfg.nus, cfg.sigma, progress=print)
+    except StudyError as exc:
+        raise UsageError(str(exc)) from exc
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    tables = run_convergence(dom, cfg.levels, cfg.nus, cfg.sigma, progress=print)
     ok = True
     for nu, table in sorted(tables.items()):
         if "csv" in cfg.formats:

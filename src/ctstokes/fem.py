@@ -61,9 +61,8 @@ def edge_rule(n_points: int) -> QuadratureRule:
 class BasisEval:
     """Values, gradients and (constant) Hessians of a Lagrange basis.
 
-    vals has shape (Q, n), grads (Q, n, 2), hessians (n, 2, 2); everything is
-    with respect to reference coordinates unless push-forward data was
-    applied by the caller.
+    vals has shape (Q, n), grads (Q, n, 2), hessians (n, 2, 2), all with
+    respect to reference coordinates.
     """
 
     vals: np.ndarray
@@ -128,11 +127,6 @@ def element_maps(ct):
     inv /= det[:, None, None]
     invT = np.swapaxes(inv, 1, 2)
     return J, det, inv, invT
-
-
-def physical_hessians(hess_ref: np.ndarray, inv: np.ndarray, invT: np.ndarray) -> np.ndarray:
-    """Push constant reference Hessians (n, 2, 2) to physical ones (M, n, 2, 2)."""
-    return np.einsum("mij,njk,mkl->mnil", invT, hess_ref, inv)
 
 
 def vector_dofs(nodes: np.ndarray) -> np.ndarray:

@@ -150,6 +150,9 @@ def clip_to_interior(bg: MacroMesh, dom: LevelSetDomain) -> MacroMesh:
 class CtMesh(MacroMesh):
     """Barycentric refinement of a macro mesh (three micro triangles each).
 
+    Micro triangles 3t, 3t + 1 and 3t + 2 split macro triangle t through
+    its barycentre, their vertex 2, so every boundary edge is local edge
+    0->1 of its owning triangle.
     edges, tri_edges and edge_counts hold its edge table (see _edge_table).
     The boundary is stored as arrays over its B edges, loop after loop:
     boundary_edges (B, 2) holds the from/to vertex ids, boundary_tris the
@@ -172,7 +175,6 @@ class CtMesh(MacroMesh):
         micro[2::3] = np.column_stack([t[:, 2], t[:, 0], z])
         super().__init__(np.vstack([macro.vertices, bary]), micro)
         self.edges, self.tri_edges, self.edge_counts = _edge_table(self.triangles)
-        self.parent = np.repeat(np.arange(T), 3)
         self.boundary_edges, self.boundary_tris, self.boundary_next = \
             extract_boundary(self)
         p = self.vertices[self.boundary_edges]

@@ -269,10 +269,3 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
     if res > RESIDUAL_TOL:
         raise SolverError(f"residual contract violated: {res:.3e} > {RESIDUAL_TOL:.1e}")
     return SolutionFields.from_vector(x, system.layout, float(res))
-
-
-def dump_matrix_market(path, system: SaddleSystem) -> None:
-    """Write the system matrix in Matrix Market format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), system.matrix.tocoo())

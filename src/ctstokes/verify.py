@@ -198,7 +198,7 @@ def _integrate(det: np.ndarray, vals: np.ndarray) -> float:
 def multiplier_values_on_edges(layout: DofLayout, bqd: BoundaryQuadData,
                                lam: np.ndarray) -> np.ndarray:
     """Multiplier field at the boundary quadrature points, shape (B, Q)."""
-    return np.einsum("qm,bm->bq", bqd.mu, lam[bqd.edge_mult])
+    return lam[bqd.edge_mult] @ asm.EDGE_MU.T
 
 
 def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
@@ -355,6 +355,10 @@ class RateTable:
                 "rates": self.rates()}
 
 
+class StudyError(ValueError):
+    """Levels or viscosities that make no refinement study."""
+
+
 def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
                     nus: Sequence[float], sigma: float,
                     case_factory: Callable[[float], ManufacturedCase] = paper_case,
@@ -367,15 +371,15 @@ def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
     factorizes it and every viscosity reuses that factor.
 
     Raises:
-        ValueError: levels not strictly increasing, or a viscosity repeated.
+        StudyError: levels not strictly increasing, or a viscosity repeated.
         MeshError, ProjectionError: as build_level.
         SolverError: a solve failed; the message starts with n=<n> nu=<nu>.
     """
     levels = list(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+        raise StudyError("levels must be strictly increasing")
     if len(set(nus)) < len(nus):
-        raise ValueError("viscosities must be distinct")
+        raise StudyError("viscosities must be distinct")
     tables = {nu: RateTable(nu=nu, sigma=sigma, domain=dom.name) for nu in nus}
     for n in levels:
         level = build_level(dom, n, sigma)

@@ -10,8 +10,8 @@ from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_rhs, assemble_stiffness,
                                build_boundary_data, gram_h1_velocity,
                                taylor_trace)
-from ctstokes.fem import (build_dof_layout, edge_rule, element_maps, eval_p1,
-                          eval_p2, triangle_rule, vector_dofs)
+from ctstokes.fem import (BasisEval, build_dof_layout, edge_rule, element_maps,
+                          eval_p1, eval_p2, triangle_rule, vector_dofs)
 from ctstokes.geometry import circle_domain, star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
 from ctstokes.verify import paper_case, patch_case, compute_errors, solve_on_level
@@ -24,21 +24,21 @@ def push_forward(grads_ref, invT):
 
 
 def test_taylor_trace_shifts_polynomials_exactly():
-    # linear: psi(x, y) = 3x - y + 2, shift by 0.1 along e1
-    vals = np.array([2.0])            # psi at (0, 0)
-    grads = np.array([[3.0, -1.0]])
-    hess = np.zeros((1, 2, 2))
-    out = taylor_trace(vals, grads, hess, np.array(0.1), np.array([1.0, 0.0]))
-    assert out[0] == pytest.approx(2.3, abs=1e-15)
+    # one basis function tabulated at one point, shifted by 0.1 along e1
+    e1 = np.array([[1.0, 0.0]])
+    # linear: psi(x, y) = 3x - y + 2 at (0, 0)
+    table = BasisEval(vals=np.array([[2.0]]), grads=np.array([[[3.0, -1.0]]]),
+                      hessians=np.zeros((1, 2, 2)))
+    out = taylor_trace(table, np.array([0.1]), e1)
+    assert out[0, 0] == pytest.approx(2.3, abs=1e-15)
     # quadratic: psi = x^2 at x = 1 -> (1 + 0.1)^2
-    vals = np.array([1.0])
-    grads = np.array([[2.0, 0.0]])
-    hess = np.array([[[2.0, 0.0], [0.0, 0.0]]])
-    out = taylor_trace(vals, grads, hess, np.array(0.1), np.array([1.0, 0.0]))
-    assert out[0] == pytest.approx(1.1 ** 2, abs=1e-15)
+    table = BasisEval(vals=np.array([[1.0]]), grads=np.array([[[2.0, 0.0]]]),
+                      hessians=np.array([[[2.0, 0.0], [0.0, 0.0]]]))
+    out = taylor_trace(table, np.array([0.1]), e1)
+    assert out[0, 0] == pytest.approx(1.1 ** 2, abs=1e-15)
     # zero shift is the identity
-    out = taylor_trace(vals, grads, hess, np.array(0.0), np.array([1.0, 0.0]))
-    assert out[0] == pytest.approx(1.0, abs=1e-16)
+    out = taylor_trace(table, np.array([0.0]), e1)
+    assert out[0, 0] == pytest.approx(1.0, abs=1e-16)
 
 
 def test_eval_sh_trace_on_mesh(star_n8, star):
@@ -57,7 +57,7 @@ def test_boundary_data_zero_delta_identity():
     box = box_sdf_domain()
     ct, layout, bqd, blocks = make_level(box, 4)
     assert np.all(bqd.delta == 0.0)
-    assert np.allclose(bqd.sh, bqd.vals, atol=1e-14)
+    assert np.array_equal(bqd.sh, np.broadcast_to(assembly.EDGE_P2.vals, bqd.sh.shape))
     # with zero transfer both continuity pairings coincide
     assert abs(blocks.B_lam - blocks.B_lam_e).max() <= 1e-14
 
@@ -232,7 +232,14 @@ def test_edge_quadrature_refinement_stability(circle, monkeypatch):
     ct = clough_tocher(clip_to_interior(build_type1_mesh(16), circle))
     layout = build_dof_layout(ct)
     b6 = assemble_blocks(ct, layout, build_boundary_data(ct, layout, circle), 40.0)
-    monkeypatch.setattr(assembly, "EDGE_RULE", edge_rule(10))
+    # the edge tables are tabulated at the rule's points: replace them too
+    rule = edge_rule(10)
+    p2 = eval_p2(np.column_stack([rule.points, 0.0 * rule.points]))
+    for name, value in (("EDGE_RULE", rule), ("EDGE_P2", p2),
+                        ("EDGE_MU", p2.vals[:, assembly.EDGE_NODES]),
+                        ("EDGE_MASS", np.einsum("q,qi,qj->ij", rule.weights,
+                                                p2.vals, p2.vals))):
+        monkeypatch.setattr(assembly, name, value)
     b10 = assemble_blocks(ct, layout, build_boundary_data(ct, layout, circle), 40.0)
     for name in ("a", "B_lam_e"):
         M6, M10 = getattr(b6, name), getattr(b10, name)
@@ -247,7 +254,7 @@ def norm_h1_direct(ct, layout, bqd, u):
     gu = push_forward(eval_p2(rule.points).grads, invT)
     gu = np.einsum("mqna,mnc->mqca", gu, u[vector_dofs(layout.elem_nodes)])
     total = float(np.einsum("q,m,mqca,mqca->", rule.weights, det, gu, gu))
-    ub = np.einsum("bqn,bnc->bqc", bqd.vals, u[vector_dofs(bqd.elem_nodes)])
+    ub = np.einsum("qn,bnc->bqc", assembly.EDGE_P2.vals, u[vector_dofs(bqd.elem_nodes)])
     total += float(np.einsum("bq,b,bqc,bqc->", bqd.ds, 1.0 / bqd.lengths, ub, ub))
     return np.sqrt(total)
 

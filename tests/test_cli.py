@@ -28,11 +28,13 @@ def test_flag_overrides():
     assert cfg.nus == [1e-3]
     assert cfg.levels == [8, 16]
     _, cfg = parse_config(["solve", "--domain", "circle", "--radius", "0.3",
-                           "--center", "0.4,0.6", "--format", "csv",
+                           "--center", "0.4,0.6", "--format", "vtk",
                            "--sigma", "10"])
     assert cfg.domain == "circle" and cfg.radius == 0.3
     assert cfg.center == (0.4, 0.6)
-    assert cfg.formats == ["csv"] and cfg.sigma == 10.0
+    assert cfg.formats == ["vtk"] and cfg.sigma == 10.0
+    _, cfg = parse_config(["converge", "--format", "csv"])
+    assert cfg.formats == ["csv"]
 
 
 def test_invalid_values_rejected(tmp_path, capsys):
@@ -58,6 +60,29 @@ def test_invalid_values_rejected(tmp_path, capsys):
         cfg_file.write_text(f"{key} = 6\n")
         assert main(["converge", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert f"unknown key(s): {key}" in capsys.readouterr().err
+    assert not out.exists()
+    # each command takes only the options it uses, from a flag or a file;
+    # options are not abbreviated, as config keys are not
+    for command, flag, key, err in (
+            ("converge", ["--infsup"], "infsup = yes",
+             "unrecognized arguments: --infsup"),
+            ("converge", ["--check-assumption"], "check_assumption = yes",
+             "unrecognized arguments: --check-assumption"),
+            ("converge", ["--dump-matrix"], "dump-matrix = on",
+             "unrecognized arguments: --dump-matrix"),
+            ("converge", ["--format", "vtk"], "format = vtk",
+             "argument --format: expected formats among csv, json, got 'vtk'"),
+            ("solve", ["--format", "csv"], "format = csv",
+             "argument --format: expected formats among json, vtk, got 'csv'"),
+            ("solve", ["--dom", "circle"], "dom = circle",
+             "unrecognized arguments: --dom circle")):
+        cfg_file.write_text(key + "\n")
+        for args in (flag, ["--config", str(cfg_file)]):
+            assert main([command, *args, "--levels", "4,8", "--out", str(out)]) == 2
+            found = capsys.readouterr().err
+            assert found.startswith("error: ") and found.count("\n") == 1
+            if args is flag:
+                assert found == f"error: {err}\n"
     assert not out.exists()
 
 
@@ -166,19 +191,23 @@ def test_converge_writes_tables(tmp_path):
 
 def test_solve_unresolvable_domain_is_usage_error(tmp_path, capsys):
     # no background triangle at n = 4 fits inside a circle of radius 0.05
+    out = tmp_path / "run"
     rc = main(["solve", "--domain", "circle", "--radius", "0.05", "--levels", "4",
-               "--out", str(tmp_path / "run")])
+               "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: n=4: mesh too coarse for domain: no interior triangles\n")
+    assert not out.exists()
 
 
 def test_converge_unresolvable_domain_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
     rc = main(["converge", "--domain", "circle", "--radius", "0.05",
-               "--levels", "4,8", "--out", str(tmp_path / "run")])
+               "--levels", "4,8", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: n=4: mesh too coarse for domain: no interior triangles\n")
+    assert not out.exists()
 
 
 def test_invalid_domain_is_usage_error_before_output(tmp_path, capsys):
@@ -206,9 +235,15 @@ def test_converge_solver_failure_is_reported(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_converge_needs_two_levels(tmp_path):
-    rc = main(["converge", "--levels", "8", "--out", str(tmp_path / "x")])
-    assert rc == 2
+def test_converge_needs_two_levels(tmp_path, capsys):
+    # the order of the levels is run_convergence's rule; it ends as a usage error
+    out = tmp_path / "x"
+    for levels, message in (("8", "convergence study needs at least two levels"),
+                            ("16,8", "levels must be strictly increasing"),
+                            ("8,8", "levels must be strictly increasing")):
+        assert main(["converge", "--levels", levels, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_outputs_deterministic(tmp_path):
@@ -268,7 +303,17 @@ def test_usage_errors_are_one_line(tmp_path, capsys):
              "error: argument --nu: expected distinct positive viscosities"),
             (["solve", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)],
              "error: argument --config: "),
-            ([], "error: the following arguments are required: command")):
+            ([], "error: the following arguments are required: command"),
+            (["converge", "--levels", "16,8", "--out", str(out)],
+             "error: levels must be strictly increasing"),
+            (["converge", "--infsup", "--out", str(out)],
+             "error: unrecognized arguments: --infsup"),
+            (["converge", "--format", "vtk", "--out", str(out)],
+             "error: argument --format: expected formats among csv, json"),
+            (["solve", "--format", "csv", "--out", str(out)],
+             "error: argument --format: expected formats among json, vtk"),
+            (["solve", "--dom", "circle", "--out", str(out)],
+             "error: unrecognized arguments: --dom circle")):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1

@@ -1,9 +1,12 @@
 """The per-element contractions against their einsum forms.
 
-The error norms, the load vector and the element blocks contract reference
-tables with per-element data as batched matmuls.  The references below are
-the same contractions written as multi-operand einsums, index by index;
-the two orders of summation agree to rounding.
+The error norms, the load vector, the element blocks and the boundary
+blocks contract reference tables with per-element data as batched matmuls.
+The references below are the same contractions written as multi-operand
+einsums, index by index; the two orders of summation agree to rounding.
+The boundary traces are checked against the per-point path: each rule
+point mapped back to reference coordinates, the basis evaluated there and
+its derivatives pushed forward.
 """
 
 import math
@@ -13,9 +16,12 @@ import pytest
 
 from conftest import make_level, solve_case
 from ctstokes import assembly, verify
-from ctstokes.assembly import assemble_b, assemble_rhs
-from ctstokes.fem import element_maps, vector_dofs
-from ctstokes.geometry import circle_domain, star_domain
+from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
+                               assemble_constraints, assemble_rhs,
+                               assemble_stiffness, gram_h1_velocity,
+                               gram_multiplier)
+from ctstokes.fem import element_maps, eval_p2, vector_dofs
+from ctstokes.geometry import circle_domain, project_points, star_domain
 from ctstokes.verify import (compute_errors, multiplier_values_on_edges,
                              paper_case)
 
@@ -77,9 +83,60 @@ def rhs_einsum(f, g, ct, layout, bqd, nu, sigma):
     np.add.at(rhs, vector_dofs(bqd.elem_nodes).ravel(), ge.ravel())
 
     gn = np.einsum("bqc,bc->bq", gm, bqd.normals)
-    gmu = np.einsum("bq,bq,qm->bm", bqd.ds, gn, bqd.mu)
+    gmu = np.einsum("bq,bq,qm->bm", bqd.ds, gn, assembly.EDGE_MU)
     np.add.at(rhs, layout.offset_lam + bqd.edge_mult.ravel(), gmu.ravel())
     return rhs
+
+
+def boundary_traces_per_point(ct, bqd, dom):
+    """sh and dn of build_boundary_data, point by point: each rule point
+    mapped to reference coordinates, the P2 basis evaluated there, its
+    gradients pushed forward by J^-T and its Hessians by J^-T H J^-1."""
+    B, Q = bqd.delta.shape
+    tris = ct.boundary_tris
+    _, _, inv, invT = element_maps(ct)
+    v0 = ct.vertices[ct.triangles[tris, 0]]
+    ref = np.einsum("bij,bqj->bqi", inv[tris], bqd.points - v0[:, None, :])
+    basis = eval_p2(ref.reshape(-1, 2))
+    vals = basis.vals.reshape(B, Q, 6)
+    grads = np.einsum("bij,bqnj->bqni", invT[tris], basis.grads.reshape(B, Q, 6, 2))
+    hess = np.einsum("bij,njk,bkl->bnil", invT[tris], basis.hessians, inv[tris])
+    dirs = project_points(dom, bqd.points.reshape(-1, 2))[2].reshape(B, Q, 2)
+    first = np.einsum("bqnc,bqc->bqn", grads, dirs)
+    second = np.einsum("bqc,bncd,bqd->bqn", dirs, hess, dirs)
+    d = bqd.delta[..., None]
+    sh = vals + d * first + 0.5 * d ** 2 * second
+    dn = np.einsum("bqnc,bc->bqn", grads, bqd.normals)
+    return sh, dn
+
+
+def boundary_blocks_einsum(layout, bqd, sigma):
+    """The boundary parts of assemble_a, assemble_b, assemble_be,
+    assemble_constraints and the two boundary Gram matrices, as einsums."""
+    V, mu = assembly.EDGE_P2.vals, assembly.EDGE_MU
+    ds, h, n = bqd.ds, bqd.lengths, bqd.normals
+    Tb = (-np.einsum("bq,qi,bqj->bij", ds, V, bqd.dn)
+          + np.einsum("bq,bqi,bqj->bij", ds, bqd.dn, bqd.sh)
+          + sigma * np.einsum("bq,b,bqi,bqj->bij", ds, 1.0 / h, bqd.sh, bqd.sh))
+    L = np.einsum("bq,qm,qi,bc->bmic", ds, mu, V, n)
+    Le = np.einsum("bq,qm,bqi,bc->bmic", ds, mu, bqd.sh, n)
+    m_mu = np.zeros(layout.n_lam)
+    np.add.at(m_mu, bqd.edge_mult.ravel(), np.einsum("bq,qm->bm", ds, mu).ravel())
+    c_n = np.zeros(layout.n_u)
+    np.add.at(c_n, vector_dofs(bqd.elem_nodes).ravel(),
+              np.einsum("bq,qi,bc->bic", ds, V, n).ravel())
+    Mu = np.einsum("bq,b,qi,qj->bij", ds, 1.0 / h, V, V)
+    Mlam = np.einsum("bq,b,qi,qj->bij", ds, h, mu, mu)
+
+    nodes, mult, udofs = bqd.elem_nodes, bqd.edge_mult, vector_dofs(bqd.elem_nodes)
+    n_u, n_lam = layout.n_u, layout.n_lam
+    sparse, triplets = assembly._sparse, assembly._triplets
+    return {"a": sparse((n_u, n_u), assembly._velocity_triplets(nodes, nodes, Tb)),
+            "B_lam": sparse((n_lam, n_u), triplets(mult, udofs, L)),
+            "B_lam_e": sparse((n_lam, n_u), triplets(mult, udofs, Le)),
+            "m_mu": m_mu, "c_n": c_n,
+            "gram_u": sparse((n_u, n_u), assembly._velocity_triplets(nodes, nodes, Mu)),
+            "gram_lam": sparse((n_lam, n_lam), triplets(mult, mult, Mlam))}
 
 
 def stiffness_blocks_einsum(ct):
@@ -105,6 +162,38 @@ def solved(request):
     ct, layout, bqd, blocks = make_level(dom, n)
     case = paper_case(0.1)
     return ct, layout, bqd, blocks, case, solve_case(ct, layout, bqd, blocks, case)
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def level(request):
+    dom, n = CASES[request.param]
+    return (dom, *make_level(dom, n))
+
+
+def _rel(x, ref):
+    """Largest entry of x - ref relative to the largest of ref, dense or sparse."""
+    return abs(x - ref).max() / abs(ref).max()
+
+
+def test_boundary_traces_match_per_point_path(level):
+    dom, ct, layout, bqd, _ = level
+    sh, dn = boundary_traces_per_point(ct, bqd, dom)
+    assert _rel(bqd.sh, sh) <= 1e-12
+    assert _rel(bqd.dn, dn) <= 1e-12
+
+
+def test_boundary_blocks_match_einsum_reference(level):
+    _, ct, layout, bqd, _ = level
+    ref = boundary_blocks_einsum(layout, bqd, 40.0)
+    K = assemble_stiffness(ct, layout)
+    _, B_lam = assemble_b(ct, layout, bqd)
+    _, m_mu, c_n = assemble_constraints(ct, layout, bqd)
+    found = {"a": assemble_a(ct, layout, bqd, 40.0) - K, "B_lam": B_lam,
+             "B_lam_e": assemble_be(layout, bqd), "m_mu": m_mu, "c_n": c_n,
+             "gram_u": gram_h1_velocity(ct, layout, bqd) - K,
+             "gram_lam": gram_multiplier(layout, bqd)}
+    for name, value in found.items():
+        assert _rel(value, ref[name]) <= 1e-12, name
 
 
 def test_errors_match_einsum_reference(solved):

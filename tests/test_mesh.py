@@ -58,7 +58,15 @@ def _assert_boundary_invariants(ct, dom, n_loops):
     # a multiplier edge's end dof is the start dof of the loop's next edge
     edge_mult = build_dof_layout(ct).edge_mult
     assert np.array_equal(edge_mult[:, 1], edge_mult[nxt, 0])
+    _assert_edges_are_local_edge_01(ct)
     return areas
+
+
+def _assert_edges_are_local_edge_01(ct):
+    """Every boundary edge runs from local vertex 0 to local vertex 1 of its
+    owning micro triangle: the boundary tables in assembly are the P2 basis
+    at the reference points (t, 0)."""
+    assert np.array_equal(ct.triangles[ct.boundary_tris, :2], ct.boundary_edges)
 
 
 def test_type1_counts():
@@ -129,7 +137,7 @@ def test_clough_tocher_counts_and_areas():
     ct1 = clough_tocher(one)
     assert np.allclose(ct1.vertices[3], [1 / 3, 1 / 3])
     assert np.allclose(ct1.signed_areas(), 1 / 6)
-    assert np.all(ct1.parent == 0)
+    assert np.all(ct1.triangles[:, 2] == 3)
 
     s = star_domain()
     mac = clip_to_interior(build_type1_mesh(24), s)
@@ -137,6 +145,11 @@ def test_clough_tocher_counts_and_areas():
     macro_area = float(mac.signed_areas().sum())
     micro_area = float(ct24.signed_areas().sum())
     assert abs(micro_area - macro_area) <= 1e-12 * macro_area
+    # micro triangle m splits macro triangle m // 3 through its barycentre
+    parent = np.arange(ct24.n_triangles) // 3
+    assert np.array_equal(ct24.triangles[:, 2], mac.n_vertices + parent)
+    corners = ct24.triangles[:, :2, None] == mac.triangles[parent][:, None, :]
+    assert np.all(corners.any(axis=2))
 
 
 def test_boundary_full_box_single_loop():
@@ -178,6 +191,15 @@ def test_boundary_invariants_random_circles(r, s, t, n):
     dom = circle_domain((lo + s * (hi - lo), lo + t * (hi - lo)), r)
     ct = clough_tocher(clip_to_interior(build_type1_mesh(n, dom.bounding_box), dom))
     _assert_boundary_invariants(ct, dom, n_loops=1)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_boundary_edges_are_local_edge_01(annulus, n):
+    # the annulus pinches at n = 8 (test_pinched_boundary_vertex_rejected)
+    domains = [star_domain()] + ([annulus] if n >= 16 else [])
+    for dom in domains:
+        _assert_edges_are_local_edge_01(
+            clough_tocher(clip_to_interior(build_type1_mesh(n), dom)))
 
 
 def test_euler_characteristic():

@@ -7,8 +7,7 @@ from conftest import make_level
 from ctstokes import solver
 from ctstokes.geometry import circle_domain
 from ctstokes.assembly import SaddleSystem, assemble_rhs, compose_system
-from ctstokes.solver import (SolverError, dump_matrix_market, factorize,
-                             solve_direct)
+from ctstokes.solver import SolverError, factorize, solve_direct
 from ctstokes.verify import (build_level, paper_case, run_convergence,
                              solve_on_level)
 
@@ -140,17 +139,6 @@ def test_small_viscosity_contract(star):
     rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 1e-5, 40.0)
     sol = solve_direct(compose_system(blocks, layout), rhs)
     assert sol.residual <= 1e-10
-
-
-def test_matrix_market_dump(tmp_path, star):
-    from scipy.io import mmread
-
-    ct, layout, bqd, blocks = make_level(star, 3)
-    system = compose_system(blocks, layout)
-    path = tmp_path / "system.mtx"
-    dump_matrix_market(path, system)
-    M = mmread(path).tocsr()
-    assert abs(M - system.matrix).max() == 0.0
 
 
 def test_one_factorization_serves_every_viscosity(circle, monkeypatch):

@@ -401,6 +401,8 @@ def _assert_patch_or_diagnosed(dom, n=16):
     except (MeshError, ProjectionError) as exc:
         assert str(exc).startswith(f"n={n}: ")
         return
+    ct = level.ct   # boundary edges on local edge 0->1, as assembly assumes
+    assert np.array_equal(ct.triangles[ct.boundary_tris, :2], ct.boundary_edges)
     m_q, m_mu = level.blocks.m_q, level.blocks.m_mu
     sol, rep = solve_on_level(level, patch_case(1.0))
     assert rep.h1_u <= 1e-8 and rep.l2_p <= 1e-8
