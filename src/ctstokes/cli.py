@@ -61,19 +61,21 @@ def _build_parser() -> tuple:
     common = _Parser(add_help=False, allow_abbrev=False)
     opt = common.add_argument
     positive = _typed(float, "a positive number",
-                      lambda v: len(v) == 1 and v[0] > 0, into=lambda v: v[0])
+                      lambda v: len(v) == 1 and 0 < v[0] < np.inf,
+                      into=lambda v: v[0])
     opt("--config", help="flat key=value config file")
     opt("--domain", choices=("star", "circle"), default="star")
     opt("--radius", type=positive, default=0.4)
     opt("--center", type=_typed(float, "two coordinates x,y",
-                                lambda v: len(v) == 2, into=tuple),
+                                lambda v: len(v) == 2 and np.isfinite(v).all(),
+                                into=tuple),
         default=(0.5, 0.5), help="circle center as 'x,y'")
     opt("--levels", type=_typed(int, "positive integers",
                                 lambda v: v and min(v) >= 1),
         default=list(DEFAULT_LEVELS), help="comma-separated refinement levels")
     opt("--nu", dest="nus", type=_typed(
             float, "distinct positive viscosities",
-            lambda v: v and all(x > 0 for x in v) and len(set(v)) == len(v)),
+            lambda v: v and all(0 < x < np.inf for x in v) and len(set(v)) == len(v)),
         default=list(DEFAULT_NUS), help="comma-separated viscosities")
     opt("--sigma", type=positive, default=40.0)
     opt("--out", default="results")
@@ -90,7 +92,7 @@ def _build_parser() -> tuple:
         command.add_argument(
             "--format", dest="formats", default=default,
             type=_typed(str, f"formats among {', '.join(formats)}",
-                        lambda v, ok=set(formats): set(v) <= ok),
+                        lambda v, ok=set(formats): v and set(v) <= ok),
             help="comma-separated output formats")
     for flag in ("--check-assumption", "--infsup", "--dump-matrix"):
         sub.choices["solve"].add_argument(flag, action="store_true")

@@ -98,27 +98,13 @@ def build_type1_mesh(n: int, box=(0.0, 0.0, 1.0, 1.0)) -> MacroMesh:
     return MacroMesh(vertices, triangles)
 
 
-# barycentric sample lattice (i+j+k = 4): 15 points used by the clip safety pass
+# barycentric sample lattice (i+j+k = 4): 15 points used by the clip safety
+# pass; those with i, j, k all even are the vertices and edge midpoints, which
+# with the barycenter (index 15 below) make the strict points
 _LATTICE = np.array([(i / 4.0, j / 4.0)
                      for i in range(5) for j in range(5 - i)])
-
-
-def _classification_points(mesh: MacroMesh):
-    """Sample points per triangle: 3 vertices, 3 midpoints, barycenter, lattice."""
-    p = mesh.vertices[mesh.triangles]  # (T, 3, 2)
-    v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
-    strict = np.stack([
-        v0, v1, v2,
-        0.5 * (v1 + v2), 0.5 * (v2 + v0), 0.5 * (v0 + v1),
-        (v0 + v1 + v2) / 3.0,
-    ], axis=1)
-    lam1 = _LATTICE[:, 0]
-    lam2 = _LATTICE[:, 1]
-    lam0 = 1.0 - lam1 - lam2
-    lattice = (lam0[None, :, None] * v0[:, None, :]
-               + lam1[None, :, None] * v1[:, None, :]
-               + lam2[None, :, None] * v2[:, None, :])
-    return strict, lattice
+_STRICT = np.append(np.flatnonzero((4 * _LATTICE % 2 == 0).all(axis=1)),
+                    len(_LATTICE))
 
 
 def classify_interior(mesh: MacroMesh, dom: LevelSetDomain) -> np.ndarray:
@@ -129,10 +115,17 @@ def classify_interior(mesh: MacroMesh, dom: LevelSetDomain) -> np.ndarray:
     smooth level sets resolved by the mesh this finite test is exact; a
     false keep perturbs the computational domain at cubic order in h.
     """
-    strict, lattice = _classification_points(mesh)
-    keep = np.all(np.asarray(dom.phi(strict)) <= 0.0, axis=1)
-    keep &= np.all(np.asarray(dom.phi(lattice)) <= CLIP_TOL, axis=1)
-    return keep
+    p = mesh.vertices[mesh.triangles]  # (T, 3, 2)
+    v0, v1, v2 = p[:, 0], p[:, 1], p[:, 2]
+    lam1, lam2 = _LATTICE.T
+    lam0 = 1.0 - lam1 - lam2
+    lattice = (lam0[None, :, None] * v0[:, None, :]
+               + lam1[None, :, None] * v1[:, None, :]
+               + lam2[None, :, None] * v2[:, None, :])
+    points = np.concatenate([lattice, (v0 + v1 + v2)[:, None] / 3.0], axis=1)
+    phi = np.asarray(dom.phi(points))
+    return (np.all(phi[:, _STRICT] <= 0.0, axis=1)
+            & np.all(phi[:, :len(_LATTICE)] <= CLIP_TOL, axis=1))
 
 
 def clip_to_interior(bg: MacroMesh, dom: LevelSetDomain) -> MacroMesh:

@@ -2,7 +2,8 @@
 
 The matrix is non-symmetric (non-symmetric boundary penalty and the
 corrected continuity pairing), so a sparse LU factorization with partial
-pivoting is used, after two exact reductions.
+pivoting is used, after two exact reductions.  One factor object,
+_CondensedLU, makes both and holds the one sparse LU.
 
 First, static condensation.  Each macro triangle's 8 bubble velocity
 unknowns and 8 of its 9 pressure unknowns (the layout's ``interior``) couple
@@ -17,10 +18,12 @@ about a quarter of the system, and the interior ones are recovered macro by
 macro.
 
 Second, the bordered form.  The three scalar constraint unknowns carry dense
-rows and columns which ruin fill-reducing orderings, so S is solved with its
-field block factorized sparsely after a sparse rank-one shift that removes
-its one-dimensional kernel (the joint constant pressure/multiplier mode),
-and the dense border is eliminated through a 3x3 Schur complement.
+rows and columns which ruin fill-reducing orderings, so only the field
+block of S is factorized sparsely, after a sparse rank-one shift that
+removes its one-dimensional kernel (the joint constant pressure/multiplier
+mode), and the dense border is eliminated through a 3x3 Schur complement.
+A solve is the interior forward step, the bordered solve of S and the
+interior back-solve.
 
 Iterative refinement with the same factors, against the full matrix,
 drives the residual to near machine precision, which the pointwise
@@ -72,71 +75,25 @@ class SolutionFields:
                    residual=residual)
 
 
-class _BorderedLU:
-    """Sparse LU of the pinned field block and a 3x3 Schur complement.
-
-    M = [[K, B], [C, D]] with K the sparse field block and B, C, D the dense
-    border of the three scalar unknowns.  K has a one-dimensional kernel
-    (the joint constant pressure/multiplier mode) that the border completes,
-    so K is shifted by the first border column b0 pinned at row j, where the
-    kernel mode does not vanish: S = K + b0 e_j^T.  With y = z + e_0 x_j the
-    system becomes [[S, B], [C', D]], C' = C + D[:, 0] e_j^T, which block
-    elimination solves through X = S^{-1} B and the Schur complement
-    D - C' X; each right-hand side then costs one sparse solve.
-    """
-
-    def __init__(self, M: sp.csc_matrix, j: int):
-        N = M.shape[0] - N_BORDER
-        self.N, self.j = N, j
-        B = M[:N, N:].toarray()
-        D = M[N:, N:].toarray()
-        rows = np.flatnonzero(B[:, 0])
-        S = M[:N, :N] + sp.csc_matrix((B[rows, 0], (rows, np.full(rows.size, j))),
-                                      shape=(N, N))
-        try:
-            self.lu = spla.splu(S.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(f"pinned field block is singular: {exc}") from exc
-        self.C = M[N:, :N].toarray()
-        self.C[:, j] += D[:, 0]
-        self.X = self.lu.solve(B)
-        try:
-            self.schur_inv = np.linalg.inv(D - self.C @ self.X)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"border Schur complement is singular: {exc}") from exc
-
-    def solve(self, b):
-        N = self.N
-        w = self.lu.solve(b[:N])
-        z = self.schur_inv @ (b[N:] - self.C @ w)
-        x = np.concatenate([w - self.X @ z, z])
-        x[N] += x[self.j]
-        return x
-
-    def min_pivot(self):
-        return float(np.abs(self.lu.U.diagonal()).min())
-
-
 def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
     """Inverses of the (T, 16, 16) macro blocks [[a, C], [B, 0]].
 
     B or C is singular to working precision when its 1-norm condition
     number, taken from the computed inverse, reaches 1 / (8 eps), 8 being
-    the order of the blocks.
+    the order of the blocks.  An exactly singular one, an LU pivot of 0
+    and so a slogdet sign of 0, is inverted as the identity and given an
+    infinite condition number; its determinant could not tell it, as det
+    underflows to 0 on a well-conditioned block with tiny entries.
 
     Raises:
         SolverError: B or C of some macro is singular to working precision.
     """
     a, C, B = blocks[:, :8, :8], blocks[:, :8, 8:], blocks[:, 8:, :8]
     pair = np.stack([B, C], axis=1)
-    try:
-        pinv = np.linalg.inv(pair)
-    except np.linalg.LinAlgError:
-        # an exactly singular block stops the batched inverse; invert the
-        # blocks one by one, an exactly singular one getting NaNs
-        pinv = np.array([[_inverse_or_nan(X) for X in both] for both in pair])
+    exact = np.linalg.slogdet(pair)[0] == 0
+    pinv = np.linalg.inv(np.where(exact[..., None, None], np.eye(8), pair))
     cond = _norm1(pair) * _norm1(pinv)
-    cond[np.isnan(cond)] = np.inf
+    cond[exact] = np.inf
     singular = cond >= 1.0 / (8 * np.finfo(float).eps)
     if singular.any():
         t, k = np.argwhere(singular)[0]
@@ -157,21 +114,22 @@ def _norm1(X: np.ndarray) -> np.ndarray:
     return np.abs(X).sum(axis=-2).max(axis=-1)
 
 
-def _inverse_or_nan(X: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(X)
-    except np.linalg.LinAlgError:
-        return np.full_like(X, np.nan)
-
-
 class _CondensedLU:
-    """The system with its macro-interior unknowns eliminated.
+    """The system with its macro-interior unknowns eliminated, factorized.
 
     kept holds the remaining unknowns in their order, the scalar border
-    last; bordered factorizes their Schur complement.  The pin is the
-    largest entry of the assembled first border column on the kept field
-    rows: in a saddle system that column holds the pressure means, so the
-    pin lands on a kept pressure row, where the kernel mode lives.
+    last.  Their Schur complement is M = [[K, B], [C, D]], with K the sparse
+    field block and B, C, D the dense border of the N_BORDER scalars.  K has
+    a one-dimensional kernel (the joint constant pressure/multiplier mode)
+    that the border completes, so K is shifted by the first border column
+    b0 pinned at row j, where the kernel mode does not vanish:
+    K' = K + b0 e_j^T.  j is the largest entry of the assembled first border
+    column on the kept field rows: in a saddle system that column holds the
+    pressure means, so the pin lands on a kept pressure row, where the
+    kernel mode lives.  With y = z + e_0 x_j the system becomes
+    [[K', B], [C', D]], C' = C + D[:, 0] e_j^T, which block elimination
+    solves through X = K'^{-1} B and the Schur complement D - C' X; each
+    right-hand side then costs one sparse solve.
     """
 
     def __init__(self, A: sp.csr_matrix, interior: np.ndarray):
@@ -192,23 +150,44 @@ class _CondensedLU:
         self.A_IK = rows_i[:, kept].tocsr()
         inv_sp = sp.bsr_matrix((self.inv, np.arange(T), np.arange(T + 1)),
                                shape=(16 * T, 16 * T))
-        S = rows_k[:, kept] - self.A_KI @ (inv_sp @ self.A_IK)
-        alpha = np.abs(A[kept[:-N_BORDER], n - N_BORDER].toarray().ravel())
-        self.bordered = _BorderedLU(S.tocsc(), int(np.argmax(alpha)))
+        M = (rows_k[:, kept] - self.A_KI @ (inv_sp @ self.A_IK)).tocsc()
+        self.N = N = kept.size - N_BORDER
+        alpha = np.abs(A[kept[:N], n - N_BORDER].toarray().ravel())
+        self.j = j = int(np.argmax(alpha))
+        B = M[:N, N:].toarray()
+        D = M[N:, N:].toarray()
+        rows = np.flatnonzero(B[:, 0])
+        K = M[:N, :N] + sp.csc_matrix((B[rows, 0], (rows, np.full(rows.size, j))),
+                                      shape=(N, N))
+        try:
+            self.lu = spla.splu(K.tocsc())
+        except RuntimeError as exc:
+            raise SolverError(f"pinned field block is singular: {exc}") from exc
+        self.C = M[N:, :N].toarray()
+        self.C[:, j] += D[:, 0]
+        self.X = self.lu.solve(B)
+        try:
+            self.schur_inv = np.linalg.inv(D - self.C @ self.X)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"border Schur complement is singular: {exc}") from exc
 
     def _inner(self, v):
         return (self.inv @ v[:, :, None])[:, :, 0]
 
     def solve(self, b):
-        b_I = b[self.interior]
-        x_K = self.bordered.solve(b[self.kept] - self.A_KI @ self._inner(b_I).ravel())
+        N, b_I = self.N, b[self.interior]
+        c = b[self.kept] - self.A_KI @ self._inner(b_I).ravel()
+        w = self.lu.solve(c[:N])
+        z = self.schur_inv @ (c[N:] - self.C @ w)
+        x_K = np.concatenate([w - self.X @ z, z])
+        x_K[N] += x_K[self.j]
         x = np.empty(b.shape[0])
         x[self.kept] = x_K
         x[self.interior] = self._inner(b_I - (self.A_IK @ x_K).reshape(-1, 16))
         return x
 
     def min_pivot(self):
-        return self.bordered.min_pivot()
+        return float(np.abs(self.lu.U.diagonal()).min())
 
 
 def factorize(matrix: sp.spmatrix, layout) -> _CondensedLU:

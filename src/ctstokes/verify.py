@@ -195,8 +195,7 @@ def _integrate(det: np.ndarray, vals: np.ndarray) -> float:
     return float(det @ (flat @ w))
 
 
-def multiplier_values_on_edges(layout: DofLayout, bqd: BoundaryQuadData,
-                               lam: np.ndarray) -> np.ndarray:
+def multiplier_values_on_edges(bqd: BoundaryQuadData, lam: np.ndarray) -> np.ndarray:
     """Multiplier field at the boundary quadrature points, shape (B, Q)."""
     return lam[bqd.edge_mult] @ asm.EDGE_MU.T
 
@@ -235,8 +234,8 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
     mu_coeff = np.asarray(case.p(layout.mult_coords))
     bound_len = float(bqd.ds.sum())
     lam_h = sol.lam
-    vals_mu = multiplier_values_on_edges(layout, bqd, mu_coeff)
-    vals_lam = multiplier_values_on_edges(layout, bqd, lam_h)
+    vals_mu = multiplier_values_on_edges(bqd, mu_coeff)
+    vals_lam = multiplier_values_on_edges(bqd, lam_h)
     mean_mu = float(np.sum(bqd.ds * vals_mu)) / bound_len
     mean_lam = float(np.sum(bqd.ds * vals_lam)) / bound_len
     diff = (vals_lam - mean_lam) - (vals_mu - mean_mu)

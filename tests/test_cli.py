@@ -72,6 +72,8 @@ def test_invalid_values_rejected(tmp_path, capsys):
              "unrecognized arguments: --dump-matrix"),
             ("converge", ["--format", "vtk"], "format = vtk",
              "argument --format: expected formats among csv, json, got 'vtk'"),
+            ("converge", ["--format", ""], "format =",
+             "argument --format: expected formats among csv, json, got ''"),
             ("solve", ["--format", "csv"], "format = csv",
              "argument --format: expected formats among json, vtk, got 'csv'"),
             ("solve", ["--dom", "circle"], "dom = circle",
@@ -258,7 +260,10 @@ def test_outputs_deterministic(tmp_path):
 
 @pytest.mark.parametrize("key,value", [
     ("sigma", "abc"), ("sigma", "-1"), ("center", "1,2,3"),
-    ("domain", "square"), ("format", "xml"), ("levels", "0")])
+    ("domain", "square"), ("format", "xml"), ("levels", "0"),
+    # non-finite numbers and an empty format list are usage errors too
+    ("radius", "inf"), ("center", "inf,0.5"), ("center", "nan,0.5"),
+    ("sigma", "inf"), ("nu", "inf"), ("format", "")])
 def test_bad_value_same_error_from_flag_or_file(tmp_path, capsys, key, value):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"{key} = {value}\n")

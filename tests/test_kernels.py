@@ -56,8 +56,8 @@ def errors_einsum(sol, case, ct, layout, bqd):
 
     mu_coeff = np.asarray(case.p(layout.mult_coords))
     bound_len = float(bqd.ds.sum())
-    vals_mu = multiplier_values_on_edges(layout, bqd, mu_coeff)
-    vals_lam = multiplier_values_on_edges(layout, bqd, sol.lam)
+    vals_mu = multiplier_values_on_edges(bqd, mu_coeff)
+    vals_lam = multiplier_values_on_edges(bqd, sol.lam)
     mean_mu = float(np.sum(bqd.ds * vals_mu)) / bound_len
     mean_lam = float(np.sum(bqd.ds * vals_lam)) / bound_len
     diff = (vals_lam - mean_lam) - (vals_mu - mean_mu)

@@ -108,9 +108,9 @@ def test_factorize_bordered_with_one_pin(star):
         assert lu.kept.size == layout.n_total - 16 * T
         N = A.shape[0] - solver.N_BORDER - 16 * T
         # the sparse factor covers the condensed field block only
-        assert lu.bordered.lu.shape == (N, N)
+        assert lu.lu.shape == (N, N)
         # pinned at the kept pressure unknown of some macro
-        pin = lu.kept[lu.bordered.j] - layout.offset_p
+        pin = lu.kept[lu.j] - layout.offset_p
         assert 0 <= pin < layout.n_p and pin % 9 == 0
         x = lu.solve(rhs)
         # the unrefined solve already meets the residual contract
@@ -224,7 +224,7 @@ def test_condensation_keeps_fill_small(star):
     # star n = 32: 0.62 M entries in L + U, against 6.5 M uncondensed
     system, _ = _paper_system(star, 32)
     lu = factorize(system.matrix, system.layout)
-    assert lu.bordered.lu.nnz < 1.0e6
+    assert lu.lu.nnz < 1.0e6
 
 
 @pytest.mark.parametrize("block", ["divergence", "momentum pressure"])
@@ -262,3 +262,23 @@ def test_near_singular_macro_block_is_diagnosed(star, block):
     match = f"macro {t}: interior {block} block is singular"
     with pytest.raises(SolverError, match=match):
         factorize(scaled(1e-16), layout)
+
+
+def test_interior_inverse_singularity_test_is_scale_free(star):
+    # four macro blocks of star n = 8; macro 1 scaled by 1e-45 stays well
+    # conditioned though det of its 8x8 blocks underflows to 0, and macro 2
+    # with one continuity row zeroed has an exactly singular divergence block
+    system, _ = _paper_system(star, 8)
+    A = system.matrix.tocsr()
+    blocks = np.stack([A[idx][:, idx].toarray()
+                       for idx in system.layout.interior[:4]])
+    tiny = blocks.copy()
+    tiny[1] *= 1e-45
+    assert np.linalg.det(tiny[1, 8:, :8]) == 0.0
+    inv = solver._interior_inverse(blocks)
+    assert np.allclose(1e-45 * solver._interior_inverse(tiny)[1], inv[1],
+                       rtol=1e-10, atol=1e-10 * np.abs(inv[1]).max())
+    tiny[2, 8 + 3] = 0.0
+    with pytest.raises(SolverError, match=r"^macro 2: interior divergence block is "
+                       r"singular to working precision \(1-norm condition number inf\)$"):
+        solver._interior_inverse(tiny)
