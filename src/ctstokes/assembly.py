@@ -248,13 +248,19 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
     velocity with the discrete normal, so it equals the integral of div u_h
     over the mesh, and the pressure rows make div u_h the constant alpha; a
     nonzero entry there would become a constant divergence.
+
+    Raises:
+        FloatingPointError: the load f/nu overflows.
     """
     rhs = np.zeros(layout.n_total)
 
     _, det, _, _ = element_maps(ct)
     points = _P1 @ ct.vertices[ct.triangles]
-    fvals = np.asarray(f(points)) / nu
-    fe = det[:, None, None] * ((_W[:, None] * _P2.vals).T @ fvals)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        fvals = np.asarray(f(points)) / nu
+        fe = det[:, None, None] * ((_W[:, None] * _P2.vals).T @ fvals)
+    if not np.isfinite(fe).all():
+        raise FloatingPointError(f"the load f/nu is not finite at nu={nu:g}")
     np.add.at(rhs, vector_dofs(layout.elem_nodes).ravel(), fe.ravel())
 
     if g is not None:

@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.io import mmwrite
 
 from . import verify
 from .geometry import ProjectionError, circle_domain, star_domain
@@ -209,6 +208,7 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
             beta = infsup_estimate(level.ct, level.layout, level.bqd)
             print(f"n={n}: inf-sup estimate = {beta:.6f}")
         if cfg.dump_matrix:
+            from scipy.io import mmwrite    # only this option reads scipy.io
             mmwrite(str(outdir / f"system_n{n}.mtx"),
                     verify.level_system(level).matrix.tocoo())
         for nu in cfg.nus:

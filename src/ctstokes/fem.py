@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 
 @dataclass(frozen=True)
@@ -24,6 +23,31 @@ class QuadratureRule:
     points: np.ndarray   # (Q, 2) for triangles, (Q,) for edges
     weights: np.ndarray  # (Q,), summing to 1/2 (triangle) or 1 (interval)
     degree: int          # all polynomials up to this degree integrate exactly
+
+
+# Gauss-Jacobi rules for the weight (1 - x) on [-1, 1], m = 1..6 points:
+# (nodes, weights) as scipy.special.roots_jacobi(m, 1.0, 0.0) returns them
+# (scipy 1.17.1), written out so that no solve imports scipy.special
+_GAUSS_JACOBI = {
+    1: ((-0.3333333333333333,),
+        (2.0,)),
+    2: ((-0.6898979485566357, 0.2898979485566358),
+        (1.2721655269759087, 0.7278344730240913)),
+    3: ((-0.8228240809745921, -0.1810662711185305, 0.5753189235216941),
+        (0.8037276549558384, 0.9169644254383448, 0.2793079196058167)),
+    4: ((-0.8857916077709646, -0.44631397272375245, 0.16718086473783364,
+         0.7204802713124389),
+        (0.5420276537259541, 0.8138582720410844, 0.5193901904329293,
+         0.12472388380003234)),
+    5: ((-0.9203802858970626, -0.6039731642527836, -0.1240503795052277,
+         0.39092854670727223, 0.8029298284023472),
+        (0.3871263609066059, 0.6686985523774788, 0.5855479483386794,
+         0.2956354802904667, 0.0629916580867692)),
+    6: ((-0.9413671456804301, -0.7038428006630314, -0.3260306194376914,
+         0.1173430375431003, 0.538467724060109, 0.8538913426394822),
+        (0.2892413229020356, 0.5421699889260747, 0.5631702151527953,
+         0.3946446035626208, 0.17582066220203585, 0.034953207254438116)),
+}
 
 
 def triangle_rule(min_degree: int) -> QuadratureRule:
@@ -39,7 +63,7 @@ def triangle_rule(min_degree: int) -> QuadratureRule:
     xg, wg = leggauss(m)
     u = 0.5 * (xg + 1.0)       # Gauss-Legendre on [0, 1]
     wu = 0.5 * wg
-    xj, wj = roots_jacobi(m, 1.0, 0.0)
+    xj, wj = map(np.array, _GAUSS_JACOBI[m])
     v = 0.5 * (xj + 1.0)       # Gauss-Jacobi, weight (1 - v) on [0, 1]
     wv = 0.25 * wj
     U, V = np.meshgrid(u, v, indexing="ij")

@@ -31,9 +31,12 @@ def _edge_table(triangles: np.ndarray):
     """
     t = np.asarray(triangles)
     raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=0)
-    raw_sorted = np.sort(raw, axis=1)
-    edges, inverse, counts = np.unique(raw_sorted, axis=0,
-                                       return_inverse=True, return_counts=True)
+    # edge (a, b), a < b, as the key a*V + b: sorting the keys sorts the
+    # edges lexicographically, much faster than np.unique over rows
+    V = t.max(initial=0) + 1
+    keys, inverse, counts = np.unique(raw.min(axis=1) * V + raw.max(axis=1),
+                                      return_inverse=True, return_counts=True)
+    edges = np.column_stack([keys // V, keys % V])
     tri_edges = inverse.reshape(3, len(t)).T
     return edges, tri_edges, counts
 
@@ -77,6 +80,10 @@ def build_type1_mesh(n: int, box=(0.0, 0.0, 1.0, 1.0)) -> MacroMesh:
     x0, y0, x1, y1 = box
     xs = np.linspace(x0, x1, n + 1)
     ys = np.linspace(y0, y1, n + 1)
+    if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)):
+        raise MeshError(f"the box [{x0:g}, {x1:g}] x [{y0:g}, {y1:g}] cannot "
+                        f"resolve an n={n} grid: its coordinates are not "
+                        "strictly increasing in floating point")
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 

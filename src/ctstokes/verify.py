@@ -210,9 +210,11 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
 
     coeffs = sol.u[vector_dofs(layout.elem_nodes)]
     uh = _ERROR_P2.vals @ coeffs
-    # the J^-T push: du_c/dx_d = sum over a of du_c/dxi_a inv[a, d]
+    # the J^-T push, du_c/dx_d = sum over a of du_c/dxi_a inv[a, d], as one
+    # (2Q, 2) @ (2, 2) product per element
+    M = len(inv)
     grad_ref = _reference_gradients(_ERROR_P2.grads, coeffs)
-    guh = np.swapaxes(grad_ref, -1, -2) @ inv[:, None]
+    guh = (np.swapaxes(grad_ref, -1, -2).reshape(M, -1, 2) @ inv).reshape(grad_ref.shape)
 
     du = uh - np.asarray(case.u(pts))
     dgu = guh - np.asarray(case.grad_u(pts))
@@ -296,9 +298,16 @@ def level_system(level: LevelStructure) -> SaddleSystem:
 
 
 def solve_on_level(level: LevelStructure, case: ManufacturedCase):
-    """Solve the case on the level (p, lambda, gamma scaled back by nu)."""
-    rhs = assemble_rhs(case.f, case.u, level.ct, level.layout, level.bqd,
-                       case.nu, level.sigma)
+    """Solve the case on the level (p, lambda, gamma scaled back by nu).
+
+    Raises:
+        SolverError: the load overflows, or as solve_direct.
+    """
+    try:
+        rhs = assemble_rhs(case.f, case.u, level.ct, level.layout, level.bqd,
+                           case.nu, level.sigma)
+    except FloatingPointError as exc:
+        raise SolverError(f"{exc} (--nu too small)") from exc
     sol = solve_direct(level_system(level), rhs)
     sol = replace(sol, p=case.nu * sol.p, lam=case.nu * sol.lam,
                   gamma=case.nu * sol.gamma)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +213,49 @@ def test_converge_unresolvable_domain_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: n=4: mesh too coarse for domain: no interior triangles\n")
     assert not out.exists()
+
+
+def test_unresolvable_grid_spacing_is_mesh_error(tmp_path, capsys):
+    # at x = 1e200 the box's x-range rounds to one value: every vertex would
+    # land on the centre
+    out = tmp_path / "run"
+    rc = main(["solve", "--domain", "circle", "--center", "1e200,0.5",
+               "--levels", "4", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=4: the box [1e+200, 1e+200] x [0, 1] "
+                          "cannot resolve an n=4 grid")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_overflowing_load_is_named(tmp_path, capsys):
+    # f/nu overflows at a subnormal viscosity; the factor itself is fine
+    out = tmp_path / "run"
+    args = ["--domain", "circle", "--nu", "1e-320", "--out", str(out)]
+    assert main(["solve", "--levels", "4", *args]) == 1
+    assert capsys.readouterr().err == (
+        "n=4 nu=9.99989e-321: SOLVE FAILED: the load f/nu is not finite at "
+        "nu=9.99989e-321 (--nu too small)\n")
+    assert main(["converge", "--levels", "4,8", *args]) == 1
+    assert capsys.readouterr().err == (
+        "error: n=4 nu=9.99989e-321: the load f/nu is not finite at "
+        "nu=9.99989e-321 (--nu too small)\n")
+
+
+def test_cli_import_loads_no_scipy_special_or_io():
+    # scipy.special and scipy.io cost start-up time and memory that no solve
+    # needs; only --dump-matrix imports scipy.io.  Counted beyond what the
+    # sparse solver itself loads, which can differ between scipy versions.
+    code = ("import sys, numpy, scipy.sparse.linalg\n"
+            "before = set(sys.modules)\n"
+            "import ctstokes.cli\n"
+            "print(' '.join(m for m in sorted(set(sys.modules) - before)"
+            " if m.split('.')[:2] in (['scipy', 'special'], ['scipy', 'io'])))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == ""
 
 
 def test_invalid_domain_is_usage_error_before_output(tmp_path, capsys):

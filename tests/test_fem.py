@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import everywhere_inside_domain
-from ctstokes.fem import (build_dof_layout, edge_rule, element_maps, eval_p1,
-                          eval_p2, triangle_rule)
+from ctstokes.fem import (_GAUSS_JACOBI, build_dof_layout, edge_rule,
+                          element_maps, eval_p1, eval_p2, triangle_rule)
 from ctstokes.mesh import MacroMesh, build_type1_mesh, clip_to_interior, clough_tocher
 
 
@@ -34,6 +34,15 @@ def test_triangle_rule_monomial_exactness(degree):
         for b in range(degree + 1 - a):
             val = np.sum(r.weights * r.points[:, 0] ** a * r.points[:, 1] ** b)
             assert val == pytest.approx(tri_monomial_integral(a, b), rel=1e-13)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_gauss_jacobi_table_matches_scipy(m):
+    # the table stands in for scipy.special.roots_jacobi(m, 1.0, 0.0)
+    from scipy.special import roots_jacobi
+    nodes, weights = roots_jacobi(m, 1.0, 0.0)
+    np.testing.assert_allclose(_GAUSS_JACOBI[m][0], nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_GAUSS_JACOBI[m][1], weights, rtol=0, atol=1e-15)
 
 
 def test_triangle_rule_bounds():

@@ -209,6 +209,18 @@ def test_euler_characteristic():
     assert V - E + F == 1
 
 
+def test_edge_table_matches_row_unique():
+    # the integer-key sort gives np.unique's lexicographic row order
+    ct = clough_tocher(clip_to_interior(build_type1_mesh(16), star_domain()))
+    t = ct.triangles
+    raw = np.sort(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]), axis=1)
+    edges, inverse, counts = np.unique(raw, axis=0, return_inverse=True,
+                                       return_counts=True)
+    got = _edge_table(t)
+    for a, b in zip(got, (edges, inverse.reshape(3, -1).T, counts)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_nonmanifold_edge_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [1.5, 1.0]])
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
