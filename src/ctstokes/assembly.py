@@ -168,8 +168,16 @@ def assemble_stiffness(ct: CtMesh, layout: DofLayout) -> sp.csr_matrix:
 
 
 def _test_traces(bqd, sigma):
-    """dv/dn + sigma/h_e S v (B, Q, 6): tested against S u and against g."""
-    return bqd.dn + (sigma / bqd.lengths)[:, None, None] * bqd.sh
+    """dv/dn + sigma/h_e S v (B, Q, 6): tested against S u and against g.
+
+    Raises:
+        FloatingPointError: the penalty term overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        traces = bqd.dn + (sigma / bqd.lengths)[:, None, None] * bqd.sh
+    if not np.isfinite(traces).all():
+        raise FloatingPointError(f"the penalty sigma/h_e overflows at sigma={sigma:g}")
+    return traces
 
 
 def assemble_a(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,

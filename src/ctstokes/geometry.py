@@ -52,14 +52,18 @@ class LevelSetDomain:
     def validate(self) -> None:
         """Check the domain is non-empty and the gradient does not vanish near it.
 
-        Samples VALIDATE_SAMPLES points of the bounding box; every sampled
-        point with |phi| <= VALIDATE_BAND must have a nonzero gradient, and
-        at least one sample must lie inside.
+        Samples VALIDATE_SAMPLES points of the bounding box; phi must be
+        finite at every sample, every sampled point with |phi| <=
+        VALIDATE_BAND must have a nonzero gradient, and at least one sample
+        must lie inside.
         """
         rng = np.random.default_rng(VALIDATE_SEED)
         x0, y0, x1, y1 = self.bounding_box
         pts = rng.uniform((x0, y0), (x1, y1), size=(VALIDATE_SAMPLES, 2))
-        vals = np.asarray(self.phi(pts))
+        with np.errstate(over="ignore", invalid="ignore"):     # checked below
+            vals = np.asarray(self.phi(pts))
+        if not np.isfinite(vals).all():
+            raise ValueError("level set is not finite in the bounding box")
         if not np.any(vals < 0.0):
             raise ValueError("level set has no interior points in the bounding box")
         near = pts[np.abs(vals) <= VALIDATE_BAND]

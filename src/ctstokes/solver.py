@@ -133,38 +133,47 @@ class _CondensedLU:
     """
 
     def __init__(self, A: sp.csr_matrix, interior: np.ndarray):
+        # each temporary is dropped as soon as what is built from it exists:
+        # the heap keeps its high-water mark, and the LU lands on top of it
         n, T = A.shape[0], len(interior)
         self.interior = interior
         inner = interior.ravel()
         mask = np.ones(n, dtype=bool)
         mask[inner] = False
         self.kept = kept = np.flatnonzero(mask)
-        rows_k, rows_i = A[kept], A[inner]
-        A_II = rows_i[:, inner].tocoo()
+        rows = A[inner]
+        A_II = rows[:, inner].tocoo()
+        self.A_IK = rows[:, kept].tocsr()
+        del rows
         if np.any(A_II.row // 16 != A_II.col // 16):
             raise SolverError("interior unknowns of different macros are coupled")
         blocks = np.zeros((T, 16, 16))
         blocks[A_II.row // 16, A_II.row % 16, A_II.col % 16] = A_II.data
+        del A_II
         self.inv = _interior_inverse(blocks)
-        self.A_KI = rows_k[:, inner].tocsr()
-        self.A_IK = rows_i[:, kept].tocsr()
+        del blocks
+        rows = A[kept]
+        self.A_KI = rows[:, inner].tocsr()
         inv_sp = sp.bsr_matrix((self.inv, np.arange(T), np.arange(T + 1)),
                                shape=(16 * T, 16 * T))
-        M = (rows_k[:, kept] - self.A_KI @ (inv_sp @ self.A_IK)).tocsc()
+        M = (rows[:, kept] - self.A_KI @ (inv_sp @ self.A_IK)).tocsc()
+        del rows, inv_sp
         self.N = N = kept.size - N_BORDER
         alpha = np.abs(A[kept[:N], n - N_BORDER].toarray().ravel())
         self.j = j = int(np.argmax(alpha))
         B = M[:N, N:].toarray()
         D = M[N:, N:].toarray()
-        rows = np.flatnonzero(B[:, 0])
-        K = M[:N, :N] + sp.csc_matrix((B[rows, 0], (rows, np.full(rows.size, j))),
+        self.C = M[N:, :N].toarray()
+        self.C[:, j] += D[:, 0]
+        pinned = np.flatnonzero(B[:, 0])
+        K = M[:N, :N] + sp.csc_matrix((B[pinned, 0], (pinned, np.full(pinned.size, j))),
                                       shape=(N, N))
+        del M
         try:
             self.lu = spla.splu(K.tocsc())
         except RuntimeError as exc:
             raise SolverError(f"pinned field block is singular: {exc}") from exc
-        self.C = M[N:, :N].toarray()
-        self.C[:, j] += D[:, 0]
+        del K
         self.X = self.lu.solve(B)
         try:
             self.schur_inv = np.linalg.inv(D - self.C @ self.X)

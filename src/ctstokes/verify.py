@@ -34,6 +34,11 @@ from .solver import (N_BORDER, SolutionFields, SolverError, factorize,
                      solve_direct)
 
 ERROR_QUAD_DEGREE = 8
+# micro triangles per block of the velocity errors.  A power of two: a BLAS
+# gemv kernel sums each row in an order set by its place in a group of a few
+# rows, so blocks that start at multiples of a power of two leave every
+# element's integral bitwise equal to the one over the whole mesh
+ERROR_BLOCK = 1024
 
 # the error rule on the reference triangle: weights, P1 values and the P2
 # basis at its points; and the P2 gradients at the reference vertices
@@ -187,12 +192,39 @@ def _divergence_at_vertices(ct: CtMesh, layout: DofLayout, u: np.ndarray) -> np.
     return np.abs(grad_ref.reshape(M, -1, 4) @ inv.reshape(M, 4, 1))[..., 0]
 
 
+def _element_integrals(vals: np.ndarray) -> np.ndarray:
+    """Per-element integrals over the reference triangle of vals (M, Q, ...)
+    at the error rule points, summed over its trailing components; times
+    det, they are integrals over the micro triangles."""
+    flat = vals.reshape(len(vals), -1)
+    return flat @ np.repeat(_ERROR_RULE.weights, flat.shape[1] // len(_ERROR_RULE.weights))
+
+
 def _integrate(det: np.ndarray, vals: np.ndarray) -> float:
     """Integral over the mesh of vals (M, Q, ...) at the error rule points,
     summed over its trailing components."""
-    flat = vals.reshape(len(det), -1)
-    w = np.repeat(_ERROR_RULE.weights, flat.shape[1] // len(_ERROR_RULE.weights))
-    return float(det @ (flat @ w))
+    return float(det @ _element_integrals(vals))
+
+
+def _velocity_error_integrals(case: ManufacturedCase, coeffs: np.ndarray,
+                              pts: np.ndarray, inv: np.ndarray):
+    """Reference-element integrals of |u - u_h|^2 and |grad(u - u_h)|^2, two
+    (M,) arrays, from the (M, 6, 2) element coefficients.  Taken ERROR_BLOCK
+    elements at a time, so that the (block, Q, 2, 2) temporaries stay small."""
+    e_u, e_gu = np.empty(len(inv)), np.empty(len(inv))
+    for lo in range(0, len(inv), ERROR_BLOCK):
+        blk = slice(lo, lo + ERROR_BLOCK)
+        c = coeffs[blk]
+        du = _ERROR_P2.vals @ c - np.asarray(case.u(pts[blk]))
+        e_u[blk] = _element_integrals(du * du)
+        # the J^-T push, du_c/dx_d = sum over a of du_c/dxi_a inv[a, d], as
+        # one (2Q, 2) @ (2, 2) product per element
+        grad_ref = _reference_gradients(_ERROR_P2.grads, c)
+        guh = (np.swapaxes(grad_ref, -1, -2).reshape(len(c), -1, 2)
+               @ inv[blk]).reshape(grad_ref.shape)
+        dgu = guh - np.asarray(case.grad_u(pts[blk]))
+        e_gu[blk] = _element_integrals(dgu * dgu)
+    return e_u, e_gu
 
 
 def multiplier_values_on_edges(bqd: BoundaryQuadData, lam: np.ndarray) -> np.ndarray:
@@ -209,17 +241,9 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
     pts = _ERROR_P1 @ ct.vertices[ct.triangles]
 
     coeffs = sol.u[vector_dofs(layout.elem_nodes)]
-    uh = _ERROR_P2.vals @ coeffs
-    # the J^-T push, du_c/dx_d = sum over a of du_c/dxi_a inv[a, d], as one
-    # (2Q, 2) @ (2, 2) product per element
-    M = len(inv)
-    grad_ref = _reference_gradients(_ERROR_P2.grads, coeffs)
-    guh = (np.swapaxes(grad_ref, -1, -2).reshape(M, -1, 2) @ inv).reshape(grad_ref.shape)
-
-    du = uh - np.asarray(case.u(pts))
-    dgu = guh - np.asarray(case.grad_u(pts))
-    l2_u = math.sqrt(_integrate(det, du * du))
-    h1_u = math.sqrt(_integrate(det, dgu * dgu))
+    e_u, e_gu = _velocity_error_integrals(case, coeffs, pts, inv)
+    l2_u = math.sqrt(float(det @ e_u))
+    h1_u = math.sqrt(float(det @ e_gu))
 
     area = 0.5 * float(det.sum())
     ph = sol.p.reshape(-1, 3) @ _ERROR_P1.T
@@ -270,6 +294,7 @@ def build_level(dom: LevelSetDomain, n: int, sigma: float) -> LevelStructure:
     Raises:
         MeshError, ProjectionError: the level cannot resolve the domain;
             the message starts with n=<n>.
+        SolverError: the boundary penalty sigma/h_e overflows.
     """
     try:
         bg = build_type1_mesh(n, dom.bounding_box)
@@ -278,9 +303,16 @@ def build_level(dom: LevelSetDomain, n: int, sigma: float) -> LevelStructure:
         layout = build_dof_layout(ct)
         bqd = build_boundary_data(ct, layout, dom)
         blocks = assemble_blocks(ct, layout, bqd, sigma)
+        # copies of the two large blocks, made once their assembly
+        # temporaries are freed, take those holes; the originals sit above
+        # the temporaries, where they would outlive a previous level's
+        # factor and keep the heap from shrinking when that level is freed
+        blocks = replace(blocks, a=blocks.a.copy(), B_div=blocks.B_div.copy())
         assumption = check_assumption_a(ct, dom, bqd.delta)
     except (MeshError, ProjectionError) as exc:
         raise type(exc)(f"n={n}: {exc}") from exc
+    except FloatingPointError as exc:
+        raise SolverError(f"n={n}: {exc} (--sigma too large)") from exc
     x0, y0, x1, y1 = dom.bounding_box
     return LevelStructure(n=n, h=max(x1 - x0, y1 - y0) / n, ct=ct, layout=layout,
                           bqd=bqd, blocks=blocks, assumption=assumption, sigma=sigma)
@@ -288,9 +320,17 @@ def build_level(dom: LevelSetDomain, n: int, sigma: float) -> LevelStructure:
 
 def level_system(level: LevelStructure) -> SaddleSystem:
     """The level's saddle system; the first call composes it and drops the
-    blocks.  Composed in build_level, or kept next to the blocks, it
-    fragmented the heap: peak RSS of a 50-circle sweep at n = 16 rose
-    10-30 % with the full LU and still 5-10 % with the condensed one."""
+    blocks.
+
+    Peak RSS follows the heap's high-water mark, which the allocator keeps,
+    so it depends on which arrays are alive together and on which of them
+    are allocated above temporaries that die before them.  Composed in
+    build_level, or kept next to the blocks, the system fragmented the
+    heap: peak RSS of a 50-circle sweep at n = 16 rose 10-30 % with the
+    full LU and still 5-10 % with the condensed one.  For the same reason
+    the factorization frees each temporary as soon as it is used up, and
+    build_level copies its two large blocks once their assembly
+    temporaries are freed."""
     if level.system is None:
         level.system = compose_system(level.blocks, level.layout)
         level.blocks = None

@@ -243,6 +243,29 @@ def test_overflowing_load_is_named(tmp_path, capsys):
         "nu=9.99989e-321 (--nu too small)\n")
 
 
+def test_overflowing_penalty_is_named(tmp_path, capsys):
+    # sigma/h_e overflows where the boundary blocks are assembled
+    out = tmp_path / "run"
+    args = ["--domain", "circle", "--sigma", "1e308", "--out", str(out)]
+    message = ("error: n=4: the penalty sigma/h_e overflows at sigma=1e+308 "
+               "(--sigma too large)\n")
+    assert main(["solve", "--levels", "4", *args]) == 1
+    assert capsys.readouterr().err == message
+    assert main(["converge", "--levels", "4,8", *args]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_overflowing_level_set_is_usage_error(tmp_path, capsys):
+    # |x - center| overflows over the box of a circle of radius 1e200
+    out = tmp_path / "run"
+    rc = main(["solve", "--domain", "circle", "--radius", "1e200", "--levels", "4",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: level set is not finite in the bounding box\n"
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy_special_or_io():
     # scipy.special and scipy.io cost start-up time and memory that no solve
     # needs; only --dump-matrix imports scipy.io.  Counted beyond what the

@@ -196,14 +196,29 @@ def test_boundary_blocks_match_einsum_reference(level):
         assert _rel(value, ref[name]) <= 1e-12, name
 
 
-def test_errors_match_einsum_reference(solved):
+def test_errors_match_einsum_reference(solved, monkeypatch):
     ct, layout, bqd, _, case, sol = solved
-    report = compute_errors(sol, case, ct, layout, bqd)
     ref = errors_einsum(sol, case, ct, layout, bqd)
-    for name in ("l2_u", "h1_u", "l2_p", "lam_diag"):
-        value = getattr(report, name)
-        assert value == pytest.approx(ref[name], rel=1e-12, abs=0.0), name
-    assert abs(report.linf_div - ref["linf_div"]) <= 1e-14
+    # one block of elements, and blocks of 32 (3 or more on both meshes)
+    for block in (verify.ERROR_BLOCK, 32):
+        monkeypatch.setattr(verify, "ERROR_BLOCK", block)
+        report = compute_errors(sol, case, ct, layout, bqd)
+        for name in ("l2_u", "h1_u", "l2_p", "lam_diag"):
+            value = getattr(report, name)
+            assert value == pytest.approx(ref[name], rel=1e-12, abs=0.0), name
+        assert abs(report.linf_div - ref["linf_div"]) <= 1e-14
+
+
+def test_error_blocks_leave_norms_unchanged(solved, monkeypatch):
+    ct, layout, bqd, _, case, sol = solved
+    assert ct.n_triangles <= verify.ERROR_BLOCK
+    whole = compute_errors(sol, case, ct, layout, bqd)
+    # 3 blocks of the star at n = 8, 15 of the circle at n = 16
+    monkeypatch.setattr(verify, "ERROR_BLOCK", 32)
+    assert ct.n_triangles > 2 * verify.ERROR_BLOCK
+    blocked = compute_errors(sol, case, ct, layout, bqd)
+    for name in ("l2_u", "h1_u", "l2_p", "linf_div"):
+        assert getattr(blocked, name) == getattr(whole, name), name
 
 
 def test_rhs_matches_einsum_reference(solved):
