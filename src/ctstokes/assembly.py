@@ -29,7 +29,7 @@ scaled by the Jacobian determinant and contracted with the inverse map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,7 +115,7 @@ def build_boundary_data(ct: CtMesh, layout: DofLayout,
     x_star = x_star.reshape(B, Q, 2)
     delta = delta.reshape(B, Q)
 
-    _, _, _, invT = element_maps(ct)
+    _, _, invT = element_maps(ct)
     invTb = invT[tris]
     sh = taylor_trace(EDGE_P2, delta, dirs.reshape(B, Q, 2) @ invTb)
     ref_normals = normals[:, None, :] @ invTb                     # (B, 1, 2)
@@ -154,7 +154,7 @@ def _pressure_dofs(ct: CtMesh) -> np.ndarray:
 
 
 def _stiffness_triplets(ct, layout):
-    _, det, inv, invT = element_maps(ct)
+    det, inv, invT = element_maps(ct)
     M = len(det)
     metric = det[:, None, None] * (inv @ invT)
     # test i, trial j
@@ -207,7 +207,7 @@ def assemble_b(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData):
 
     B_div holds -(div u, q): rows pressure dofs, cols velocity dofs.
     """
-    _, det, inv, _ = element_maps(ct)
+    det, inv, _ = element_maps(ct)
     M = len(det)
     Be = (_B_REF.reshape(18, 2) @ (-det[:, None, None] * inv)).reshape(M, 3, 6, 2)
     B_div = _sparse((layout.n_p, layout.n_u),
@@ -232,7 +232,7 @@ def assemble_constraints(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData):
     m_mu[k] the k-th multiplier shape over the boundary, and c_n[k] the
     normal trace of the k-th velocity basis function over the boundary.
     """
-    _, det, _, _ = element_maps(ct)
+    det, _, _ = element_maps(ct)
     m_q = np.outer(det, _MEAN_P1_REF).ravel()
 
     m_mu = np.zeros(layout.n_lam)
@@ -244,7 +244,7 @@ def assemble_constraints(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData):
     return m_q, m_mu, c_n
 
 
-def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
+def assemble_rhs(f: Callable, g: Callable, ct: CtMesh,
                  layout: DofLayout, bqd: BoundaryQuadData, nu: float,
                  sigma: float) -> np.ndarray:
     """Scaled right-hand side (load f/nu) for body force f and boundary data g.
@@ -258,27 +258,29 @@ def assemble_rhs(f: Callable, g: Optional[Callable], ct: CtMesh,
     nonzero entry there would become a constant divergence.
 
     Raises:
-        FloatingPointError: the load f/nu overflows.
+        FloatingPointError: the load f or f/nu overflows.
     """
     rhs = np.zeros(layout.n_total)
 
-    _, det, _, _ = element_maps(ct)
+    det, _, _ = element_maps(ct)
     points = _P1 @ ct.vertices[ct.triangles]
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        fvals = np.asarray(f(points)) / nu
+        fvals = np.asarray(f(points))
+        if not np.isfinite(fvals).all():
+            raise FloatingPointError(f"the load f is not finite at nu={nu:g}")
+        fvals = fvals / nu
         fe = det[:, None, None] * ((_W[:, None] * _P2.vals).T @ fvals)
     if not np.isfinite(fe).all():
         raise FloatingPointError(f"the load f/nu is not finite at nu={nu:g}")
     np.add.at(rhs, vector_dofs(layout.elem_nodes).ravel(), fe.ravel())
 
-    if g is not None:
-        gm = np.asarray(g(bqd.x_star))                     # (B, Q, 2)
-        ge = np.swapaxes(_test_traces(bqd, sigma), 1, 2) @ (bqd.ds[..., None] * gm)
-        np.add.at(rhs, vector_dofs(bqd.elem_nodes).ravel(), ge.ravel())
+    gm = np.asarray(g(bqd.x_star))                         # (B, Q, 2)
+    ge = np.swapaxes(_test_traces(bqd, sigma), 1, 2) @ (bqd.ds[..., None] * gm)
+    np.add.at(rhs, vector_dofs(bqd.elem_nodes).ravel(), ge.ravel())
 
-        gn = np.einsum("bqc,bc->bq", gm, bqd.normals)
-        gmu = (bqd.ds * gn) @ EDGE_MU
-        np.add.at(rhs, layout.offset_lam + bqd.edge_mult.ravel(), gmu.ravel())
+    gn = np.einsum("bqc,bc->bq", gm, bqd.normals)
+    gmu = (bqd.ds * gn) @ EDGE_MU
+    np.add.at(rhs, layout.offset_lam + bqd.edge_mult.ravel(), gmu.ravel())
     return rhs
 
 
@@ -348,7 +350,7 @@ def gram_h1_velocity(ct: CtMesh, layout: DofLayout,
 
 def gram_pressure_mass(ct: CtMesh, layout: DofLayout) -> sp.csr_matrix:
     """L2 mass matrix of the discontinuous pressure space."""
-    _, det, _, _ = element_maps(ct)
+    det, _, _ = element_maps(ct)
     Me = det[:, None, None] * _MASS_P1_REF
     dofs = _pressure_dofs(ct)
     return _sparse((layout.n_p, layout.n_p), _triplets(dofs, dofs, Me))

@@ -137,20 +137,16 @@ def eval_p2(points) -> BasisEval:
 
 
 def element_maps(ct):
-    """Affine map data per micro triangle: Jacobians, dets, inverse transposes."""
+    """Affine map data per micro triangle: the determinant, inverse and
+    inverse transpose of the Jacobian [e1 e2], whose columns are the edge
+    vectors from vertex 0."""
     p = ct.vertices[ct.triangles]
-    J = np.empty((len(p), 2, 2))
-    J[:, :, 0] = p[:, 1] - p[:, 0]
-    J[:, :, 1] = p[:, 2] - p[:, 0]
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    inv = np.empty_like(J)
-    inv[:, 0, 0] = J[:, 1, 1]
-    inv[:, 0, 1] = -J[:, 0, 1]
-    inv[:, 1, 0] = -J[:, 1, 0]
-    inv[:, 1, 1] = J[:, 0, 0]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    inv = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1).reshape(-1, 2, 2)
     inv /= det[:, None, None]
-    invT = np.swapaxes(inv, 1, 2)
-    return J, det, inv, invT
+    return det, inv, np.swapaxes(inv, 1, 2)
 
 
 def vector_dofs(nodes: np.ndarray) -> np.ndarray:
@@ -178,10 +174,6 @@ class DofLayout:
         self.n_nodes = self.n_mvert + self.n_medge
         self.n_u = 2 * self.n_nodes
         self.n_p = 3 * self.n_mtri
-
-        # velocity node coordinates: vertices then edge midpoints
-        mid = 0.5 * (ct.vertices[ct.edges[:, 0]] + ct.vertices[ct.edges[:, 1]])
-        self.node_coords = np.vstack([ct.vertices, mid])
 
         # per-element velocity nodes in P2 local order (vertices, opposite midpoints)
         self.elem_nodes = np.concatenate(

@@ -258,17 +258,15 @@ def check_assumption_a(ct: CtMesh, dom: LevelSetDomain,
                             flagged=np.where(ratios > ASSUMPTION_THRESHOLD)[0])
 
 
-def write_vtk(path, ct: CtMesh, point_data=None, cell_data=None,
-              title="ctstokes mesh") -> None:
-    """Write the refined mesh as legacy-ASCII VTK with optional data arrays.
+def write_vtk(path, ct: CtMesh, point_data, cell_data) -> None:
+    """Write the refined mesh as legacy-ASCII VTK with its data arrays.
 
     point_data maps names to arrays of shape (n_vertices,) or (n_vertices, 2)
     (vectors get a zero third component); cell_data maps names to arrays of
     shape (n_triangles,).
     """
     with open(path, "w") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write(f"{title}\n")
+        f.write("# vtk DataFile Version 3.0\nctstokes mesh\n")
         f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {ct.n_vertices} double\n")
         for x, y in ct.vertices:
@@ -278,21 +276,19 @@ def write_vtk(path, ct: CtMesh, point_data=None, cell_data=None,
             f.write(f"3 {a} {b} {c}\n")
         f.write(f"CELL_TYPES {ct.n_triangles}\n")
         f.write("5\n" * ct.n_triangles)
-        if point_data:
-            f.write(f"POINT_DATA {ct.n_vertices}\n")
-            for name, arr in point_data.items():
-                arr = np.asarray(arr)
-                if arr.ndim == 2:
-                    f.write(f"VECTORS {name} double\n")
-                    for row in arr:
-                        f.write(f"{row[0]:.17g} {row[1]:.17g} 0\n")
-                else:
-                    f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                    for v in arr:
-                        f.write(f"{v:.17g}\n")
-        if cell_data:
-            f.write(f"CELL_DATA {ct.n_triangles}\n")
-            for name, arr in cell_data.items():
+        f.write(f"POINT_DATA {ct.n_vertices}\n")
+        for name, arr in point_data.items():
+            arr = np.asarray(arr)
+            if arr.ndim == 2:
+                f.write(f"VECTORS {name} double\n")
+                for row in arr:
+                    f.write(f"{row[0]:.17g} {row[1]:.17g} 0\n")
+            else:
                 f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for v in np.asarray(arr):
+                for v in arr:
                     f.write(f"{v:.17g}\n")
+        f.write(f"CELL_DATA {ct.n_triangles}\n")
+        for name, arr in cell_data.items():
+            f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for v in np.asarray(arr):
+                f.write(f"{v:.17g}\n")

@@ -86,7 +86,8 @@ def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
     underflows to 0 on a well-conditioned block with tiny entries.
 
     Raises:
-        SolverError: B or C of some macro is singular to working precision.
+        SolverError: B or C of some macro is singular to working precision,
+            or its block's inverse overflows.
     """
     a, C, B = blocks[:, :8, :8], blocks[:, :8, 8:], blocks[:, 8:, :8]
     pair = np.stack([B, C], axis=1)
@@ -105,7 +106,12 @@ def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
     inv = np.zeros_like(blocks)
     inv[:, :8, 8:] = Binv
     inv[:, 8:, :8] = Cinv
-    inv[:, 8:, 8:] = -Cinv @ a @ Binv
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        inv[:, 8:, 8:] = -Cinv @ a @ Binv
+    finite = np.isfinite(inv).all(axis=(1, 2))
+    if not finite.all():
+        raise SolverError(f"macro {np.argmin(finite)}: the inverse of the interior "
+                          "block overflows")
     return inv
 
 
@@ -175,8 +181,12 @@ class _CondensedLU:
             raise SolverError(f"pinned field block is singular: {exc}") from exc
         del K
         self.X = self.lu.solve(B)
+        with np.errstate(over="ignore", invalid="ignore"):     # checked below
+            schur = D - self.C @ self.X
+        if not np.isfinite(schur).all():
+            raise SolverError("border Schur complement is not finite")
         try:
-            self.schur_inv = np.linalg.inv(D - self.C @ self.X)
+            self.schur_inv = np.linalg.inv(schur)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"border Schur complement is singular: {exc}") from exc
 
@@ -232,28 +242,32 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
     if system.factor is None:
         system.factor = factorize(A, layout)
     lu = system.factor
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SolverError(
-            "factorization produced non-finite values "
-            f"(min |U_ii| = {lu.min_pivot():.3e}); system is singular to working precision")
-    nb = np.linalg.norm(b)
+    # an overflow in the solves or the residual norms is checked below: it
+    # leaves a non-finite solution or residual, and a step to a non-finite
+    # residual is not taken
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = lu.solve(b)
+        if not np.all(np.isfinite(x)):
+            raise SolverError(
+                "factorization produced non-finite values (min |U_ii| = "
+                f"{lu.min_pivot():.3e}); system is singular to working precision")
+        nb = np.linalg.norm(b)
 
-    def residuals(x):
-        r = b - A @ x
-        rel = np.linalg.norm(r) / nb if nb > 0 else np.linalg.norm(r)
-        return r, rel, float(np.abs(r[p_rows]).max(initial=0.0))
+        def residuals(x):
+            r = b - A @ x
+            rel = np.linalg.norm(r) / nb if nb > 0 else np.linalg.norm(r)
+            return r, rel, float(np.abs(r[p_rows]).max(initial=0.0))
 
-    r, res, res_p = residuals(x)
-    for _ in range(MAX_REFINE):
-        x_new = x + lu.solve(r)
-        r_new, res_new, res_p_new = residuals(x_new)
-        if res_new >= res and res_p_new >= res_p:
-            break
-        stalled = res_p_new >= STALL * res_p
-        x, r, res, res_p = x_new, r_new, res_new, res_p_new
-        if stalled and res <= REFINE_TARGET:
-            break
-    if res > RESIDUAL_TOL:
+        r, res, res_p = residuals(x)
+        for _ in range(MAX_REFINE):
+            x_new = x + lu.solve(r)
+            r_new, res_new, res_p_new = residuals(x_new)
+            if not (res_new < res or res_p_new < res_p):
+                break
+            stalled = res_p_new >= STALL * res_p
+            x, r, res, res_p = x_new, r_new, res_new, res_p_new
+            if stalled and res <= REFINE_TARGET:
+                break
+    if not res <= RESIDUAL_TOL:     # a NaN residual fails it too
         raise SolverError(f"residual contract violated: {res:.3e} > {RESIDUAL_TOL:.1e}")
     return SolutionFields.from_vector(x, system.layout, float(res))

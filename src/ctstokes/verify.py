@@ -185,7 +185,7 @@ def _reference_gradients(grads: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def _divergence_at_vertices(ct: CtMesh, layout: DofLayout, u: np.ndarray) -> np.ndarray:
     """|div u_h| sampled at the three vertices of every micro triangle."""
-    _, _, inv, _ = element_maps(ct)
+    _, inv, _ = element_maps(ct)
     grad_ref = _reference_gradients(_VERTEX_GRADS, u[vector_dofs(layout.elem_nodes)])
     # div u = sum over a, c of inv[a, c] du_c/dxi_a
     M = len(inv)
@@ -232,12 +232,18 @@ def multiplier_values_on_edges(bqd: BoundaryQuadData, lam: np.ndarray) -> np.nda
     return lam[bqd.edge_mult] @ asm.EDGE_MU.T
 
 
-def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
-                   layout: DofLayout, bqd: BoundaryQuadData,
-                   n: int = 0, h: float = float("nan"), sigma: float = 0.0,
-                   max_delta_ratio: float = float("nan")) -> ErrorReport:
-    """Error norms of a discrete solution against the manufactured fields."""
-    _, det, inv, _ = element_maps(ct)
+@np.errstate(over="ignore", invalid="ignore")     # the norms are checked below
+def compute_errors(sol: SolutionFields, case: ManufacturedCase,
+                   level: LevelStructure) -> ErrorReport:
+    """Error norms of a discrete solution on the level against the
+    manufactured fields, reported with the level's n, h, sigma and max
+    delta/h ratio.
+
+    Raises:
+        FloatingPointError: an error norm overflows.
+    """
+    ct, layout, bqd = level.ct, level.layout, level.bqd
+    det, inv, _ = element_maps(ct)
     pts = _ERROR_P1 @ ct.vertices[ct.triangles]
 
     coeffs = sol.u[vector_dofs(layout.elem_nodes)]
@@ -266,11 +272,14 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase, ct: CtMesh,
     mean_lam = float(np.sum(bqd.ds * vals_lam)) / bound_len
     diff = (vals_lam - mean_lam) - (vals_mu - mean_mu)
     lam_diag = math.sqrt(float(np.sum(bqd.ds * bqd.lengths[:, None] * diff ** 2)))
+    if not np.isfinite([l2_u, h1_u, l2_p, linf_div, lam_diag]).all():
+        raise FloatingPointError(f"the error norms are not finite at nu={case.nu:g}")
 
-    return ErrorReport(n=n, h=h, nu=case.nu,
-                       sigma=sigma, dofs=layout.n_total, l2_u=l2_u, h1_u=h1_u,
-                       l2_p=l2_p, linf_div=linf_div, lam_diag=lam_diag,
-                       max_delta_ratio=max_delta_ratio, residual=sol.residual)
+    return ErrorReport(n=level.n, h=level.h, nu=case.nu, sigma=level.sigma,
+                       dofs=layout.n_total, l2_u=l2_u, h1_u=h1_u, l2_p=l2_p,
+                       linf_div=linf_div, lam_diag=lam_diag,
+                       max_delta_ratio=level.assumption.max_ratio,
+                       residual=sol.residual)
 
 
 @dataclass
@@ -341,20 +350,21 @@ def solve_on_level(level: LevelStructure, case: ManufacturedCase):
     """Solve the case on the level (p, lambda, gamma scaled back by nu).
 
     Raises:
-        SolverError: the load overflows, or as solve_direct.
+        SolverError: the load or an error norm overflows, or as
+            solve_direct.
     """
     try:
         rhs = assemble_rhs(case.f, case.u, level.ct, level.layout, level.bqd,
                            case.nu, level.sigma)
+        sol = solve_direct(level_system(level), rhs)
+        sol = replace(sol, p=case.nu * sol.p, lam=case.nu * sol.lam,
+                      gamma=case.nu * sol.gamma)
+        return sol, compute_errors(sol, case, level)
     except FloatingPointError as exc:
-        raise SolverError(f"{exc} (--nu too small)") from exc
-    sol = solve_direct(level_system(level), rhs)
-    sol = replace(sol, p=case.nu * sol.p, lam=case.nu * sol.lam,
-                  gamma=case.nu * sol.gamma)
-    report = compute_errors(sol, case, level.ct, level.layout, level.bqd,
-                            n=level.n, h=level.h, sigma=level.sigma,
-                            max_delta_ratio=level.assumption.max_ratio)
-    return sol, report
+        # f = -nu lap u + grad p overflows at a large nu, f/nu at a small
+        # one; at a large nu the pressure nu (p/nu) keeps only nu times the
+        # solve's rounding, and its error norm overflows
+        raise SolverError(f"{exc} (--nu too {'large' if case.nu > 1 else 'small'})") from exc
 
 
 ERROR_COLUMNS = ("l2_u", "h1_u", "l2_p", "linf_div")

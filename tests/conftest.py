@@ -7,12 +7,13 @@ import pytest
 from hypothesis import settings
 
 from ctstokes.geometry import LevelSetDomain, circle_domain, star_domain
-from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
+from ctstokes.mesh import (AssumptionReport, build_type1_mesh, clip_to_interior,
+                           clough_tocher)
 from ctstokes.fem import build_dof_layout
 from ctstokes.assembly import (assemble_blocks, assemble_rhs,
                                build_boundary_data, compose_system)
 from ctstokes.solver import solve_direct
-from ctstokes.verify import ManufacturedCase
+from ctstokes.verify import LevelStructure, ManufacturedCase
 
 # fixed examples and no example database, so runs repeat; hypothesis still
 # caches the constants it reads from source files in its storage directory,
@@ -163,6 +164,23 @@ def solve_case(ct, layout, bqd, blocks, case, sigma=40.0):
     sol = solve_direct(compose_system(blocks, layout), rhs)
     nu = case.nu
     return replace(sol, p=nu * sol.p, lam=nu * sol.lam, gamma=nu * sol.gamma)
+
+
+def as_level(ct, layout, bqd):
+    """make_level's mesh data as the LevelStructure that compute_errors
+    measures on; the report's n, h, sigma and max_delta_ratio are
+    placeholders, which the tests using it do not read."""
+    none = AssumptionReport(ratios=np.zeros(0), max_ratio=0.0,
+                            flagged=np.zeros(0, dtype=np.int64))
+    return LevelStructure(n=8, h=float("nan"), ct=ct, layout=layout, bqd=bqd,
+                          blocks=None, assumption=none, sigma=0.0)
+
+
+def node_coords(ct):
+    """Coordinates of the velocity nodes in layout order: the micro
+    vertices, then the micro edge midpoints."""
+    mid = 0.5 * (ct.vertices[ct.edges[:, 0]] + ct.vertices[ct.edges[:, 1]])
+    return np.vstack([ct.vertices, mid])
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import make_level, solve_case
+from conftest import as_level, make_level, solve_case
 from ctstokes.assembly import EDGE_RULE, VOLUME_DEGREE
 from ctstokes.fem import triangle_rule
 from ctstokes.geometry import star_domain
@@ -187,7 +187,7 @@ def test_criterion_5_patch_test(star):
     ct, layout, bqd, blocks = make_level(star, 8)
     case = patch_case(0.1)
     sol = solve_case(ct, layout, bqd, blocks, case)
-    rep = compute_errors(sol, case, ct, layout, bqd, n=8, max_delta_ratio=0.0)
+    rep = compute_errors(sol, case, as_level(ct, layout, bqd))
     ok = rep.h1_u <= 1e-8 and rep.l2_p <= 1e-8
     _print_line(5, "quadratic patch test", ok,
                 f"h1_u = {rep.h1_u:.2e}, l2_p = {rep.l2_p:.2e}")

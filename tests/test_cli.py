@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scipy.io import mmread
 
@@ -264,6 +270,90 @@ def test_overflowing_level_set_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == "error: level set is not finite in the bounding box\n"
     assert not out.exists()
+
+
+def test_overflowing_bounding_box_is_usage_error(tmp_path, capsys):
+    # the circle's padded box is 2.5 r wide, which overflows above r = 7e307
+    out = tmp_path / "run"
+    rc = main(["solve", "--domain", "circle", "--radius", "1e308", "--levels", "4",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: the bounding box [-1.25e+308, 1.25e+308] x [-1.25e+308, 1.25e+308] "
+        "is too large: its sides overflow\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e150", "1e200", "1e305"])
+def test_large_penalty_fails_every_solve(tmp_path, capsys, sigma):
+    # sigma/h_e is finite but swamps the system: the residual contract, the
+    # border Schur complement or a macro's interior inverse fails, per
+    # viscosity, with no report line and no numpy warning (an error here)
+    rc = main(["solve", "--domain", "circle", "--levels", "4", "--sigma", sigma,
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert [line.split(": SOLVE FAILED: ")[0] for line in lines] == [
+        "n=4 nu=0.1", "n=4 nu=0.001", "n=4 nu=1e-05"]
+
+
+@pytest.mark.parametrize("nu, reason", [
+    # the pressure nu * (p/nu) keeps only nu times the solve's rounding
+    ("1e300", "the error norms are not finite at nu=1e+300 (--nu too large)"),
+    # f = -nu lap u + grad p itself overflows
+    ("1.7e308", "the load f is not finite at nu=1.7e+308 (--nu too large)"),
+    # |b|^2 overflows, so the relative residual is NaN
+    ("1e-200", "residual contract violated: nan > 1.0e-10"),
+    ("1e-300", "residual contract violated: nan > 1.0e-10")])
+def test_extreme_viscosity_fails_the_solve(tmp_path, capsys, nu, reason):
+    rc = main(["solve", "--domain", "circle", "--levels", "4", "--nu", nu,
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"n=4 nu={float(nu):g}: SOLVE FAILED: {reason}\n"
+
+
+def _extreme_floats():
+    """Floats of magnitude 1e100 to 1e308 or 1e-308 to 1e-100 with
+    log-uniform exponents, subnormals, the largest float, inf and nan, each
+    of either sign."""
+    exponent = st.one_of(st.integers(100, 307), st.integers(-308, -100))
+    finite = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), exponent)
+    subnormal = st.floats(5e-324, sys.float_info.min, exclude_max=True)
+    special = st.sampled_from([sys.float_info.max, math.inf, math.nan])
+    return st.tuples(st.one_of(finite, subnormal, special),
+                     st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+
+
+_REPORT_VALUE = re.compile(r"(?:l2_u|h1_u|l2_p|linf_div|delta_ratio|residual)=(\S+)")
+_DIAGNOSIS = re.compile(r"error: .+|n=4 nu=\S+: (?:SOLVE FAILED: .+|divergence "
+                        r"contract violated)")
+
+
+@settings(max_examples=100)
+@given(option=st.sampled_from(["radius", "center-x", "center-y", "sigma", "nu"]),
+       value=_extreme_floats())
+def test_extreme_inputs_end_in_a_diagnosed_result(option, value):
+    # every such run exits 0, 1 or 2 without raising or warning (warnings
+    # are errors here), prints only finite norms, and explains a non-zero exit
+    # '--flag=value' keeps a value that starts with '-' from reading as a flag
+    args = {"center-x": f"--center={value!r},0.5",
+            "center-y": f"--center=0.5,{value!r}"}.get(option, f"--{option}={value!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        rc = main(["solve", "--domain", "circle", "--levels", "4", "--out", tmp, args])
+    assert rc in (0, 1, 2)
+    for number in _REPORT_VALUE.findall(out.getvalue()):
+        assert math.isfinite(float(number)), out.getvalue()
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert lines and all(_DIAGNOSIS.fullmatch(line) for line in lines), lines
 
 
 def test_cli_import_loads_no_scipy_special_or_io():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import everywhere_inside_domain
+from conftest import everywhere_inside_domain, node_coords
 from ctstokes.fem import (_GAUSS_JACOBI, build_dof_layout, edge_rule,
                           element_maps, eval_p1, eval_p2, triangle_rule)
 from ctstokes.mesh import MacroMesh, build_type1_mesh, clip_to_interior, clough_tocher
@@ -106,13 +106,13 @@ def test_pushforward_reproduces_quadratic():
                          -x[..., 0] + x[..., 1] - 1.0], axis=-1)
 
     hess_q = np.array([[4.0, -1.0], [-1.0, 1.0]])
-    coeffs = q(layout.node_coords)
+    coeffs = q(node_coords(ct))
 
     rng = np.random.default_rng(1)
     lam = rng.dirichlet((1, 1, 1), size=100)
     ref = lam[:, 1:]
     basis = eval_p2(ref)
-    J, det, inv, invT = element_maps(ct)
+    det, inv, invT = element_maps(ct)
     G = np.einsum("mij,qnj->mqni", invT, basis.grads)  # push-forward per point
     H = np.einsum("mij,njk,mkl->mnil", invT, basis.hessians, inv)  # J^-T H J^-1
     for k in range(ct.n_triangles):
@@ -156,7 +156,7 @@ def test_dof_layout_counts_unit_box():
 
 def test_multiplier_dofs_share_velocity_locations(star_n8):
     ct, layout, bqd, blocks = star_n8
-    node_set = {tuple(np.round(c, 12)) for c in layout.node_coords}
+    node_set = {tuple(np.round(c, 12)) for c in node_coords(ct)}
     for c in layout.mult_coords:
         assert tuple(np.round(c, 12)) in node_set
 
@@ -168,7 +168,7 @@ def test_dof_layout_deterministic(star):
     b = build_dof_layout(clough_tocher(clip_to_interior(build_type1_mesh(8), star)))
     assert np.array_equal(a.elem_nodes, b.elem_nodes)
     assert np.array_equal(a.edge_mult, b.edge_mult)
-    assert np.array_equal(a.node_coords, b.node_coords)
+    assert np.array_equal(a.mult_coords, b.mult_coords)
 
 
 def test_p2_interpolation_exact_for_quadratics(star_n8):
@@ -177,7 +177,7 @@ def test_p2_interpolation_exact_for_quadratics(star_n8):
     def q(x):
         return x[..., 0] ** 2 + 2.0 * x[..., 0] * x[..., 1] - x[..., 1] ** 2 + 1.0
 
-    coeffs = q(layout.node_coords)
+    coeffs = q(node_coords(ct))
     rng = np.random.default_rng(2)
     lam = rng.dirichlet((1, 1, 1), size=50)
     ref = lam[:, 1:]

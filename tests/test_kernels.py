@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_level, solve_case
+from conftest import as_level, make_level, solve_case
 from ctstokes import assembly, verify
 from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_constraints, assemble_rhs,
@@ -30,7 +30,7 @@ def errors_einsum(sol, case, ct, layout, bqd):
     """The five error fields of verify.compute_errors, as einsums."""
     w = verify._ERROR_RULE.weights
     P1, P2 = verify._ERROR_P1, verify._ERROR_P2
-    _, det, _, invT = element_maps(ct)
+    det, _, invT = element_maps(ct)
     pts = np.einsum("qk,mkc->mqc", P1, ct.vertices[ct.triangles])
 
     coeffs = sol.u[vector_dofs(layout.elem_nodes)]
@@ -70,7 +70,7 @@ def rhs_einsum(f, g, ct, layout, bqd, nu, sigma):
     """assembly.assemble_rhs, as einsums."""
     W, P1, P2 = assembly._W, assembly._P1, assembly._P2
     rhs = np.zeros(layout.n_total)
-    _, det, _, _ = element_maps(ct)
+    det, _, _ = element_maps(ct)
     points = np.einsum("qk,mkc->mqc", P1, ct.vertices[ct.triangles])
     fvals = np.asarray(f(points)) / nu
     fe = np.einsum("q,m,mqc,qi->mic", W, det, fvals, P2.vals)
@@ -94,7 +94,7 @@ def boundary_traces_per_point(ct, bqd, dom):
     gradients pushed forward by J^-T and its Hessians by J^-T H J^-1."""
     B, Q = bqd.delta.shape
     tris = ct.boundary_tris
-    _, _, inv, invT = element_maps(ct)
+    _, inv, invT = element_maps(ct)
     v0 = ct.vertices[ct.triangles[tris, 0]]
     ref = np.einsum("bij,bqj->bqi", inv[tris], bqd.points - v0[:, None, :])
     basis = eval_p2(ref.reshape(-1, 2))
@@ -141,14 +141,14 @@ def boundary_blocks_einsum(layout, bqd, sigma):
 
 def stiffness_blocks_einsum(ct):
     """Element stiffness blocks (M, 6, 6), test i, trial j, as einsums."""
-    _, det, inv, _ = element_maps(ct)
+    det, inv, _ = element_maps(ct)
     metric = det[:, None, None] * np.einsum("mac,mbc->mab", inv, inv)
     return np.einsum("mab,abij->mij", metric, assembly._K_REF)
 
 
 def divergence_blocks_einsum(ct):
     """Element blocks (M, 3, 6, 2) of B_div, as an einsum."""
-    _, det, _, invT = element_maps(ct)
+    det, _, invT = element_maps(ct)
     return -np.einsum("m,mca,kia->mkic", det, invT, assembly._B_REF)
 
 
@@ -202,7 +202,7 @@ def test_errors_match_einsum_reference(solved, monkeypatch):
     # one block of elements, and blocks of 32 (3 or more on both meshes)
     for block in (verify.ERROR_BLOCK, 32):
         monkeypatch.setattr(verify, "ERROR_BLOCK", block)
-        report = compute_errors(sol, case, ct, layout, bqd)
+        report = compute_errors(sol, case, as_level(ct, layout, bqd))
         for name in ("l2_u", "h1_u", "l2_p", "lam_diag"):
             value = getattr(report, name)
             assert value == pytest.approx(ref[name], rel=1e-12, abs=0.0), name
@@ -212,11 +212,11 @@ def test_errors_match_einsum_reference(solved, monkeypatch):
 def test_error_blocks_leave_norms_unchanged(solved, monkeypatch):
     ct, layout, bqd, _, case, sol = solved
     assert ct.n_triangles <= verify.ERROR_BLOCK
-    whole = compute_errors(sol, case, ct, layout, bqd)
+    whole = compute_errors(sol, case, as_level(ct, layout, bqd))
     # 3 blocks of the star at n = 8, 15 of the circle at n = 16
     monkeypatch.setattr(verify, "ERROR_BLOCK", 32)
     assert ct.n_triangles > 2 * verify.ERROR_BLOCK
-    blocked = compute_errors(sol, case, ct, layout, bqd)
+    blocked = compute_errors(sol, case, as_level(ct, layout, bqd))
     for name in ("l2_u", "h1_u", "l2_p", "linf_div"):
         assert getattr(blocked, name) == getattr(whole, name), name
 

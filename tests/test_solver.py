@@ -67,6 +67,20 @@ def test_singular_matrix_rejected():
         solve_direct(_raw_system(A), np.ones(5))
 
 
+def test_nan_residual_violates_contract():
+    # the hand system of test_two_by_two_hand_solve at a scale where |b|^2
+    # overflows: the relative residual |r| / |b| is inf / inf = NaN, and
+    # NaN > RESIDUAL_TOL is false, so the contract must reject it itself
+    A = np.array([[2.0, 1.0, 1.0, 0.0, 0.0],
+                  [1.0, 3.0, 0.0, 1.0, 0.0],
+                  [1.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 1.0]])
+    b = 1e300 * np.array([0.1, 0.7, 0.3, 0.9, 0.2])
+    with pytest.raises(SolverError, match="residual contract violated: nan"):
+        solve_direct(_raw_system(A), b)
+
+
 def test_singular_schur_complement_rejected():
     # nonsingular field block, but the scalar unknowns are decoupled from it
     # and their own block is zero
