@@ -135,17 +135,17 @@ def _triplets(rows, cols, blocks):
             np.broadcast_to(c, blocks.shape).ravel(), blocks.ravel())
 
 
-def _velocity_triplets(nodes_rows, nodes_cols, blocks):
-    """Scatter per-element (E, n, m) blocks into both velocity components."""
-    x = _triplets(2 * nodes_rows, 2 * nodes_cols, blocks)
-    y = _triplets(2 * nodes_rows + 1, 2 * nodes_cols + 1, blocks)
-    return tuple(np.concatenate(pair) for pair in zip(x, y))
-
-
 def _sparse(shape, *parts) -> sp.csr_matrix:
     """CSR matrix of the triplet lists, duplicates summed."""
     rows, cols, data = (np.concatenate(p) for p in zip(*parts))
     return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+
+
+def _velocity(scalar: sp.csr_matrix) -> sp.csr_matrix:
+    """Velocity matrix of a form that treats both components alike, from
+    its scalar form on the P2 nodes: velocity dof 2 node + c is the
+    Kronecker layout, so the matrix is scalar (x) I_2."""
+    return sp.kron(scalar, sp.identity(2), format="csr")
 
 
 def _pressure_dofs(ct: CtMesh) -> np.ndarray:
@@ -159,12 +159,13 @@ def _stiffness_triplets(ct, layout):
     metric = det[:, None, None] * (inv @ invT)
     # test i, trial j
     Ke = (metric.reshape(M, 4) @ _K_REF.reshape(4, 36)).reshape(M, 6, 6)
-    return _velocity_triplets(layout.elem_nodes, layout.elem_nodes, Ke)
+    return _triplets(layout.elem_nodes, layout.elem_nodes, Ke)
 
 
 def assemble_stiffness(ct: CtMesh, layout: DofLayout) -> sp.csr_matrix:
     """Symmetric volume stiffness grad:grad on the velocity space."""
-    return _sparse((layout.n_u, layout.n_u), _stiffness_triplets(ct, layout))
+    nodes = (layout.n_nodes, layout.n_nodes)
+    return _velocity(_sparse(nodes, _stiffness_triplets(ct, layout)))
 
 
 def _test_traces(bqd, sigma):
@@ -191,8 +192,9 @@ def assemble_a(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
     ds = bqd.ds[..., None]
     Tb = (np.swapaxes(_test_traces(bqd, sigma), 1, 2) @ (ds * bqd.sh)
           - EDGE_P2.vals.T @ (ds * bqd.dn))
-    return _sparse((layout.n_u, layout.n_u), _stiffness_triplets(ct, layout),
-                   _velocity_triplets(bqd.elem_nodes, bqd.elem_nodes, Tb))
+    return _velocity(_sparse((layout.n_nodes, layout.n_nodes),
+                             _stiffness_triplets(ct, layout),
+                             _triplets(bqd.elem_nodes, bqd.elem_nodes, Tb)))
 
 
 def _multiplier_triplets(bqd, trace):
@@ -318,18 +320,25 @@ def assemble_blocks(ct: CtMesh, layout: DofLayout, bqd: BoundaryQuadData,
 
 
 def compose_system(blocks: SystemBlocks, layout: DofLayout) -> SaddleSystem:
-    """Glue the blocks into the full square matrix of the scaled system."""
+    """Glue the blocks into the full square matrix of the scaled system.
+
+    Each block row is stacked from CSR blocks and then the rows are, so
+    no COO copy of the whole matrix is made, as sp.bmat would make."""
+    n_u, n_p, n_lam = layout.n_u, layout.n_p, layout.n_lam
     m_q = sp.csr_matrix(blocks.m_q[:, None])
     m_mu = sp.csr_matrix(blocks.m_mu[:, None])
     c_n = sp.csr_matrix(blocks.c_n[:, None])
-    A = sp.bmat([
-        [blocks.a, blocks.B_div.T, blocks.B_lam.T, None, None, c_n],
-        [blocks.B_div, None, None, m_q, None, None],
-        [blocks.B_lam_e, None, None, None, m_mu, None],
-        [None, m_q.T, None, None, None, None],
-        [None, None, m_mu.T, None, None, None],
-        [c_n.T, None, None, None, None, None],
-    ], format="csr")
+    zero = sp.csr_matrix
+    rows = [
+        [blocks.a, blocks.B_div.T, blocks.B_lam.T, zero((n_u, 2)), c_n],
+        [blocks.B_div, zero((n_p, n_p + n_lam)), m_q, zero((n_p, 2))],
+        [blocks.B_lam_e, zero((n_lam, n_p + n_lam + 1)), m_mu, zero((n_lam, 1))],
+        [zero((1, n_u)), m_q.T, zero((1, n_lam + 3))],
+        [zero((1, n_u + n_p)), m_mu.T, zero((1, 3))],
+        [c_n.T, zero((1, n_p + n_lam + 3))],
+    ]
+    A = sp.vstack([sp.hstack([b.tocsr() for b in row], format="csr") for row in rows],
+                  format="csr")
     return SaddleSystem(matrix=A, layout=layout)
 
 
@@ -341,11 +350,11 @@ def gram_h1_velocity(ct: CtMesh, layout: DofLayout,
     """Gram matrix of the mesh-dependent H1 norm on the velocity space:
     grad L2 squared plus edge L2 terms weighted by 1/h_e: ds/h_e is the
     rule weight, so every edge block is EDGE_MASS."""
-    K = assemble_stiffness(ct, layout)
+    nodes = (layout.n_nodes, layout.n_nodes)
+    K = _sparse(nodes, _stiffness_triplets(ct, layout))
     Me = np.broadcast_to(EDGE_MASS, (len(bqd.lengths), 6, 6))
-    M = _sparse((layout.n_u, layout.n_u),
-                _velocity_triplets(bqd.elem_nodes, bqd.elem_nodes, Me))
-    return (K + M).tocsr()
+    M = _sparse(nodes, _triplets(bqd.elem_nodes, bqd.elem_nodes, Me))
+    return _velocity(K + M)
 
 
 def gram_pressure_mass(ct: CtMesh, layout: DofLayout) -> sp.csr_matrix:

@@ -46,6 +46,7 @@ REFINE_TARGET = 1e-13
 MAX_REFINE = 5
 STALL = 0.5  # a step keeping more of the continuity residual than this has stalled
 N_BORDER = 3  # alpha, beta, gamma: the layout's trailing scalar unknowns
+SCHUR_ROWS = 4096  # kept rows per chunk of the Schur complement
 
 
 class SolverError(RuntimeError):
@@ -158,12 +159,24 @@ class _CondensedLU:
         del A_II
         self.inv = _interior_inverse(blocks)
         del blocks
-        rows = A[kept]
-        self.A_KI = rows[:, inner].tocsr()
         inv_sp = sp.bsr_matrix((self.inv, np.arange(T), np.arange(T + 1)),
                                shape=(16 * T, 16 * T))
-        M = (rows[:, kept] - self.A_KI @ (inv_sp @ self.A_IK)).tocsc()
-        del rows, inv_sp
+        P = (inv_sp @ self.A_IK).tocsr()
+        del inv_sp
+        # M = A_KK - A_KI P, SCHUR_ROWS kept rows at a time; each row of
+        # the product is summed as over the whole block
+        ki, schur = [], []
+        for start in range(0, kept.size, SCHUR_ROWS):
+            rows = A[kept[start:start + SCHUR_ROWS]]
+            ki.append(rows[:, inner].tocsr())
+            schur.append(rows[:, kept] - ki[-1] @ P)
+            del rows
+        del P
+        self.A_KI = sp.vstack(ki, format="csr")
+        del ki
+        M = sp.vstack(schur, format="csr")
+        del schur
+        M = M.tocsc()
         self.N = N = kept.size - N_BORDER
         alpha = np.abs(A[kept[:N], n - N_BORDER].toarray().ravel())
         self.j = j = int(np.argmax(alpha))
@@ -171,10 +184,11 @@ class _CondensedLU:
         D = M[N:, N:].toarray()
         self.C = M[N:, :N].toarray()
         self.C[:, j] += D[:, 0]
-        pinned = np.flatnonzero(B[:, 0])
-        K = M[:N, :N] + sp.csc_matrix((B[pinned, 0], (pinned, np.full(pinned.size, j))),
-                                      shape=(N, N))
+        K = M[:N, :N]
         del M
+        pinned = np.flatnonzero(B[:, 0])
+        K = K + sp.csc_matrix((B[pinned, 0], (pinned, np.full(pinned.size, j))),
+                              shape=(N, N))
         try:
             self.lu = spla.splu(K.tocsc())
         except RuntimeError as exc:

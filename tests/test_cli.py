@@ -299,6 +299,22 @@ def test_large_penalty_fails_every_solve(tmp_path, capsys, sigma):
         "n=4 nu=0.1", "n=4 nu=0.001", "n=4 nu=1e-05"]
 
 
+def test_divergence_violation_names_its_bound_residual_and_sigma(tmp_path, capsys):
+    # a large but finite penalty leaves a continuity residual that breaks
+    # the pointwise guarantee at a coarse level while the solve succeeds
+    rc = main(["solve", "--domain", "circle", "--levels", "4", "--nu", "0.1",
+               "--sigma", "1e10", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    report = dict(re.findall(r"(\w+)=(\S+)", captured.out))
+    linf_div, residual = float(report["linf_div"]), float(report["residual"])
+    assert linf_div > 1e-8 >= 1e3 * residual
+    assert captured.err == (
+        f"n=4 nu=0.1: divergence contract violated: linf_div={report['linf_div']} "
+        f"> 1.000e-08 = max(1e-8, 1e3 x residual={report['residual']}) "
+        "at sigma=1e+10\n")
+
+
 @pytest.mark.parametrize("nu, reason", [
     # the pressure nu * (p/nu) keeps only nu times the solve's rounding
     ("1e300", "the error norms are not finite at nu=1e+300 (--nu too large)"),
@@ -329,8 +345,8 @@ def _extreme_floats():
 
 
 _REPORT_VALUE = re.compile(r"(?:l2_u|h1_u|l2_p|linf_div|delta_ratio|residual)=(\S+)")
-_DIAGNOSIS = re.compile(r"error: .+|n=4 nu=\S+: (?:SOLVE FAILED: .+|divergence "
-                        r"contract violated)")
+_DIAGNOSIS = re.compile(r"error: .+|n=4 nu=\S+: (?:SOLVE FAILED|divergence "
+                        r"contract violated): .+")
 
 
 @settings(max_examples=100)

@@ -6,20 +6,24 @@ The references below are the same contractions written as multi-operand
 einsums, index by index; the two orders of summation agree to rounding.
 The boundary traces are checked against the per-point path: each rule
 point mapped back to reference coordinates, the basis evaluated there and
-its derivatives pushed forward.
+its derivatives pushed forward.  The velocity forms, assembled once as
+scalar forms and laid out as scalar (x) I_2, and the saddle matrix, stacked
+from CSR row blocks, are checked bit for bit against the per-component
+triplet assembly and the sp.bmat composition.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import as_level, make_level, solve_case
 from ctstokes import assembly, verify
 from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_constraints, assemble_rhs,
-                               assemble_stiffness, gram_h1_velocity,
-                               gram_multiplier)
+                               assemble_stiffness, compose_system,
+                               gram_h1_velocity, gram_multiplier)
 from ctstokes.fem import element_maps, eval_p2, vector_dofs
 from ctstokes.geometry import circle_domain, project_points, star_domain
 from ctstokes.verify import (compute_errors, multiplier_values_on_edges,
@@ -88,6 +92,45 @@ def rhs_einsum(f, g, ct, layout, bqd, nu, sigma):
     return rhs
 
 
+def velocity_triplets(nodes_rows, nodes_cols, blocks):
+    """Per-element (E, n, m) blocks scattered into both velocity
+    components, x then y, as triplets."""
+    x = assembly._triplets(2 * nodes_rows, 2 * nodes_cols, blocks)
+    y = assembly._triplets(2 * nodes_rows + 1, 2 * nodes_cols + 1, blocks)
+    return tuple(np.concatenate(pair) for pair in zip(x, y))
+
+
+def velocity_forms_per_component(ct, layout, bqd, sigma):
+    """assemble_stiffness, assemble_a and gram_h1_velocity, each component's
+    triplets built, sorted and summed: (K, a, gram)."""
+    Ke = assembly._stiffness_triplets(ct, layout)[2].reshape(-1, 6, 6)
+    ds = bqd.ds[..., None]
+    Tb = (np.swapaxes(assembly._test_traces(bqd, sigma), 1, 2) @ (ds * bqd.sh)
+          - assembly.EDGE_P2.vals.T @ (ds * bqd.dn))
+    Me = np.broadcast_to(assembly.EDGE_MASS, (len(bqd.lengths), 6, 6))
+    shape, nodes, edge_nodes = (layout.n_u, layout.n_u), layout.elem_nodes, bqd.elem_nodes
+    stiffness = velocity_triplets(nodes, nodes, Ke)
+    K = assembly._sparse(shape, stiffness)
+    a = assembly._sparse(shape, stiffness, velocity_triplets(edge_nodes, edge_nodes, Tb))
+    M = assembly._sparse(shape, velocity_triplets(edge_nodes, edge_nodes, Me))
+    return K, a, (K + M).tocsr()
+
+
+def compose_bmat(blocks):
+    """compose_system's matrix through sp.bmat and its COO copy."""
+    m_q = sp.csr_matrix(blocks.m_q[:, None])
+    m_mu = sp.csr_matrix(blocks.m_mu[:, None])
+    c_n = sp.csr_matrix(blocks.c_n[:, None])
+    return sp.bmat([
+        [blocks.a, blocks.B_div.T, blocks.B_lam.T, None, None, c_n],
+        [blocks.B_div, None, None, m_q, None, None],
+        [blocks.B_lam_e, None, None, None, m_mu, None],
+        [None, m_q.T, None, None, None, None],
+        [None, None, m_mu.T, None, None, None],
+        [c_n.T, None, None, None, None, None],
+    ], format="csr")
+
+
 def boundary_traces_per_point(ct, bqd, dom):
     """sh and dn of build_boundary_data, point by point: each rule point
     mapped to reference coordinates, the P2 basis evaluated there, its
@@ -131,11 +174,11 @@ def boundary_blocks_einsum(layout, bqd, sigma):
     nodes, mult, udofs = bqd.elem_nodes, bqd.edge_mult, vector_dofs(bqd.elem_nodes)
     n_u, n_lam = layout.n_u, layout.n_lam
     sparse, triplets = assembly._sparse, assembly._triplets
-    return {"a": sparse((n_u, n_u), assembly._velocity_triplets(nodes, nodes, Tb)),
+    return {"a": sparse((n_u, n_u), velocity_triplets(nodes, nodes, Tb)),
             "B_lam": sparse((n_lam, n_u), triplets(mult, udofs, L)),
             "B_lam_e": sparse((n_lam, n_u), triplets(mult, udofs, Le)),
             "m_mu": m_mu, "c_n": c_n,
-            "gram_u": sparse((n_u, n_u), assembly._velocity_triplets(nodes, nodes, Mu)),
+            "gram_u": sparse((n_u, n_u), velocity_triplets(nodes, nodes, Mu)),
             "gram_lam": sparse((n_lam, n_lam), triplets(mult, mult, Mlam))}
 
 
@@ -180,6 +223,23 @@ def test_boundary_traces_match_per_point_path(level):
     sh, dn = boundary_traces_per_point(ct, bqd, dom)
     assert _rel(bqd.sh, sh) <= 1e-12
     assert _rel(bqd.dn, dn) <= 1e-12
+
+
+def assert_same_csr(A, ref):
+    """A and ref are the same CSR arrays, bit for bit."""
+    assert A.format == ref.format == "csr" and A.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(A, name), getattr(ref, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def test_velocity_forms_and_composition_match_per_component_assembly(level):
+    _, ct, layout, bqd, blocks = level
+    K, a, gram = velocity_forms_per_component(ct, layout, bqd, 40.0)
+    assert_same_csr(assemble_stiffness(ct, layout), K)
+    assert_same_csr(assemble_a(ct, layout, bqd, 40.0), a)
+    assert_same_csr(gram_h1_velocity(ct, layout, bqd), gram)
+    assert_same_csr(compose_system(blocks, layout).matrix, compose_bmat(blocks))
 
 
 def test_boundary_blocks_match_einsum_reference(level):
@@ -232,7 +292,7 @@ def test_element_blocks_match_einsum_reference(solved):
     ct, layout, bqd, _, _, _ = solved
     nodes = layout.elem_nodes
     Ke = assembly._stiffness_triplets(ct, layout)[2]
-    ref = assembly._velocity_triplets(nodes, nodes, stiffness_blocks_einsum(ct))[2]
+    ref = stiffness_blocks_einsum(ct).ravel()
     assert np.abs(Ke - ref).max() <= 1e-12 * np.abs(ref).max()
     # each pressure row belongs to one micro triangle and each of its
     # velocity columns appears once there, so the entries of B_div are the

@@ -8,8 +8,8 @@ from ctstokes import solver
 from ctstokes.geometry import circle_domain
 from ctstokes.assembly import SaddleSystem, assemble_rhs, compose_system
 from ctstokes.solver import SolverError, factorize, solve_direct
-from ctstokes.verify import (build_level, paper_case, run_convergence,
-                             solve_on_level)
+from ctstokes.verify import (build_level, level_system, paper_case,
+                             run_convergence, solve_on_level)
 
 
 class _ScalarOnlyLayout:
@@ -296,3 +296,23 @@ def test_interior_inverse_singularity_test_is_scale_free(star):
     with pytest.raises(SolverError, match=r"^macro 2: interior divergence block is "
                        r"singular to working precision \(1-norm condition number inf\)$"):
         solver._interior_inverse(tiny)
+
+
+def test_schur_chunks_leave_the_factor_unchanged(monkeypatch):
+    # each row of A_KK - A_KI P is summed as over the whole block, so the
+    # chunk size moves no bit of the factor or of a solve: 931 kept rows
+    # in one chunk against ten
+    level = build_level(circle_domain((0.45, 0.52), 0.35), 16, 40.0)
+    A, layout = level_system(level).matrix, level.layout
+    b = np.random.default_rng(2).standard_normal(A.shape[0])
+    whole = factorize(A, layout)
+    assert whole.kept.size <= solver.SCHUR_ROWS
+    monkeypatch.setattr(solver, "SCHUR_ROWS", 100)
+    chunked = factorize(A, layout)
+    for attr in ("L", "U"):
+        x, y = getattr(whole.lu, attr), getattr(chunked.lu, attr)
+        assert x.indices.tobytes() == y.indices.tobytes()
+        assert x.data.tobytes() == y.data.tobytes()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(whole.A_KI, name).tobytes() == getattr(chunked.A_KI, name).tobytes()
+    assert whole.solve(b).tobytes() == chunked.solve(b).tobytes()

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import (as_level, ellipse_domain, hydrostatic_case, make_level,
                       node_coords, solve_case)
 from ctstokes import assembly as asm
+from ctstokes import solver
 from ctstokes.fem import element_maps, eval_p1, triangle_rule
 from ctstokes.geometry import (LevelSetDomain, ProjectionError, circle_domain,
                                star_domain)
@@ -382,20 +383,40 @@ def test_solve_on_level_reports(star):
         assert np.isfinite(v) and v >= 0
 
 
-def test_traced_peaks_of_a_level_stay_near_what_it_keeps(star):
+def test_traced_peaks_of_a_level_stay_near_what_it_keeps(star, monkeypatch):
     # numpy's allocations are traced and SuperLU's are not.  Measured at
-    # star n = 32 (numpy 2.4.6, scipy 1.17.1): factorize peaks 6.5 MB above
-    # the state it keeps, and a solve with the factor in place 5.9 MB above
-    # its inputs.  With the condensation's temporaries alive to the end of
-    # factorize and the velocity errors taken over all elements at once,
-    # they were 11.8 and 10.7 MB.  The bounds are the measured values + 25 %.
-    level = build_level(star, 32, 40.0)
-    system = level_system(level)
+    # star n = 32 (numpy 2.4.6, scipy 1.17.1), above the state each step
+    # keeps: build_level peaks 4.5 MB and level_system 6.4 MB; factorize
+    # 6.1 MB, and 3.9 MB with the Schur complement in chunks of 1 024 of
+    # the 4 447 kept rows (the first chunk of SCHUR_ROWS holds 92 % of
+    # them); a solve with the factor in place 5.9 MB above its inputs.
+    # With the velocity forms assembled per component and composed through
+    # sp.bmat, build_level and level_system peaked 9.3 and 8.5 MB; with the
+    # Schur complement formed whole, factorize peaked 6.5 MB; with the
+    # condensation's temporaries alive to the end of factorize and the
+    # velocity errors taken over all elements at once, factorize and the
+    # solve peaked 11.8 and 10.7 MB.  The bounds are the measured values
+    # + 25 %, the factorize bound at SCHUR_ROWS kept from the 6.5 MB.
     tracemalloc.start()
     try:
+        level = build_level(star, 32, 40.0)
+        kept, peak = tracemalloc.get_traced_memory()
+        assert peak - kept <= 5.7 * 2**20
+        tracemalloc.reset_peak()
+        system = level_system(level)
+        kept, peak = tracemalloc.get_traced_memory()
+        assert peak - kept <= 8.0 * 2**20
+        tracemalloc.reset_peak()
         system.factor = factorize(system.matrix, level.layout)
         kept, peak = tracemalloc.get_traced_memory()
         assert peak - kept <= 8.2 * 2**20
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "SCHUR_ROWS", 1024)
+            tracemalloc.reset_peak()
+            chunked = factorize(system.matrix, level.layout)
+            kept, peak = tracemalloc.get_traced_memory()
+            assert peak - kept <= 4.9 * 2**20
+            del chunked
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         solve_on_level(level, paper_case(0.1))
