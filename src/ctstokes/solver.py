@@ -77,14 +77,14 @@ class SolutionFields:
 
 
 def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
-    """Inverses of the (T, 16, 16) macro blocks [[a, C], [B, 0]].
+    """Overwrite the (T, 16, 16) macro blocks [[a, C], [B, 0]] in place by
+    their inverses, and return them.
 
     B or C is singular to working precision when its 1-norm condition
     number, taken from the computed inverse, reaches 1 / (8 eps), 8 being
-    the order of the blocks.  An exactly singular one, an LU pivot of 0
-    and so a slogdet sign of 0, is inverted as the identity and given an
-    infinite condition number; its determinant could not tell it, as det
-    underflows to 0 on a well-conditioned block with tiny entries.
+    the order of the blocks.  An exactly singular one makes the batched
+    inverse raise; only then does np.linalg.cond take the condition
+    numbers, infinite for that block.
 
     Raises:
         SolverError: B or C of some macro is singular to working precision,
@@ -92,10 +92,12 @@ def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
     """
     a, C, B = blocks[:, :8, :8], blocks[:, :8, 8:], blocks[:, 8:, :8]
     pair = np.stack([B, C], axis=1)
-    exact = np.linalg.slogdet(pair)[0] == 0
-    pinv = np.linalg.inv(np.where(exact[..., None, None], np.eye(8), pair))
-    cond = _norm1(pair) * _norm1(pinv)
-    cond[exact] = np.inf
+    try:
+        pinv = np.linalg.inv(pair)
+        cond = (np.linalg.norm(pair, 1, axis=(-2, -1))
+                * np.linalg.norm(pinv, 1, axis=(-2, -1)))
+    except np.linalg.LinAlgError:
+        cond = np.linalg.cond(pair, 1)
     singular = cond >= 1.0 / (8 * np.finfo(float).eps)
     if singular.any():
         t, k = np.argwhere(singular)[0]
@@ -104,21 +106,16 @@ def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
                           f"working precision (1-norm condition number "
                           f"{cond[t, k]:.1e})")
     Binv, Cinv = np.moveaxis(pinv, 1, 0)
-    inv = np.zeros_like(blocks)
-    inv[:, :8, 8:] = Binv
-    inv[:, 8:, :8] = Cinv
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        inv[:, 8:, 8:] = -Cinv @ a @ Binv
-    finite = np.isfinite(inv).all(axis=(1, 2))
+        blocks[:, 8:, 8:] = -Cinv @ a @ Binv
+    blocks[:, :8, :8] = 0.0
+    blocks[:, :8, 8:] = Binv
+    blocks[:, 8:, :8] = Cinv
+    finite = np.isfinite(blocks).all(axis=(1, 2))
     if not finite.all():
         raise SolverError(f"macro {np.argmin(finite)}: the inverse of the interior "
                           "block overflows")
-    return inv
-
-
-def _norm1(X: np.ndarray) -> np.ndarray:
-    """1-norms, the largest absolute column sums, of a stack of matrices."""
-    return np.abs(X).sum(axis=-2).max(axis=-1)
+    return blocks
 
 
 class _CondensedLU:
@@ -149,20 +146,18 @@ class _CondensedLU:
         mask[inner] = False
         self.kept = kept = np.flatnonzero(mask)
         rows = A[inner]
-        A_II = rows[:, inner].tocoo()
+        A_II = rows[:, inner].tobsr(blocksize=(16, 16))    # inverted in place below
         self.A_IK = rows[:, kept].tocsr()
         del rows
-        if np.any(A_II.row // 16 != A_II.col // 16):
+        if not np.array_equal(A_II.indices, np.flatnonzero(np.diff(A_II.indptr))):
             raise SolverError("interior unknowns of different macros are coupled")
-        blocks = np.zeros((T, 16, 16))
-        blocks[A_II.row // 16, A_II.row % 16, A_II.col % 16] = A_II.data
+        if A_II.indices.size < T:     # a macro with no stored entries: zero blocks raise
+            blocks = np.zeros((T, 16, 16))
+            blocks[A_II.indices] = A_II.data
+            _interior_inverse(blocks)
+        self.inv = _interior_inverse(A_II.data)
+        P = (A_II @ self.A_IK).tocsr()
         del A_II
-        self.inv = _interior_inverse(blocks)
-        del blocks
-        inv_sp = sp.bsr_matrix((self.inv, np.arange(T), np.arange(T + 1)),
-                               shape=(16 * T, 16 * T))
-        P = (inv_sp @ self.A_IK).tocsr()
-        del inv_sp
         # M = A_KK - A_KI P, SCHUR_ROWS kept rows at a time; each row of
         # the product is summed as over the whole block
         ki, schur = [], []
@@ -265,11 +260,14 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
             raise SolverError(
                 "factorization produced non-finite values (min |U_ii| = "
                 f"{lu.min_pivot():.3e}); system is singular to working precision")
-        nb = np.linalg.norm(b)
+        # s = 2^-e, e the exponent of max|b|: |s*b| cannot overflow, and is exact
+        s = np.ldexp(1.0, -np.frexp(np.abs(b).max(initial=0.0))[1])
+        nb = np.linalg.norm(s * b)
 
         def residuals(x):
             r = b - A @ x
-            rel = np.linalg.norm(r) / nb if nb > 0 else np.linalg.norm(r)
+            nr = np.linalg.norm(s * r)
+            rel = nr / nb if nb > 0 else nr
             return r, rel, float(np.abs(r[p_rows]).max(initial=0.0))
 
         r, res, res_p = residuals(x)

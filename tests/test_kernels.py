@@ -9,7 +9,10 @@ point mapped back to reference coordinates, the basis evaluated there and
 its derivatives pushed forward.  The velocity forms, assembled once as
 scalar forms and laid out as scalar (x) I_2, and the saddle matrix, stacked
 from CSR row blocks, are checked bit for bit against the per-component
-triplet assembly and the sp.bmat composition.
+triplet assembly and the sp.bmat composition.  The macro condensation, its
+blocks taken by tobsr and inverted in place, is checked bit for bit, with
+its singularity diagnoses, against the blocks scattered from COO and
+inverted after an slogdet pre-pass.
 """
 
 import math
@@ -17,15 +20,17 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import as_level, make_level, solve_case
-from ctstokes import assembly, verify
+from ctstokes import assembly, solver, verify
 from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_constraints, assemble_rhs,
                                assemble_stiffness, compose_system,
                                gram_h1_velocity, gram_multiplier)
 from ctstokes.fem import element_maps, eval_p2, vector_dofs
 from ctstokes.geometry import circle_domain, project_points, star_domain
+from ctstokes.solver import SolverError, factorize
 from ctstokes.verify import (compute_errors, multiplier_values_on_edges,
                              paper_case)
 
@@ -195,6 +200,64 @@ def divergence_blocks_einsum(ct):
     return -np.einsum("m,mca,kia->mkic", det, invT, assembly._B_REF)
 
 
+def interior_blocks_coo(A, interior):
+    """The (T, 16, 16) macro blocks of A: its interior block copied to COO
+    and scattered by row // 16."""
+    inner = interior.ravel()
+    A_II = A[inner][:, inner].tocoo()
+    assert np.all(A_II.row // 16 == A_II.col // 16)
+    blocks = np.zeros((len(interior), 16, 16))
+    blocks[A_II.row // 16, A_II.row % 16, A_II.col % 16] = A_II.data
+    return blocks
+
+
+def interior_inverse_slogdet(blocks):
+    """solver._interior_inverse with an slogdet pre-pass: an exactly
+    singular B or C, a zero LU pivot, is inverted as the identity and
+    given an infinite condition number."""
+    a, C, B = blocks[:, :8, :8], blocks[:, :8, 8:], blocks[:, 8:, :8]
+    pair = np.stack([B, C], axis=1)
+    exact = np.linalg.slogdet(pair)[0] == 0
+    pinv = np.linalg.inv(np.where(exact[..., None, None], np.eye(8), pair))
+    cond = np.abs(pair).sum(axis=-2).max(axis=-1) * np.abs(pinv).sum(axis=-2).max(axis=-1)
+    cond[exact] = np.inf
+    singular = cond >= 1.0 / (8 * np.finfo(float).eps)
+    if singular.any():
+        t, k = np.argwhere(singular)[0]
+        name = ("divergence", "momentum pressure")[k]
+        raise SolverError(f"macro {t}: interior {name} block is singular to "
+                          f"working precision (1-norm condition number "
+                          f"{cond[t, k]:.1e})")
+    Binv, Cinv = np.moveaxis(pinv, 1, 0)
+    inv = np.zeros_like(blocks)
+    inv[:, :8, 8:] = Binv
+    inv[:, 8:, :8] = Cinv
+    inv[:, 8:, 8:] = -Cinv @ a @ Binv
+    return inv
+
+
+def condensed_lu_coo(A, layout):
+    """The sparse LU of factorize, with the inverses of interior_blocks_coo
+    and interior_inverse_slogdet rebuilt as a block-diagonal BSR matrix."""
+    A = A.tocsr()
+    n, T = A.shape[0], len(layout.interior)
+    inner = layout.interior.ravel()
+    kept = np.setdiff1d(np.arange(n), inner)
+    inv = interior_inverse_slogdet(interior_blocks_coo(A, layout.interior))
+    inv_sp = sp.bsr_matrix((inv, np.arange(T), np.arange(T + 1)),
+                           shape=(16 * T, 16 * T))
+    P = (inv_sp @ A[inner][:, kept].tocsr()).tocsr()
+    rows = A[kept]
+    M = sp.vstack([rows[:, kept] - rows[:, inner].tocsr() @ P], format="csr").tocsc()
+    N = kept.size - solver.N_BORDER
+    j = np.argmax(np.abs(A[kept[:N], n - solver.N_BORDER].toarray().ravel()))
+    b0 = M[:N, N].toarray().ravel()
+    pinned = np.flatnonzero(b0)
+    K = M[:N, :N] + sp.csc_matrix((b0[pinned], (pinned, np.full(pinned.size, j))),
+                                  shape=(N, N))
+    return spla.splu(K.tocsc())
+
+
 CASES = {"star": (star_domain(), 8),
          "circle": (circle_domain((0.45, 0.52), 0.35), 16)}
 
@@ -301,3 +364,62 @@ def test_element_blocks_match_einsum_reference(solved):
     ref = assembly._sparse(B_div.shape, assembly._triplets(
         assembly._pressure_dofs(ct), vector_dofs(nodes), divergence_blocks_einsum(ct)))
     assert abs(B_div - ref).max() <= 1e-12 * abs(ref).max()
+
+
+def test_condensation_matches_coo_reference(level):
+    _, _, layout, _, blocks = level
+    A = compose_system(blocks, layout).matrix
+    inner = layout.interior.ravel()
+    ref = interior_blocks_coo(A, layout.interior)
+    found = A[inner][:, inner].tobsr(blocksize=(16, 16)).data
+    assert found.tobytes() == ref.tobytes()
+    inv = interior_inverse_slogdet(ref)
+    assert solver._interior_inverse(found).tobytes() == inv.tobytes()
+    lu = factorize(A, layout)
+    assert lu.inv.tobytes() == inv.tobytes()
+    lu_ref = condensed_lu_coo(A, layout)
+    for attr in ("L", "U"):
+        x, y = getattr(lu.lu, attr), getattr(lu_ref, attr)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), (attr, name)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-16])
+@pytest.mark.parametrize("block", ["divergence", "momentum pressure"])
+def test_singular_macro_diagnosis_matches_slogdet_reference(level, block, scale):
+    # macro 17 as tests/test_solver.py breaks it: its continuity rows or
+    # pressure columns zeroed (exactly singular), or the second of them
+    # scaled by 1e-16 (condition number above 1 / (8 eps))
+    _, _, layout, _, blocks = level
+    t = 17
+    keep = np.ones(layout.n_total)
+    keep[layout.offset_p + 9 * t + (np.arange(9) if scale == 0.0 else 1)] = scale
+    A = compose_system(blocks, layout).matrix
+    A = (sp.diags(keep) @ A if block == "divergence" else A @ sp.diags(keep)).tocsr()
+    with pytest.raises(SolverError) as ref:
+        interior_inverse_slogdet(interior_blocks_coo(A, layout.interior))
+    with pytest.raises(SolverError) as found:
+        factorize(A, layout)
+    assert str(found.value) == str(ref.value)
+    assert str(ref.value).startswith(f"macro {t}: interior {block} block is singular")
+    assert str(ref.value).endswith("(1-norm condition number inf)") == (scale == 0.0)
+
+
+@pytest.mark.parametrize("side", ["rows", "columns"])
+def test_macro_without_interior_entries_matches_slogdet_reference(level, side):
+    # the 16 interior rows or columns of macro 17 zeroed: its block is not
+    # stored at all, and its zero divergence block is exactly singular
+    _, _, layout, _, blocks = level
+    t = 17
+    keep = np.ones(layout.n_total)
+    keep[layout.interior[t]] = 0.0
+    A = compose_system(blocks, layout).matrix
+    A = (sp.diags(keep) @ A if side == "rows" else A @ sp.diags(keep)).tocsr()
+    assert A[layout.interior[t]][:, layout.interior[t]].nnz == 0
+    with pytest.raises(SolverError) as ref:
+        interior_inverse_slogdet(interior_blocks_coo(A, layout.interior))
+    with pytest.raises(SolverError) as found:
+        factorize(A, layout)
+    assert str(found.value) == str(ref.value) == (
+        f"macro {t}: interior divergence block is singular to working precision "
+        "(1-norm condition number inf)")

@@ -221,6 +221,13 @@ def test_edge_table_matches_row_unique():
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def test_clockwise_triangle_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    MacroMesh(verts, np.array([[0, 1, 2], [1, 3, 2]])).validate()
+    with pytest.raises(MeshError, match="non-positive area"):
+        MacroMesh(verts, np.array([[0, 1, 2], [1, 2, 3]])).validate()
+
+
 def test_nonmanifold_edge_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [1.5, 1.0]])
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])

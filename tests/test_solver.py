@@ -69,16 +69,28 @@ def test_singular_matrix_rejected():
 
 def test_nan_residual_violates_contract():
     # the hand system of test_two_by_two_hand_solve at a scale where |b|^2
-    # overflows: the relative residual |r| / |b| is inf / inf = NaN, and
-    # NaN > RESIDUAL_TOL is false, so the contract must reject it itself
+    # overflows: |r| / |b| taken plainly would be inf / inf = NaN, which
+    # the contract rejects; both norms are taken after scaling by a power
+    # of two, so the exact solution comes back within the contract
     A = np.array([[2.0, 1.0, 1.0, 0.0, 0.0],
                   [1.0, 3.0, 0.0, 1.0, 0.0],
                   [1.0, 0.0, 0.0, 0.0, 0.0],
                   [0.0, 1.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, 0.0, 1.0]])
-    b = 1e300 * np.array([0.1, 0.7, 0.3, 0.9, 0.2])
-    with pytest.raises(SolverError, match="residual contract violated: nan"):
-        solve_direct(_raw_system(A), b)
+    x = np.array([1.0, 1.0, 1.0, 2.0, 3.0])
+    b = 1e300 * np.array([4.0, 6.0, 1.0, 1.0, 3.0])
+    with np.errstate(over="ignore"):
+        assert np.linalg.norm(b) == np.inf
+    sol = solve_direct(_raw_system(A), b)
+    assert sol.residual <= solver.RESIDUAL_TOL
+    assert np.allclose(sol.u, 1e300 * x, rtol=1e-14, atol=0.0)
+
+
+def test_non_finite_matrix_rejected():
+    A = sp.eye(5, format="csr")
+    A.data[2] = np.nan
+    with pytest.raises(SolverError, match="^system matrix has non-finite entries$"):
+        factorize(A, _ScalarOnlyLayout(5))
 
 
 def test_singular_schur_complement_rejected():
@@ -218,6 +230,18 @@ def test_interior_unknowns_couple_within_their_macro(star):
     for i, j in ((A.row, A.col), (A.col, A.row)):
         inner = macro[i] >= 0
         assert members[macro[i][inner], j[inner]].all()
+
+
+def test_coupled_macros_are_rejected(star):
+    # one entry coupling an interior unknown of macro 0 to one of macro 1
+    system, _ = _paper_system(star, 8)
+    layout = system.layout
+    i, j = layout.interior[0, 0], layout.interior[1, 0]
+    A = system.matrix + sp.csr_matrix(([1.0], ([i], [j])), shape=system.matrix.shape)
+    factorize(system.matrix, layout)
+    with pytest.raises(SolverError, match="^interior unknowns of different macros "
+                       "are coupled$"):
+        factorize(A, layout)
 
 
 @pytest.mark.parametrize("case", ["star", "circle"])

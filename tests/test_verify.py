@@ -371,6 +371,23 @@ def test_hydrostatic_smooth_pressure_defect_scales_with_inverse_nu(name, levels)
         assert rates["h1_u"][1:] == pytest.approx([3.153, 3.238], abs=0.01)
 
 
+def test_large_viscosity_pressure_error_is_nu_times_the_viscous_one():
+    # the system is solved for p/nu, so l2_p / nu is the pressure error of
+    # the viscous problem: measured on this circle it is 1.703951 /
+    # 0.1178006 / 0.03295530 / 0.009373480 at n = 4 / 8 / 16 / 32 for every
+    # nu from 1e2 to 1e100, to 7 digits, and converges at about 1.8; a
+    # pressure made of nu times rounding would neither agree nor converge
+    dom = circle_domain((0.5, 0.5), 0.4)
+    scaled = {}
+    for n in (8, 16):
+        level = build_level(dom, n, 40.0)
+        scaled[n] = [solve_on_level(level, paper_case(nu))[1].l2_p / nu
+                     for nu in (1e4, 1e100)]
+        assert scaled[n][1] == pytest.approx(scaled[n][0], rel=1e-6, abs=0.0)
+    # regression pin: the 8 -> 16 ratio measured at nu = 1e4 is 3.574559
+    assert scaled[8][0] / scaled[16][0] == pytest.approx(3.574559, rel=1e-6)
+
+
 def test_solve_on_level_reports(star):
     level = build_level(star, 8, 40.0)
     sol, rep = solve_on_level(level, paper_case(0.1))
