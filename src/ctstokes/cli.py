@@ -10,7 +10,6 @@ and the CTSTOKES_OUTDIR environment variable overrides the output directory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -231,9 +230,7 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
             if "vtk" in cfg.formats:
                 _export_vtk(outdir / f"solution_n{n}_nu{nu:g}.vtk", level, sol)
     if "json" in cfg.formats:
-        with open(outdir / "solve_reports.json", "w") as fh:
-            json.dump([r.as_dict() for r in reports], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(outdir / "solve_reports.json", [r.as_dict() for r in reports])
     return 0 if ok else 1
 
 
@@ -256,7 +253,8 @@ def cmd_converge(cfg: argparse.Namespace) -> int:
         for r in table.reports:
             ok = _divergence_ok(r) and ok
     if "json" in cfg.formats:
-        write_json(outdir / "convergence.json", tables)
+        write_json(outdir / "convergence.json",
+                   {f"{nu:g}": table.as_dict() for nu, table in sorted(tables.items())})
     return 0 if ok else 1
 
 

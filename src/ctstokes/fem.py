@@ -195,13 +195,12 @@ class DofLayout:
 
         # unknowns interior to each macro triangle t: the velocity at its
         # barycentre (vertex n_mvert - T + t) and at the midpoints of its
-        # three spokes (the edges ending there), then the pressure of its
-        # three micro triangles 3t, 3t+1, 3t+2 except the first value
+        # three spokes in edge order, then the pressure of its three micro
+        # triangles 3t, 3t+1, 3t+2 except the first value.  Micro triangle
+        # 3t+k is (v_k, v_k+1, barycentre), so its local edge 0 is a spoke
         T = self.n_mtri // 3
-        z0 = self.n_mvert - T
-        spokes = np.flatnonzero(ct.edges[:, 1] >= z0)
-        spokes = spokes[np.argsort(ct.edges[spokes, 1], kind="stable")].reshape(T, 3)
-        nodes = np.column_stack([z0 + np.arange(T), self.n_mvert + spokes])
+        spokes = np.sort(ct.tri_edges[:, 0].reshape(T, 3), axis=1)
+        nodes = np.column_stack([self.n_mvert - T + np.arange(T), self.n_mvert + spokes])
         self.interior = np.hstack([
             vector_dofs(nodes).reshape(T, 8),
             self.offset_p + 9 * np.arange(T)[:, None] + np.arange(1, 9)])

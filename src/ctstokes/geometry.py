@@ -134,7 +134,7 @@ def star_domain() -> LevelSetDomain:
     return LevelSetDomain(phi, grad, hess, bounding_box=(0.0, 0.0, 1.0, 1.0), name="star")
 
 
-def circle_domain(center=(0.5, 0.5), radius=0.4) -> LevelSetDomain:
+def circle_domain(center, radius) -> LevelSetDomain:
     """Circle of given center and radius as a signed-distance level set."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")

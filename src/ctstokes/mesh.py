@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fem import element_maps
 from .geometry import LevelSetDomain, project_points
 
 CLIP_TOL = 1e-12
@@ -56,14 +57,10 @@ class MacroMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
     def validate(self) -> None:
-        if np.any(self.signed_areas() <= 0.0):
+        with np.errstate(divide="ignore", invalid="ignore"):    # the inverses go unread
+            det = element_maps(self)[0]     # twice the signed areas
+        if np.any(det <= 0.0):
             raise MeshError("mesh contains a triangle with non-positive area")
         if np.any(_edge_table(self.triangles)[2] > 2):
             raise MeshError("non-manifold edge: more than two incident triangles")

@@ -65,16 +65,6 @@ class SolutionFields:
     gamma: float
     residual: float
 
-    @classmethod
-    def from_vector(cls, x: np.ndarray, layout, residual: float) -> "SolutionFields":
-        return cls(u=x[:layout.n_u],
-                   p=x[layout.offset_p:layout.offset_p + layout.n_p],
-                   lam=x[layout.offset_lam:layout.offset_lam + layout.n_lam],
-                   alpha=float(x[layout.alpha]),
-                   beta=float(x[layout.beta]),
-                   gamma=float(x[layout.gamma]),
-                   residual=residual)
-
 
 def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
     """Overwrite the (T, 16, 16) macro blocks [[a, C], [B, 0]] in place by
@@ -147,14 +137,14 @@ class _CondensedLU:
         self.kept = kept = np.flatnonzero(mask)
         rows = A[inner]
         A_II = rows[:, inner].tobsr(blocksize=(16, 16))    # inverted in place below
-        self.A_IK = rows[:, kept].tocsr()
+        self.A_IK = rows[:, kept]
         del rows
-        if not np.array_equal(A_II.indices, np.flatnonzero(np.diff(A_II.indptr))):
-            raise SolverError("interior unknowns of different macros are coupled")
-        if A_II.indices.size < T:     # a macro with no stored entries: zero blocks raise
-            blocks = np.zeros((T, 16, 16))
-            blocks[A_II.indices] = A_II.data
-            _interior_inverse(blocks)
+        # one stored block per macro, on the diagonal: an assembled system
+        # stores every macro's, as each bubble has a positive stiffness diagonal
+        if not (np.array_equal(A_II.indptr, np.arange(T + 1))
+                and np.array_equal(A_II.indices, np.arange(T))):
+            raise SolverError("interior unknowns of different macros are coupled, "
+                              "or a macro has none")
         self.inv = _interior_inverse(A_II.data)
         P = (A_II @ self.A_IK).tocsr()
         del A_II
@@ -163,7 +153,7 @@ class _CondensedLU:
         ki, schur = [], []
         for start in range(0, kept.size, SCHUR_ROWS):
             rows = A[kept[start:start + SCHUR_ROWS]]
-            ki.append(rows[:, inner].tocsr())
+            ki.append(rows[:, inner])
             schur.append(rows[:, kept] - ki[-1] @ P)
             del rows
         del P
@@ -214,9 +204,6 @@ class _CondensedLU:
         x[self.interior] = self._inner(b_I - (self.A_IK @ x_K).reshape(-1, 16))
         return x
 
-    def min_pivot(self):
-        return float(np.abs(self.lu.U.diagonal()).min())
-
 
 def factorize(matrix: sp.spmatrix, layout) -> _CondensedLU:
     """Factorize the saddle system, whose last N_BORDER unknowns are scalars,
@@ -259,7 +246,8 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
         if not np.all(np.isfinite(x)):
             raise SolverError(
                 "factorization produced non-finite values (min |U_ii| = "
-                f"{lu.min_pivot():.3e}); system is singular to working precision")
+                f"{np.abs(lu.lu.U.diagonal()).min():.3e}); system is singular to "
+                "working precision")
         # s = 2^-e, e the exponent of max|b|: |s*b| cannot overflow, and is exact
         s = np.ldexp(1.0, -np.frexp(np.abs(b).max(initial=0.0))[1])
         nb = np.linalg.norm(s * b)
@@ -282,4 +270,6 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
                 break
     if not res <= RESIDUAL_TOL:     # a NaN residual fails it too
         raise SolverError(f"residual contract violated: {res:.3e} > {RESIDUAL_TOL:.1e}")
-    return SolutionFields.from_vector(x, system.layout, float(res))
+    lam = x[layout.offset_lam:layout.offset_lam + layout.n_lam]
+    return SolutionFields(x[:layout.n_u], x[p_rows], lam, float(x[layout.alpha]),
+                          float(x[layout.beta]), float(x[layout.gamma]), float(res))

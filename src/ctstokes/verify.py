@@ -454,8 +454,8 @@ def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
     return tables
 
 
-def write_json(path, tables: Dict[float, RateTable]) -> None:
-    payload = {f"{nu:g}": table.as_dict() for nu, table in sorted(tables.items())}
+def write_json(path, payload) -> None:
+    """Write payload as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -326,6 +326,24 @@ def test_divergence_violation_names_its_bound_residual_and_sigma(tmp_path, capsy
         "at sigma=1e+10\n")
 
 
+def test_tiny_viscosity_breaks_the_absolute_divergence_bound(tmp_path, capsys):
+    # an open defect, pinned: |grad u_h| grows like 1/nu, so rounding alone
+    # lifts linf_div above the absolute 1e-8 (8.2e-8 and 2.0e-8 here) while
+    # the solve resolves the system to 5.2e-16 and 1.2e-15
+    out = tmp_path / "run"
+    rc = main(["converge", "--domain", "circle", "--levels", "8,16", "--nu", "1e-12",
+               "--out", str(out)])
+    assert rc == 1
+    runs = json.loads((out / "convergence.json").read_text())["1e-12"]["runs"]
+    assert [run["n"] for run in runs] == [8, 16]
+    for run in runs:
+        assert run["linf_div"] > 1e-8 and run["residual"] <= 1e-14
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["n=8 nu=1e-12", "n=16 nu=1e-12"]
+    assert all("divergence contract violated" in line and line.endswith("at sigma=40")
+               for line in lines)
+
+
 @pytest.mark.parametrize("nu, reason", [
     # the pressure error is nu times that of the viscous problem, about
     # nu * 1.7 here, and its square overflows

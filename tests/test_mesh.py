@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from conftest import box_sdf_domain, everywhere_inside_domain
 from ctstokes.assembly import EDGE_RULE, build_boundary_data
-from ctstokes.fem import build_dof_layout
+from ctstokes.fem import build_dof_layout, element_maps
 from ctstokes.geometry import circle_domain, project_points, star_domain
 from ctstokes.mesh import (CLIP_TOL, MacroMesh, MeshError, _edge_table,
                            build_type1_mesh, check_assumption_a,
@@ -54,7 +54,7 @@ def _assert_boundary_invariants(ct, dom, n_loops):
     for loop in loops:
         x, y = pa[loop, 0], pa[loop, 1]
         areas.append(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-    assert sum(areas) == pytest.approx(ct.signed_areas().sum(), rel=1e-12)
+    assert sum(areas) == pytest.approx(0.5 * element_maps(ct)[0].sum(), rel=1e-12)
     # a multiplier edge's end dof is the start dof of the loop's next edge
     edge_mult = build_dof_layout(ct).edge_mult
     assert np.array_equal(edge_mult[:, 1], edge_mult[nxt, 0])
@@ -87,7 +87,7 @@ def test_type1_counts():
 def test_type1_validates():
     m = build_type1_mesh(5)
     m.validate()
-    assert np.all(m.signed_areas() > 0)
+    assert np.all(0.5 * element_maps(m)[0] > 0)
     # interior edges twice, boundary edges once
     assert set(np.unique(_edge_table(m.triangles)[2])) <= {1, 2}
 
@@ -136,14 +136,14 @@ def test_clough_tocher_counts_and_areas():
                     np.array([[0, 1, 2]]))
     ct1 = clough_tocher(one)
     assert np.allclose(ct1.vertices[3], [1 / 3, 1 / 3])
-    assert np.allclose(ct1.signed_areas(), 1 / 6)
+    assert np.allclose(0.5 * element_maps(ct1)[0], 1 / 6)
     assert np.all(ct1.triangles[:, 2] == 3)
 
     s = star_domain()
     mac = clip_to_interior(build_type1_mesh(24), s)
     ct24 = clough_tocher(mac)
-    macro_area = float(mac.signed_areas().sum())
-    micro_area = float(ct24.signed_areas().sum())
+    macro_area = float((0.5 * element_maps(mac)[0]).sum())
+    micro_area = float((0.5 * element_maps(ct24)[0]).sum())
     assert abs(micro_area - macro_area) <= 1e-12 * macro_area
     # micro triangle m splits macro triangle m // 3 through its barycentre
     parent = np.arange(ct24.n_triangles) // 3
@@ -226,6 +226,13 @@ def test_clockwise_triangle_rejected():
     MacroMesh(verts, np.array([[0, 1, 2], [1, 3, 2]])).validate()
     with pytest.raises(MeshError, match="non-positive area"):
         MacroMesh(verts, np.array([[0, 1, 2], [1, 2, 3]])).validate()
+
+
+def test_degenerate_triangle_rejected():
+    # a zero determinant is a diagnosed error, not a division warning
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="non-positive area"):
+        MacroMesh(verts, np.array([[0, 1, 3], [0, 1, 2]])).validate()
 
 
 def test_nonmanifold_edge_rejected():

@@ -240,7 +240,7 @@ def test_coupled_macros_are_rejected(star):
     A = system.matrix + sp.csr_matrix(([1.0], ([i], [j])), shape=system.matrix.shape)
     factorize(system.matrix, layout)
     with pytest.raises(SolverError, match="^interior unknowns of different macros "
-                       "are coupled$"):
+                       "are coupled, or a macro has none$"):
         factorize(A, layout)
 
 

@@ -179,7 +179,7 @@ def test_rate_table_rates_and_serialization(tmp_path):
     assert len(lines) == 3
 
     json_path = tmp_path / "table.json"
-    write_json(json_path, {0.1: table})
+    write_json(json_path, {f"{0.1:g}": table.as_dict()})
     payload = json.loads(json_path.read_text())
     assert "0.1" in payload
     assert payload["0.1"]["runs"][0]["n"] == 8
