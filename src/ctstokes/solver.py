@@ -1,9 +1,9 @@
-"""Direct solution of the assembled saddle-point system.
+"""Solution of the assembled saddle-point system.
 
 The matrix is non-symmetric (non-symmetric boundary penalty and the
-corrected continuity pairing), so a sparse LU factorization with partial
-pivoting is used, after two exact reductions.  One factor object,
-_CondensedLU, makes both and holds the one sparse LU.
+corrected continuity pairing).  Three steps reduce it to one sparse LU of
+a velocity-only matrix that needs no pivoting.  One factor object,
+_CondensedLU, makes them and holds that LU.
 
 First, static condensation.  Each macro triangle's 8 bubble velocity
 unknowns and 8 of its 9 pressure unknowns (the layout's ``interior``) couple
@@ -13,22 +13,24 @@ pressures, is the local Scott-Vogelius inf-sup condition on a Clough-Tocher
 split.  Its inverse is explicit, [[0, B^-1], [C^-1, -C^-1 a B^-1]], batched
 over macros; the whole block is never inverted, because its condition
 number reaches 7.5e15 at n = 128.  The
-remaining unknowns solve the Schur complement S = A_KK - A_KI A_II^-1 A_IK,
+remaining unknowns solve the Schur complement M = A_KK - A_KI A_II^-1 A_IK,
 about a quarter of the system, and the interior ones are recovered macro by
 macro.
 
-Second, the bordered form.  The three scalar constraint unknowns carry dense
-rows and columns which ruin fill-reducing orderings, so only the field
-block of S is factorized sparsely, after a sparse rank-one shift that
-removes its one-dimensional kernel (the joint constant pressure/multiplier
-mode), and the dense border is eliminated through a 3x3 Schur complement.
-A solve is the interior forward step, the bordered solve of S and the
-interior back-solve.
+Second, the augmented Lagrangian.  div V_h lies in the discontinuous
+pressure space, so the penalty GAMMA G W D, W an inverse mass of the
+continuity unknowns, is local to each macro and changes no solution of the
+transformed system.  Only the penalised velocity block of M is factorized,
+with a symmetric fill-reducing ordering and no pivoting (Scott and
+Vogelius' iterated penalty; Benzi and Olshanskii's preconditioner).
 
-Iterative refinement with the same factors, against the full matrix,
-drives the residual to near machine precision, which the pointwise
-divergence guarantee needs: a continuity-row residual is amplified by the
-inverse pressure mass, i.e. by 1/h^2.
+Third, GMRES on M, preconditioned by that factor; the three dense scalar
+rows and columns enter the preconditioner through a 3x3 Schur complement.
+
+Iterative refinement against the full matrix drives the residual to near
+machine precision, which the pointwise divergence guarantee needs: a
+continuity-row residual is amplified by the inverse pressure mass, i.e. by
+1/h^2.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .assembly import SaddleSystem
 
@@ -47,6 +50,9 @@ MAX_REFINE = 5
 STALL = 0.5  # a step keeping more of the continuity residual than this has stalled
 N_BORDER = 3  # alpha, beta, gamma: the layout's trailing scalar unknowns
 SCHUR_ROWS = 4096  # kept rows per chunk of the Schur complement
+GAMMA = 1e6  # augmented-Lagrangian penalty
+KRYLOV_TOL = 1e-6  # relative residual at which a Krylov solve stops
+MAX_KRYLOV = 200  # Krylov steps of one solve; sigma = 1e6 takes up to 68 at n = 64
 
 
 class SolverError(RuntimeError):
@@ -109,27 +115,33 @@ def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
 
 
 class _CondensedLU:
-    """The system with its macro-interior unknowns eliminated, factorized.
+    """The system with its macro-interior unknowns eliminated, and a
+    penalised velocity block of the rest factorized.
 
-    kept holds the remaining unknowns in their order, the scalar border
-    last.  Their Schur complement is M = [[K, B], [C, D]], with K the sparse
-    field block and B, C, D the dense border of the N_BORDER scalars.  K has
-    a one-dimensional kernel (the joint constant pressure/multiplier mode)
-    that the border completes, so K is shifted by the first border column
-    b0 pinned at row j, where the kernel mode does not vanish:
-    K' = K + b0 e_j^T.  j is the largest entry of the assembled first border
-    column on the kept field rows: in a saddle system that column holds the
-    pressure means, so the pin lands on a kept pressure row, where the
-    kernel mode lives.  With y = z + e_0 x_j the system becomes
-    [[K', B], [C', D]], C' = C + D[:, 0] e_j^T, which block elimination
-    solves through X = K'^{-1} B and the Schur complement D - C' X; each
-    right-hand side then costs one sparse solve.
+    kept holds the remaining unknowns in their order: n_v velocities, then
+    one pressure per macro and the multipliers (the continuity unknowns q),
+    then the N_BORDER scalars b.  Their Schur complement is
+    M = [[K, G, B_v], [D, 0, B_q], [C_v, C_q, E]]; its (q, q) block is
+    empty because the interior inverse's bubble block is zero.  The
+    augmented-Lagrangian transform T adds GAMMA G W times the continuity
+    rows to the momentum rows, W the diagonal inverse mass of q read off
+    A's mean columns, so TM has the velocity block
+    K_gamma = K + GAMMA G W D, the border columns TB = B_v + GAMMA G W B_q
+    and the same solution.  K_gamma alone is factorized, without pivoting.
+    The preconditioner P^-1 T inverts P = [[K_gamma, [G, TB]], [0, S]],
+    where S is the Schur complement of TM on (q, b) with its (q, q) block
+    -D K_gamma^-1 G replaced by -W^-1 / GAMMA, which it tends to as GAMMA
+    grows; S's border blocks are exact, from six solves with K_gamma at
+    factor time, and S is inverted through its 3x3 Schur complement.
+    GMRES solves M x = c with it on the right in a few steps, each one
+    solve with K_gamma.
     """
 
-    def __init__(self, A: sp.csr_matrix, interior: np.ndarray):
+    def __init__(self, A: sp.csr_matrix, layout):
         # each temporary is dropped as soon as what is built from it exists:
         # the heap keeps its high-water mark, and the LU lands on top of it
-        n, T = A.shape[0], len(interior)
+        n, interior = A.shape[0], layout.interior
+        T = len(interior)
         self.interior = interior
         inner = interior.ravel()
         mask = np.ones(n, dtype=bool)
@@ -159,29 +171,37 @@ class _CondensedLU:
         del P
         self.A_KI = sp.vstack(ki, format="csr")
         del ki
-        M = sp.vstack(schur, format="csr")
+        self.M = M = sp.vstack(schur, format="csr")
         del schur
-        M = M.tocsc()
         self.N = N = kept.size - N_BORDER
-        alpha = np.abs(A[kept[:N], n - N_BORDER].toarray().ravel())
-        self.j = j = int(np.argmax(alpha))
-        B = M[:N, N:].toarray()
-        D = M[N:, N:].toarray()
-        self.C = M[N:, :N].toarray()
-        self.C[:, j] += D[:, 0]
-        K = M[:N, :N]
-        del M
-        pinned = np.flatnonzero(B[:, 0])
-        K = K + sp.csc_matrix((B[pinned, 0], (pinned, np.full(pinned.size, j))),
-                              shape=(N, N))
+        self.n_v = n_v = int(np.searchsorted(kept, layout.n_u))
+        # W: 2/m_q = 12/det for a kept pressure, its P1 mass diagonal
+        # det/12 inverted; 1/m_mu^2 for a multiplier
+        q = kept[n_v:N]
+        means = A[q][:, n - N_BORDER:n - 1].toarray()
+        with np.errstate(divide="ignore", over="ignore"):
+            w = np.where(q < layout.offset_lam, 2.0 / means[:, 0], 1.0 / means[:, 1] ** 2)
+        if not np.isfinite(w).all():
+            raise SolverError("a kept pressure or multiplier has no mean weight")
+        self.gw = GAMMA * w     # the penalty's weights, GAMMA W
+        self.G = M[:n_v, n_v:N]
+        K = M[:n_v, :n_v] + self.G @ sp.diags(self.gw) @ M[n_v:N, :n_v]
         try:
-            self.lu = spla.splu(K.tocsc())
+            self.lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                options=dict(SymmetricMode=True))
         except RuntimeError as exc:
-            raise SolverError(f"pinned field block is singular: {exc}") from exc
+            raise SolverError(f"penalised velocity block is singular: {exc}") from exc
         del K
-        self.X = self.lu.solve(B)
+        # S = [[-W^-1 / GAMMA, U], [V, E - C_v Y]] with Y = K_gamma^-1 TB,
+        # U = B_q - D Y and V = C_q - C_v K_gamma^-1 G; eliminating
+        # y_q = GAMMA W (U y_b - f_q) leaves E - C_v Y + V GAMMA W U for y_b
+        B_q, C_v = M[n_v:N, N:].toarray(), M[N:, :n_v].toarray()
+        self.TB = M[:n_v, N:].toarray() + self.G @ (self.gw[:, None] * B_q)
         with np.errstate(over="ignore", invalid="ignore"):     # checked below
-            schur = D - self.C @ self.X
+            Y = self.lu.solve(self.TB)
+            self.U = B_q - M[n_v:N, :n_v] @ Y
+            self.V = M[N:, n_v:N].toarray() - (self.G.T @ self.lu.solve(C_v.T, trans="T")).T
+            schur = M[N:, N:].toarray() - C_v @ Y + self.V @ (self.gw[:, None] * self.U)
         if not np.isfinite(schur).all():
             raise SolverError("border Schur complement is not finite")
         try:
@@ -192,13 +212,75 @@ class _CondensedLU:
     def _inner(self, v):
         return (self.inv @ v[:, :, None])[:, :, 0]
 
+    def _precondition(self, v):
+        """P^-1 T v: the scalars y_b through the 3x3 Schur complement, then
+        y_q, then one solve with K_gamma for the velocities."""
+        n_v, N = self.n_v, self.N
+        gwv = self.gw * v[n_v:N]
+        y_b = self.schur_inv @ (v[N:] + self.V @ gwv)
+        y_q = self.U @ y_b * self.gw - gwv
+        x_v = self.lu.solve(v[:n_v] + self.G @ (gwv - y_q) - self.TB @ y_b)
+        return np.concatenate([x_v, y_q, y_b])
+
+    def _krylov(self, c):
+        """GMRES on M x = c, right-preconditioned, without restart: the
+        Arnoldi basis by modified Gram-Schmidt run twice, the Hessenberg
+        least-squares problem by Givens rotations.  It stops once the
+        residual is at KRYLOV_TOL relative to c: the penalty limits a
+        solve's accuracy to about GAMMA eps anyway, and refinement against
+        the full matrix resolves the rest.
+
+        Raises:
+            SolverError: non-finite values, a singular Hessenberg matrix, or
+                no convergence in MAX_KRYLOV steps.
+        """
+        # s = 2^-e, e the exponent of max|c|: |s*c| cannot overflow, and is exact
+        s = np.ldexp(1.0, -np.frexp(np.abs(c).max(initial=0.0))[1])
+        beta = np.linalg.norm(s * c)
+        if beta == 0.0:
+            return np.zeros_like(c)
+        if not np.isfinite(beta):
+            raise SolverError("Krylov solve: the right-hand side is not finite")
+        V, Z = [s * c / beta], []
+        H = np.zeros((MAX_KRYLOV + 1, MAX_KRYLOV))
+        rot = np.zeros((MAX_KRYLOV, 2))
+        g = np.zeros(MAX_KRYLOV + 1)
+        g[0] = beta
+        for k in range(MAX_KRYLOV):
+            Z.append(self._precondition(V[k]))
+            v = self.M @ Z[k]
+            h = H[:k + 2, k]
+            for _ in range(2):
+                for i, u in enumerate(V):
+                    d = u @ v
+                    h[i] += d
+                    v -= d * u
+            h[k + 1] = norm = np.linalg.norm(v)
+            if not np.isfinite(h).all():
+                raise SolverError("Krylov solve produced non-finite values; system is "
+                                  "singular to working precision")
+            for i, (cs, sn) in enumerate(rot[:k]):
+                h[i], h[i + 1] = cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
+            rho = np.hypot(h[k], h[k + 1])
+            if rho == 0.0:
+                raise SolverError(f"Krylov solve broke down at step {k + 1}: the "
+                                  "Hessenberg matrix is singular")
+            rot[k] = cs, sn = h[k] / rho, h[k + 1] / rho
+            h[k], h[k + 1] = rho, 0.0
+            g[k], g[k + 1] = cs * g[k], -sn * g[k]
+            if abs(g[k + 1]) <= KRYLOV_TOL * beta:
+                break
+            V.append(v / norm)
+        else:
+            raise SolverError(f"Krylov solve did not converge in {MAX_KRYLOV} steps "
+                              f"(relative residual {abs(g[-1]) / beta:.1e})")
+        y = solve_triangular(H[:k + 1, :k + 1], g[:k + 1], check_finite=False)
+        return sum(yi * zi for yi, zi in zip(y, Z)) / s
+
     def solve(self, b):
-        N, b_I = self.N, b[self.interior]
+        b_I = b[self.interior]
         c = b[self.kept] - self.A_KI @ self._inner(b_I).ravel()
-        w = self.lu.solve(c[:N])
-        z = self.schur_inv @ (c[N:] - self.C @ w)
-        x_K = np.concatenate([w - self.X @ z, z])
-        x_K[N] += x_K[self.j]
+        x_K = self._krylov(c)
         x = np.empty(b.shape[0])
         x[self.kept] = x_K
         x[self.interior] = self._inner(b_I - (self.A_IK @ x_K).reshape(-1, 16))
@@ -213,7 +295,7 @@ def factorize(matrix: sp.spmatrix, layout) -> _CondensedLU:
         raise SolverError(f"system is not square with a field block: {A.shape}")
     if not np.all(np.isfinite(A.data)):
         raise SolverError("system matrix has non-finite entries")
-    return _CondensedLU(A, layout.interior)
+    return _CondensedLU(A, layout)
 
 
 def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
@@ -229,8 +311,9 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
     guarantee.
 
     Raises:
-        SolverError: singular factorization, non-finite solution, or a
-            residual above the contract after iterative refinement.
+        SolverError: singular factorization, a Krylov solve that breaks down
+            or does not converge, non-finite solution, or a residual above
+            the contract after iterative refinement.
     """
     A, b = system.matrix, rhs
     layout = system.layout

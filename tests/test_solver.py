@@ -12,93 +12,112 @@ from ctstokes.verify import (build_level, level_system, paper_case,
                              run_convergence, solve_on_level)
 
 
-class _ScalarOnlyLayout:
-    """Minimal layout shim for solving raw matrices through solve_direct."""
+class _SaddleLayout:
+    """Layout shim for a hand-built saddle system: n_u velocities, one
+    pressure, one multiplier, then the three scalars; nothing condensed."""
 
-    def __init__(self, n):
-        self.n_u = n
-        self.offset_p = n
-        self.n_p = 0
-        self.offset_lam = n
-        self.n_lam = 0
-        self.alpha = self.beta = self.gamma = n - 1
+    def __init__(self, n_u):
+        self.n_u = n_u
+        self.offset_p = n_u
+        self.n_p = 1
+        self.offset_lam = n_u + 1
+        self.n_lam = 1
+        self.alpha = n_u + 2
+        self.beta, self.gamma = self.alpha + 1, self.alpha + 2
         self.interior = np.empty((0, 16), dtype=np.int64)
+
+
+def _hand_saddle(a, div, mult, flux):
+    """Two velocities, one pressure and one multiplier with unit mean
+    weights, laid out as compose_system lays out an assembled system: rows
+    u, p, lambda, alpha, beta, gamma."""
+    (a11, a12), (a21, a22) = a
+    return np.array([[a11, a12, div[0], mult[0], 0.0, 0.0, flux[0]],
+                     [a21, a22, div[1], mult[1], 0.0, 0.0, flux[1]],
+                     [div[0], div[1], 0.0, 0.0, 1.0, 0.0, 0.0],
+                     [mult[0], mult[1], 0.0, 0.0, 0.0, 1.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                     [flux[0], flux[1], 0.0, 0.0, 0.0, 0.0, 0.0]])
+
+
+# a nonsingular hand system and its solution for the rhs HAND_RHS
+HAND = _hand_saddle([[2.0, 1.0], [1.0, 3.0]], div=[1.0, 0.0], mult=[0.0, 1.0],
+                    flux=[1.0, 1.0])
+HAND_X = np.array([1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+HAND_RHS = HAND @ HAND_X
 
 
 def _raw_system(A):
     A = sp.csr_matrix(A)
-    return SaddleSystem(matrix=A, layout=_ScalarOnlyLayout(A.shape[0]))
+    return SaddleSystem(matrix=A, layout=_SaddleLayout(A.shape[0] - 5))
+
+
+def _fields(sol):
+    return np.concatenate([sol.u, sol.p, sol.lam, [sol.alpha, sol.beta, sol.gamma]])
 
 
 def test_identity_solve():
-    n = 5
-    b = np.zeros(n)
+    # identity momentum and mean blocks, coupled only through the pairings
+    A = _hand_saddle(np.eye(2), div=[1.0, 0.0], mult=[0.0, 1.0], flux=[1.0, 1.0])
+    b = np.zeros(7)
     b[0] = 1.0
-    sol = solve_direct(_raw_system(sp.eye(n)), b)
-    x = sol.u  # the shim maps the whole vector to the velocity slot
-    assert np.allclose(x, b, atol=1e-15)
+    sol = solve_direct(_raw_system(A), b)
+    assert sol.residual <= solver.RESIDUAL_TOL
+    assert np.allclose(A @ _fields(sol), b, rtol=0.0, atol=1e-15)
 
 
 def test_two_by_two_hand_solve():
-    # the 2x2 field block bordered by three scalar unknowns
-    A = np.array([[2.0, 1.0, 1.0, 0.0, 0.0],
-                  [1.0, 3.0, 0.0, 1.0, 0.0],
-                  [1.0, 0.0, 0.0, 0.0, 0.0],
-                  [0.0, 1.0, 0.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, 0.0, 1.0]])
-    sol = solve_direct(_raw_system(A), np.array([4.0, 6.0, 1.0, 1.0, 3.0]))
-    assert np.allclose(sol.u, [1.0, 1.0, 1.0, 2.0, 3.0], atol=1e-14)
+    # the 2x2 momentum block paired with one pressure and one multiplier,
+    # bordered by three scalar unknowns
+    assert HAND_RHS.tolist() == [9.0, 11.0, 4.0, 5.0, 1.0, 2.0, 2.0]
+    sol = solve_direct(_raw_system(HAND), HAND_RHS)
+    assert sol.residual <= solver.RESIDUAL_TOL
+    assert np.allclose(_fields(sol), HAND_X, rtol=0.0, atol=1e-14)
 
 
 def test_non_square_rejected():
     A = sp.csr_matrix(np.ones((2, 3)))
     with pytest.raises(SolverError):
-        factorize(A, _ScalarOnlyLayout(3))
+        factorize(A, _SaddleLayout(3))
 
 
 def test_singular_matrix_rejected():
-    # the field block [[1, 0], [0, 0]] stays singular after the pin
-    A = np.array([[1.0, 0.0, 1.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, 0.0, 0.0],
-                  [1.0, 0.0, 0.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, 1.0, 0.0],
-                  [0.0, 0.0, 0.0, 0.0, 1.0]])
+    # the second velocity couples to nothing: its row and column are zero,
+    # and so are those of the penalised velocity block
+    A = _hand_saddle([[1.0, 0.0], [0.0, 0.0]], div=[1.0, 0.0], mult=[1.0, 0.0],
+                     flux=[1.0, 0.0])
     with pytest.raises(SolverError):
-        solve_direct(_raw_system(A), np.ones(5))
+        solve_direct(_raw_system(A), np.ones(7))
 
 
 def test_nan_residual_violates_contract():
-    # the hand system of test_two_by_two_hand_solve at a scale where |b|^2
-    # overflows: |r| / |b| taken plainly would be inf / inf = NaN, which
-    # the contract rejects; both norms are taken after scaling by a power
-    # of two, so the exact solution comes back within the contract
-    A = np.array([[2.0, 1.0, 1.0, 0.0, 0.0],
-                  [1.0, 3.0, 0.0, 1.0, 0.0],
-                  [1.0, 0.0, 0.0, 0.0, 0.0],
-                  [0.0, 1.0, 0.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, 0.0, 1.0]])
-    x = np.array([1.0, 1.0, 1.0, 2.0, 3.0])
-    b = 1e300 * np.array([4.0, 6.0, 1.0, 1.0, 3.0])
+    # the hand system at a scale where |b|^2 overflows: |r| / |b| taken
+    # plainly would be inf / inf = NaN, which the contract rejects; both
+    # norms, and the Krylov solve's, are taken after scaling by a power of
+    # two, so the exact solution comes back within the contract
+    b = 1e300 * HAND_RHS
     with np.errstate(over="ignore"):
         assert np.linalg.norm(b) == np.inf
-    sol = solve_direct(_raw_system(A), b)
+    sol = solve_direct(_raw_system(HAND), b)
     assert sol.residual <= solver.RESIDUAL_TOL
-    assert np.allclose(sol.u, 1e300 * x, rtol=1e-14, atol=0.0)
+    assert np.allclose(_fields(sol), 1e300 * HAND_X, rtol=1e-14, atol=0.0)
 
 
 def test_non_finite_matrix_rejected():
-    A = sp.eye(5, format="csr")
+    A = sp.csr_matrix(HAND)
     A.data[2] = np.nan
     with pytest.raises(SolverError, match="^system matrix has non-finite entries$"):
-        factorize(A, _ScalarOnlyLayout(5))
+        factorize(A, _SaddleLayout(2))
 
 
 def test_singular_schur_complement_rejected():
-    # nonsingular field block, but the scalar unknowns are decoupled from it
-    # and their own block is zero
-    A = sp.block_diag([sp.eye(2), sp.csr_matrix((3, 3))])
+    # nonsingular penalised velocity block, but the flux scalar is
+    # decoupled from it and its own entry is zero
+    A = _hand_saddle([[2.0, 1.0], [1.0, 3.0]], div=[1.0, 0.0], mult=[0.0, 1.0],
+                     flux=[0.0, 0.0])
     with pytest.raises(SolverError, match="Schur complement"):
-        factorize(A, _ScalarOnlyLayout(5))
+        factorize(sp.csr_matrix(A), _SaddleLayout(2))
 
 
 def test_star_system_residual_contract(star):
@@ -121,28 +140,47 @@ def test_recovery_of_random_solution(star, n):
     assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
 
 
-def test_factorize_bordered_with_one_pin(star):
-    # a small (757 dofs) and a large system take the same path
-    for n in (8, 32):
-        ct, layout, bqd, blocks = make_level(star, n)
-        case = paper_case(0.1)
-        rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
-        A = compose_system(blocks, layout).matrix
-        lu = factorize(A, layout)
-        T = len(layout.interior)
-        assert layout.interior.shape == (T, 16) and 3 * T == layout.n_mtri
-        assert lu.kept.size == layout.n_total - 16 * T
-        N = A.shape[0] - solver.N_BORDER - 16 * T
-        # the sparse factor covers the condensed field block only
-        assert lu.lu.shape == (N, N)
-        # pinned at the kept pressure unknown of some macro
-        pin = lu.kept[lu.j] - layout.offset_p
-        assert 0 <= pin < layout.n_p and pin % 9 == 0
-        x = lu.solve(rhs)
-        # the unrefined solve already meets the residual contract
-        assert np.linalg.norm(A @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
-        x = x + lu.solve(rhs - A @ x)
-        assert np.linalg.norm(A @ x - rhs) <= 1e-11 * np.linalg.norm(rhs)
+@pytest.mark.parametrize("case", ["star-16", "star-64", "circle-16"])
+def test_factor_is_a_velocity_block_without_pivoting(star, case):
+    dom, n = ((circle_domain((0.45, 0.52), 0.35), 16) if case == "circle-16"
+              else (star, int(case.split("-")[1])))
+    level = build_level(dom, n, 40.0)
+    A, layout = level_system(level).matrix, level.layout
+    lu = factorize(A, layout)
+    T = len(layout.interior)
+    assert layout.interior.shape == (T, 16) and 3 * T == layout.n_mtri
+    assert lu.kept.size == layout.n_total - 16 * T
+    # kept: the velocities but each macro's 8 bubble unknowns, then one
+    # pressure per macro and the multipliers, then the three scalars
+    assert lu.n_v == layout.n_u - 8 * T
+    assert lu.N - lu.n_v == T + layout.n_lam
+    # the condensed (pressure, multiplier) block is empty, so the penalty
+    # leaves the pairings G and D as they are
+    assert lu.M[lu.n_v:lu.N, lu.n_v:lu.N].nnz == 0
+    # the sparse factor covers the kept velocities only, and its row
+    # permutation is its column ordering: no pivoting
+    assert lu.lu.shape == (lu.n_v, lu.n_v)
+    assert np.array_equal(lu.lu.perm_r, lu.lu.perm_c)
+
+
+# entries of L + U of star n, measured 46 358 / 295 070 / 1 720 595; the
+# pinned saddle factor had 86 193 / 619 140 / 4 769 621
+LU_NNZ_BOUND = {16: 50_000, 32: 310_000, 64: 1_800_000}
+
+
+@pytest.mark.parametrize("n", sorted(LU_NNZ_BOUND))
+def test_factor_fill_per_level(star, n):
+    system, _ = _paper_system(star, n)
+    assert factorize(system.matrix, system.layout).lu.nnz <= LU_NNZ_BOUND[n]
+
+
+def test_krylov_cap_ends_in_solver_error(star, monkeypatch):
+    # one Krylov step cannot meet KRYLOV_TOL: the solve fails with a
+    # SolverError, never with numpy's LinAlgError
+    system, rhs = _paper_system(star, 8)
+    monkeypatch.setattr(solver, "MAX_KRYLOV", 1)
+    with pytest.raises(SolverError, match="^Krylov solve did not converge in 1 steps"):
+        solve_direct(system, rhs)
 
 
 def test_solve_deterministic(star):
@@ -259,7 +297,8 @@ def test_condensed_solve_matches_full_solve(star, case):
 
 
 def test_condensation_keeps_fill_small(star):
-    # star n = 32: 0.62 M entries in L + U, against 6.5 M uncondensed
+    # star n = 32: 0.30 M entries in L + U, against 6.5 M for an LU of the
+    # whole system
     system, _ = _paper_system(star, 32)
     lu = factorize(system.matrix, system.layout)
     assert lu.lu.nnz < 1.0e6
