@@ -273,7 +273,8 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase,
     diff = (vals_lam - mean_lam) - (vals_mu - mean_mu)
     lam_diag = math.sqrt(float(np.sum(bqd.ds * bqd.lengths[:, None] * diff ** 2)))
     if not np.isfinite([l2_u, h1_u, l2_p, linf_div, lam_diag]).all():
-        raise FloatingPointError(f"the error norms are not finite at nu={case.nu:g}")
+        raise FloatingPointError("the error norms are not finite at "
+                                 f"nu={case.nu:g}, sigma={level.sigma:g}")
 
     return ErrorReport(n=level.n, h=level.h, nu=case.nu, sigma=level.sigma,
                        dofs=layout.n_total, l2_u=l2_u, h1_u=h1_u, l2_p=l2_p,
@@ -312,16 +313,11 @@ def build_level(dom: LevelSetDomain, n: int, sigma: float) -> LevelStructure:
         layout = build_dof_layout(ct)
         bqd = build_boundary_data(ct, layout, dom)
         blocks = assemble_blocks(ct, layout, bqd, sigma)
-        # copies of the two large blocks, made once their assembly
-        # temporaries are freed, take those holes; the originals sit above
-        # the temporaries, where they would outlive a previous level's
-        # factor and keep the heap from shrinking when that level is freed
-        blocks = replace(blocks, a=blocks.a.copy(), B_div=blocks.B_div.copy())
         assumption = check_assumption_a(ct, dom, bqd.delta)
     except (MeshError, ProjectionError) as exc:
         raise type(exc)(f"n={n}: {exc}") from exc
     except FloatingPointError as exc:
-        raise SolverError(f"n={n}: {exc} (--sigma too large)") from exc
+        raise SolverError(f"n={n}: {exc}") from exc
     x0, y0, x1, y1 = dom.bounding_box
     return LevelStructure(n=n, h=max(x1 - x0, y1 - y0) / n, ct=ct, layout=layout,
                           bqd=bqd, blocks=blocks, assumption=assumption, sigma=sigma)
@@ -332,14 +328,14 @@ def level_system(level: LevelStructure) -> SaddleSystem:
     blocks.
 
     Peak RSS follows the heap's high-water mark, which the allocator keeps,
-    so it depends on which arrays are alive together and on which of them
-    are allocated above temporaries that die before them.  Composed in
-    build_level, or kept next to the blocks, the system fragmented the
-    heap: peak RSS of a 50-circle sweep at n = 16 rose 10-30 % with the
-    full LU and still 5-10 % with the condensed one.  For the same reason
-    the factorization frees each temporary as soon as it is used up, and
-    build_level copies its two large blocks once their assembly
-    temporaries are freed."""
+    so it depends on which arrays are alive together.  Four allocation rules
+    keep it down; without each, peak RSS of the star study at n = 8-64 or
+    of a 50-circle sweep at n = 16 (one patch solve each) rose by: the
+    velocity errors taken ERROR_BLOCK elements at a time, 25 MB on the
+    study; the factorization freeing each condensation temporary as soon
+    as it is used up, 15 MB on the study; the system composed here rather
+    than in build_level, 11 MB on the sweep; the Schur complement formed
+    SCHUR_ROWS rows at a time, 3 MB on the study."""
     if level.system is None:
         level.system = compose_system(level.blocks, level.layout)
         level.blocks = None
@@ -361,10 +357,7 @@ def solve_on_level(level: LevelStructure, case: ManufacturedCase):
                       gamma=case.nu * sol.gamma)
         return sol, compute_errors(sol, case, level)
     except FloatingPointError as exc:
-        # f = -nu lap u + grad p overflows at a large nu, f/nu at a small
-        # one; at a large nu the pressure nu (p/nu) keeps only nu times the
-        # solve's rounding, and its error norm overflows
-        raise SolverError(f"{exc} (--nu too {'large' if case.nu > 1 else 'small'})") from exc
+        raise SolverError(str(exc)) from exc
 
 
 ERROR_COLUMNS = ("l2_u", "h1_u", "l2_p", "linf_div")

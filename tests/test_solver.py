@@ -243,6 +243,27 @@ def test_one_factorization_serves_every_viscosity(circle, monkeypatch):
     assert np.abs(sol.p - p).max() <= 1e-8 * np.abs(p).max()
 
 
+@pytest.mark.parametrize("case", ["star-32", "circle-16"])
+def test_preconditioned_steps_per_viscosity(star, circle, monkeypatch, case):
+    # measured 12 / 12 / 11 preconditioner applications for nu = 0.1 / 1e-3
+    # / 1e-5 on both meshes: three Krylov solves (the first solve and two
+    # refinement steps) of 4 steps each, one of them 3 steps at nu = 1e-5
+    dom, n = (star, 32) if case == "star-32" else (circle, 16)
+    calls = []
+    original = solver._CondensedLU._precondition
+
+    def counting(self, v):
+        calls.append(v.size)
+        return original(self, v)
+
+    monkeypatch.setattr(solver._CondensedLU, "_precondition", counting)
+    level = build_level(dom, n, 40.0)
+    for nu in (1e-1, 1e-3, 1e-5):
+        calls.clear()
+        solve_on_level(level, paper_case(nu))
+        assert 0 < len(calls) <= 12, (nu, len(calls))
+
+
 def _paper_system(dom, n):
     ct, layout, bqd, blocks = make_level(dom, n)
     case = paper_case(0.1)

@@ -402,18 +402,19 @@ def test_solve_on_level_reports(star):
 
 def test_traced_peaks_of_a_level_stay_near_what_it_keeps(star, monkeypatch):
     # numpy's allocations are traced and SuperLU's are not.  Measured at
-    # star n = 32 (numpy 2.4.6, scipy 1.17.1), above the state each step
-    # keeps: build_level peaks 4.5 MB and level_system 6.4 MB; factorize
-    # 6.1 MB, and 3.9 MB with the Schur complement in chunks of 1 024 of
-    # the 4 447 kept rows (the first chunk of SCHUR_ROWS holds 92 % of
-    # them); a solve with the factor in place 5.9 MB above its inputs.
-    # With the velocity forms assembled per component and composed through
-    # sp.bmat, build_level and level_system peaked 9.3 and 8.5 MB; with the
-    # Schur complement formed whole, factorize peaked 6.5 MB; with the
-    # condensation's temporaries alive to the end of factorize and the
-    # velocity errors taken over all elements at once, factorize and the
-    # solve peaked 11.8 and 10.7 MB.  The bounds are the measured values
-    # + 25 %, the factorize bound at SCHUR_ROWS kept from the 6.5 MB.
+    # star n = 32 (numpy 2.4.6, scipy 1.17.1) with the penalised velocity
+    # factor, above the state each step keeps: build_level peaks 4.53 MB and
+    # level_system 6.37 MB; factorize 4.76 MB, and 3.46 MB with the Schur
+    # complement in chunks of 1 024 of the 4 447 kept rows (the first chunk
+    # of SCHUR_ROWS holds 92 % of them); a solve with the factor in place
+    # 5.88 MB above its inputs.  Three of the allocation rules that
+    # level_system's docstring lists show here: with the Schur complement
+    # formed whole factorize peaks 5.37 MB, with the condensation's
+    # temporaries alive to its end 8.39 MB (8.40 MB chunked), and with the
+    # velocity errors taken over all elements at once instead of
+    # ERROR_BLOCK at a time the solve peaks 9.78 MB.  The bounds are kept from the pinned saddle factor, whose
+    # peaks were 4.5, 6.4, 6.1 (6.5 with the Schur complement whole), 3.9
+    # and 5.9 MB, + 25 %; the factorize bound is from the 6.5 MB.
     tracemalloc.start()
     try:
         level = build_level(star, 32, 40.0)
