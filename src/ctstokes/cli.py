@@ -208,9 +208,10 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
         level = build_level(dom, n, cfg.sigma)
         outdir.mkdir(parents=True, exist_ok=True)   # once a level resolves
         if cfg.check_assumption:
-            rep = level.assumption
-            print(f"n={n}: max delta_e/h_e = {rep.max_ratio:.4f} "
-                  f"({len(rep.flagged)} edges above {ASSUMPTION_THRESHOLD:g})")
+            ratios = level.delta_ratios
+            print(f"n={n}: max delta_e/h_e = {ratios.max():.4f} "
+                  f"({np.count_nonzero(ratios > ASSUMPTION_THRESHOLD)} edges "
+                  f"above {ASSUMPTION_THRESHOLD:g})")
         if cfg.infsup:
             beta = infsup_estimate(level.ct, level.layout, level.bqd)
             print(f"n={n}: inf-sup estimate = {beta:.6f}")
@@ -243,7 +244,8 @@ def cmd_converge(cfg: argparse.Namespace) -> int:
         raise UsageError("convergence study needs at least two levels")
     dom = make_domain(cfg)
     try:
-        tables = run_convergence(dom, cfg.levels, cfg.nus, cfg.sigma, progress=print)
+        tables = run_convergence(dom, cfg.levels, cfg.nus, cfg.sigma,
+                                 progress=lambda r: print(_report_lines(r)))
     except StudyError as exc:
         raise UsageError(str(exc)) from exc
     outdir = Path(cfg.out)

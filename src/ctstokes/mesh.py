@@ -9,8 +9,6 @@ arrays of oriented closed loops with outward normals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fem import element_maps
@@ -225,34 +223,21 @@ def extract_boundary(ct: CtMesh):
     return edges, owner[order], rank[succ[order]]
 
 
-@dataclass
-class AssumptionReport:
-    """Transfer-length diagnostic: per-edge max(delta)/h_e ratios."""
-
-    ratios: np.ndarray
-    max_ratio: float
-    flagged: np.ndarray
-
-
 def check_assumption_a(ct: CtMesh, dom: LevelSetDomain,
-                       delta: np.ndarray) -> AssumptionReport:
-    """Estimate max over boundary edges of (max transfer length)/(edge length).
+                       delta: np.ndarray) -> np.ndarray:
+    """Per-edge ratios (max transfer length)/(edge length), shape (B,).
 
     delta (B, Q) holds the transfer lengths at each boundary edge's
     quadrature points, as build_boundary_data found them; only the start
     vertex of every edge is projected here, since an edge ends where its
-    boundary_next edge starts.  Edges whose ratio exceeds
-    ASSUMPTION_THRESHOLD are flagged.  The ratio is advisory: the method's
-    stability theory assumes it is uniformly below one.  It does not
-    separate admissible levels: on the star domain it is 1.01-1.30 at
-    n = 16...64, where the reference errors are reproduced.
+    boundary_next edge starts.  The ratio is advisory: the method's
+    stability theory assumes it is uniformly below ASSUMPTION_THRESHOLD.
+    It does not separate admissible levels: on the star domain its maximum
+    is 1.01-1.30 at n = 16...64, where the reference errors are reproduced.
     """
     _, delta_start, _ = project_points(dom, ct.vertices[ct.boundary_edges[:, 0]])
     delta_ends = np.maximum(delta_start, delta_start[ct.boundary_next])
-    top = np.maximum(delta.max(axis=1), delta_ends)
-    ratios = top / ct.boundary_lengths
-    return AssumptionReport(ratios=ratios, max_ratio=float(ratios.max()),
-                            flagged=np.where(ratios > ASSUMPTION_THRESHOLD)[0])
+    return np.maximum(delta.max(axis=1), delta_ends) / ct.boundary_lengths
 
 
 def write_vtk(path, ct: CtMesh, point_data, cell_data) -> None:

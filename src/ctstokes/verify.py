@@ -28,8 +28,8 @@ from .assembly import (BoundaryQuadData, SaddleSystem, SystemBlocks,
 from .fem import (DofLayout, build_dof_layout, element_maps, eval_p1, eval_p2,
                   triangle_rule, vector_dofs)
 from .geometry import LevelSetDomain, ProjectionError
-from .mesh import (AssumptionReport, CtMesh, MeshError, build_type1_mesh,
-                   check_assumption_a, clip_to_interior, clough_tocher)
+from .mesh import (CtMesh, MeshError, build_type1_mesh, check_assumption_a,
+                   clip_to_interior, clough_tocher)
 from .solver import (N_BORDER, SolutionFields, SolverError, factorize,
                      solve_direct)
 
@@ -279,7 +279,7 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase,
     return ErrorReport(n=level.n, h=level.h, nu=case.nu, sigma=level.sigma,
                        dofs=layout.n_total, l2_u=l2_u, h1_u=h1_u, l2_p=l2_p,
                        linf_div=linf_div, lam_diag=lam_diag,
-                       max_delta_ratio=level.assumption.max_ratio,
+                       max_delta_ratio=float(level.delta_ratios.max()),
                        residual=sol.residual)
 
 
@@ -293,7 +293,7 @@ class LevelStructure:
     layout: DofLayout
     bqd: BoundaryQuadData
     blocks: Optional[SystemBlocks]
-    assumption: AssumptionReport
+    delta_ratios: np.ndarray  # per boundary edge, as check_assumption_a
     sigma: float
     system: Optional[SaddleSystem] = None
 
@@ -313,14 +313,15 @@ def build_level(dom: LevelSetDomain, n: int, sigma: float) -> LevelStructure:
         layout = build_dof_layout(ct)
         bqd = build_boundary_data(ct, layout, dom)
         blocks = assemble_blocks(ct, layout, bqd, sigma)
-        assumption = check_assumption_a(ct, dom, bqd.delta)
+        delta_ratios = check_assumption_a(ct, dom, bqd.delta)
     except (MeshError, ProjectionError) as exc:
         raise type(exc)(f"n={n}: {exc}") from exc
     except FloatingPointError as exc:
         raise SolverError(f"n={n}: {exc}") from exc
     x0, y0, x1, y1 = dom.bounding_box
     return LevelStructure(n=n, h=max(x1 - x0, y1 - y0) / n, ct=ct, layout=layout,
-                          bqd=bqd, blocks=blocks, assumption=assumption, sigma=sigma)
+                          bqd=bqd, blocks=blocks, delta_ratios=delta_ratios,
+                          sigma=sigma)
 
 
 def level_system(level: LevelStructure) -> SaddleSystem:
@@ -413,13 +414,14 @@ class StudyError(ValueError):
 def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
                     nus: Sequence[float], sigma: float,
                     case_factory: Callable[[float], ManufacturedCase] = paper_case,
-                    progress: Optional[Callable[[str], None]] = None
+                    progress: Optional[Callable[[ErrorReport], None]] = None
                     ) -> Dict[float, RateTable]:
     """Full refinement study: one RateTable per viscosity.
 
     Levels should be increasing (rates assume each step halves h).  The
     saddle matrix does not depend on the viscosity: each level's first solve
-    factorizes it and every viscosity reuses that factor.
+    factorizes it and every viscosity reuses that factor.  progress, if
+    given, receives each ErrorReport as its solve ends.
 
     Raises:
         StudyError: levels not strictly increasing, or a viscosity repeated.
@@ -441,9 +443,7 @@ def run_convergence(dom: LevelSetDomain, levels: Sequence[int],
                 raise SolverError(f"n={n} nu={nu:g}: {exc}") from exc
             tables[nu].reports.append(report)
             if progress is not None:
-                progress(f"n={n} nu={nu:g}: l2_u={report.l2_u:.4e} "
-                         f"h1_u={report.h1_u:.4e} l2_p={report.l2_p:.4e} "
-                         f"div={report.linf_div:.2e}")
+                progress(report)
     return tables
 
 

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import settings
 
 from ctstokes.geometry import LevelSetDomain, circle_domain, star_domain
-from ctstokes.mesh import (AssumptionReport, build_type1_mesh, clip_to_interior,
-                           clough_tocher)
+from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
 from ctstokes.fem import build_dof_layout
 from ctstokes.assembly import (assemble_blocks, assemble_rhs,
                                build_boundary_data, compose_system)
@@ -170,10 +169,8 @@ def as_level(ct, layout, bqd):
     """make_level's mesh data as the LevelStructure that compute_errors
     measures on; the report's n, h, sigma and max_delta_ratio are
     placeholders, which the tests using it do not read."""
-    none = AssumptionReport(ratios=np.zeros(0), max_ratio=0.0,
-                            flagged=np.zeros(0, dtype=np.int64))
     return LevelStructure(n=8, h=float("nan"), ct=ct, layout=layout, bqd=bqd,
-                          blocks=None, assumption=none, sigma=0.0)
+                          blocks=None, delta_ratios=np.zeros(1), sigma=0.0)
 
 
 def node_coords(ct):

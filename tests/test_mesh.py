@@ -6,8 +6,8 @@ from conftest import box_sdf_domain, everywhere_inside_domain
 from ctstokes.assembly import EDGE_RULE, build_boundary_data
 from ctstokes.fem import build_dof_layout, element_maps
 from ctstokes.geometry import circle_domain, project_points, star_domain
-from ctstokes.mesh import (CLIP_TOL, MacroMesh, MeshError, _edge_table,
-                           build_type1_mesh, check_assumption_a,
+from ctstokes.mesh import (ASSUMPTION_THRESHOLD, CLIP_TOL, MacroMesh, MeshError,
+                           _edge_table, build_type1_mesh, check_assumption_a,
                            classify_interior, clip_to_interior, clough_tocher,
                            extract_boundary, write_vtk)
 from ctstokes.verify import build_level
@@ -259,9 +259,9 @@ def test_pinched_boundary_vertex_rejected(annulus):
 def test_assumption_a_fitted_box_is_zero():
     box = box_sdf_domain()
     ct = clough_tocher(clip_to_interior(build_type1_mesh(4), box))
-    rep = _assumption(ct, box)
-    assert rep.max_ratio == 0.0
-    assert len(rep.flagged) == 0
+    ratios = _assumption(ct, box)
+    assert ratios.max() == 0.0
+    assert np.count_nonzero(ratios > ASSUMPTION_THRESHOLD) == 0
 
 
 def test_assumption_a_circle_regression():
@@ -269,18 +269,18 @@ def test_assumption_a_circle_regression():
     # length on interior-clipped meshes, so this diagnostic is advisory only
     c = circle_domain((0.5, 0.5), 0.4)
     ct = clough_tocher(clip_to_interior(build_type1_mesh(16), c))
-    rep = _assumption(ct, c)
-    assert rep.max_ratio == pytest.approx(1.4, abs=1e-9)
-    assert np.all(np.isfinite(rep.ratios))
+    ratios = _assumption(ct, c)
+    assert ratios.max() == pytest.approx(1.4, abs=1e-9)
+    assert np.all(np.isfinite(ratios))
 
 
 def test_assumption_a_star_reports():
     s = star_domain()
     ct = clough_tocher(clip_to_interior(build_type1_mesh(24), s))
-    rep = _assumption(ct, s)
-    assert np.isfinite(rep.max_ratio)
-    assert rep.ratios.shape == (len(ct.boundary_edges),)
-    assert np.all(np.isfinite(rep.ratios)) and np.all(rep.ratios >= 0)
+    ratios = _assumption(ct, s)
+    assert np.isfinite(ratios.max())
+    assert ratios.shape == (len(ct.boundary_edges),)
+    assert np.all(np.isfinite(ratios)) and np.all(ratios >= 0)
 
 
 @pytest.mark.parametrize("dom, n", [(star_domain(), 8), (star_domain(), 16),
@@ -296,7 +296,7 @@ def test_assumption_a_reuses_boundary_transfer_lengths(dom, n):
     pts = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
     _, delta, _ = project_points(dom, pts.reshape(-1, 2))
     ratios = delta.reshape(len(pa), -1).max(axis=1) / ct.boundary_lengths
-    assert np.array_equal(level.assumption.ratios, ratios)
+    assert np.array_equal(level.delta_ratios, ratios)
 
 
 def test_classification_is_deterministic():

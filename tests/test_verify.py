@@ -403,18 +403,20 @@ def test_solve_on_level_reports(star):
 def test_traced_peaks_of_a_level_stay_near_what_it_keeps(star, monkeypatch):
     # numpy's allocations are traced and SuperLU's are not.  Measured at
     # star n = 32 (numpy 2.4.6, scipy 1.17.1) with the penalised velocity
-    # factor, above the state each step keeps: build_level peaks 4.53 MB and
-    # level_system 6.37 MB; factorize 4.76 MB, and 3.46 MB with the Schur
+    # factor, above the state each step keeps: build_level peaks 4.53 MiB and
+    # level_system 6.37 MiB; factorize 4.76 MiB, and 3.46 MiB with the Schur
     # complement in chunks of 1 024 of the 4 447 kept rows (the first chunk
     # of SCHUR_ROWS holds 92 % of them); a solve with the factor in place
-    # 5.88 MB above its inputs.  Three of the allocation rules that
+    # 5.88 MiB above its inputs.  Three of the allocation rules that
     # level_system's docstring lists show here: with the Schur complement
-    # formed whole factorize peaks 5.37 MB, with the condensation's
-    # temporaries alive to its end 8.39 MB (8.40 MB chunked), and with the
+    # formed whole factorize peaks 5.37 MiB on either path, with the
+    # condensation's temporaries alive to its end 8.23 MiB, and with the
     # velocity errors taken over all elements at once instead of
-    # ERROR_BLOCK at a time the solve peaks 9.78 MB.  The bounds are kept from the pinned saddle factor, whose
-    # peaks were 4.5, 6.4, 6.1 (6.5 with the Schur complement whole), 3.9
-    # and 5.9 MB, + 25 %; the factorize bound is from the 6.5 MB.
+    # ERROR_BLOCK at a time the solve peaks 9.78 MiB.  The two factorize
+    # bounds are today's peaks + 25 %, so the first fails without the early
+    # dels and the second without the chunks; the other three are kept
+    # from the pinned saddle factor, whose peaks were 4.5, 6.4 and 5.9 MiB,
+    # + 25 %.
     tracemalloc.start()
     try:
         level = build_level(star, 32, 40.0)
@@ -427,13 +429,13 @@ def test_traced_peaks_of_a_level_stay_near_what_it_keeps(star, monkeypatch):
         tracemalloc.reset_peak()
         system.factor = factorize(system.matrix, level.layout)
         kept, peak = tracemalloc.get_traced_memory()
-        assert peak - kept <= 8.2 * 2**20
+        assert peak - kept <= 5.95 * 2**20
         with monkeypatch.context() as patch:
             patch.setattr(solver, "SCHUR_ROWS", 1024)
             tracemalloc.reset_peak()
             chunked = factorize(system.matrix, level.layout)
             kept, peak = tracemalloc.get_traced_memory()
-            assert peak - kept <= 4.9 * 2**20
+            assert peak - kept <= 4.33 * 2**20
             del chunked
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
