@@ -57,7 +57,6 @@ class ManufacturedCase:
     velocity must be divergence free.
     """
 
-    name: str
     nu: float
     u: Callable
     grad_u: Callable
@@ -111,8 +110,7 @@ def paper_case(nu: float) -> ManufacturedCase:
         py = -40.0 * y * (x * x - y * y)
         return np.stack([-nu * lap1 + px, -nu * lap2 + py], axis=-1)
 
-    return ManufacturedCase(name="quartic-pressure", nu=nu, u=u,
-                            grad_u=grad_u, p=p, f=f)
+    return ManufacturedCase(nu=nu, u=u, grad_u=grad_u, p=p, f=f)
 
 
 def patch_case(nu: float) -> ManufacturedCase:
@@ -150,8 +148,7 @@ def patch_case(nu: float) -> ManufacturedCase:
         out[..., 1] = 6.0 * nu - 3.0
         return out
 
-    return ManufacturedCase(name="quadratic-patch", nu=nu, u=u,
-                            grad_u=grad_u, p=p, f=f)
+    return ManufacturedCase(nu=nu, u=u, grad_u=grad_u, p=p, f=f)
 
 
 @dataclass

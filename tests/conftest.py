@@ -1,18 +1,12 @@
 import os
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from ctstokes.geometry import LevelSetDomain, circle_domain, star_domain
-from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
-from ctstokes.fem import build_dof_layout
-from ctstokes.assembly import (assemble_blocks, assemble_rhs,
-                               build_boundary_data, compose_system)
-from ctstokes.solver import solve_direct
-from ctstokes.verify import LevelStructure, ManufacturedCase
+from ctstokes.verify import ManufacturedCase, build_level
 
 # fixed examples and no example database, so runs repeat; hypothesis still
 # caches the constants it reads from source files in its storage directory,
@@ -143,34 +137,7 @@ def hydrostatic_case(nu, phi, grad_phi):
     def grad_u(pts):
         return np.zeros(np.shape(pts) + (2,))
 
-    return ManufacturedCase(name="hydrostatic", nu=nu, u=u, grad_u=grad_u,
-                            p=phi, f=grad_phi)
-
-
-def make_level(dom, n, sigma=40.0):
-    """Mesh + layout + boundary data + blocks, without the verify-module wrapper."""
-    ct = clough_tocher(clip_to_interior(build_type1_mesh(n, dom.bounding_box), dom))
-    layout = build_dof_layout(ct)
-    bqd = build_boundary_data(ct, layout, dom)
-    blocks = assemble_blocks(ct, layout, bqd, sigma)
-    return ct, layout, bqd, blocks
-
-
-def solve_case(ct, layout, bqd, blocks, case, sigma=40.0):
-    """Solve a case on a make_level tuple; p, lambda and gamma come back
-    unscaled (the system is solved for them divided by nu)."""
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, case.nu, sigma)
-    sol = solve_direct(compose_system(blocks, layout), rhs)
-    nu = case.nu
-    return replace(sol, p=nu * sol.p, lam=nu * sol.lam, gamma=nu * sol.gamma)
-
-
-def as_level(ct, layout, bqd):
-    """make_level's mesh data as the LevelStructure that compute_errors
-    measures on; the report's n, h, sigma and max_delta_ratio are
-    placeholders, which the tests using it do not read."""
-    return LevelStructure(n=8, h=float("nan"), ct=ct, layout=layout, bqd=bqd,
-                          blocks=None, delta_ratios=np.zeros(1), sigma=0.0)
+    return ManufacturedCase(nu=nu, u=u, grad_u=grad_u, p=phi, f=grad_phi)
 
 
 def node_coords(ct):
@@ -182,9 +149,6 @@ def node_coords(ct):
 
 @pytest.fixture(scope="session")
 def star_n8(star):
-    return make_level(star, 8)
-
-
-@pytest.fixture(scope="session")
-def circle_n8(circle):
-    return make_level(circle, 8)
+    """A level shared by the whole session, so no test solves on it: the
+    first solve on a level drops its blocks and caches a factor on it."""
+    return build_level(star, 8, 40.0)

@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import as_level, make_level, solve_case
 from ctstokes.assembly import EDGE_RULE, VOLUME_DEGREE
 from ctstokes.fem import triangle_rule
 from ctstokes.geometry import star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
-from ctstokes.verify import compute_errors, infsup_estimate, patch_case
+from ctstokes.verify import (build_level, infsup_estimate, paper_case,
+                             patch_case, solve_on_level)
 
 LEVELS = [8, 16, 32, 64, 128]
 
@@ -184,10 +184,7 @@ def test_criterion_4_divergence_free(tables):
 
 
 def test_criterion_5_patch_test(star):
-    ct, layout, bqd, blocks = make_level(star, 8)
-    case = patch_case(0.1)
-    sol = solve_case(ct, layout, bqd, blocks, case)
-    rep = compute_errors(sol, case, as_level(ct, layout, bqd))
+    _, rep = solve_on_level(build_level(star, 8, 40.0), patch_case(0.1))
     ok = rep.h1_u <= 1e-8 and rep.l2_p <= 1e-8
     _print_line(5, "quadratic patch test", ok,
                 f"h1_u = {rep.h1_u:.2e}, l2_p = {rep.l2_p:.2e}")
@@ -199,7 +196,8 @@ def test_criterion_6_invariants(tables, star, tmp_path):
     ok = True
 
     # geometry: transfer residuals at all boundary quadrature points
-    ct, layout, bqd, blocks = make_level(star, 16)
+    level = build_level(star, 16, 40.0)
+    bqd = level.bqd
     phi_res = np.abs(star.phi(bqd.x_star)).max()
     g = star.grad_phi(bqd.x_star.reshape(-1, 2))
     d = (bqd.points - bqd.x_star).reshape(-1, 2)
@@ -219,9 +217,8 @@ def test_criterion_6_invariants(tables, star, tmp_path):
     details.append(f"quadrature exactness: {good}")
 
     # constraint means from a real solve
-    from ctstokes.verify import paper_case
-
-    sol = solve_case(ct, layout, bqd, blocks, paper_case(0.1))
+    blocks = level.blocks      # the solve drops them from the level
+    sol, _ = solve_on_level(level, paper_case(0.1))
     mean_p = abs(float(blocks.m_q @ sol.p))
     mean_lam = abs(float(blocks.m_mu @ sol.lam))
     good = mean_p <= 1e-10 and mean_lam <= 1e-10
@@ -257,8 +254,8 @@ def test_criterion_7_excluded_constants_reported_only(circle):
     # estimate is reported without an asserted bound
     values = []
     for n in (4, 6):
-        ct, layout, bqd, blocks = make_level(circle, n)
-        values.append(infsup_estimate(ct, layout, bqd))
+        level = build_level(circle, n, 40.0)
+        values.append(infsup_estimate(level.ct, level.layout, level.bqd))
     ok = all(np.isfinite(v) and v > 0 for v in values)
     _print_line(7, "theoretical constants excluded; inf-sup reported only", ok,
                 "estimates " + ", ".join(f"{v:.4f}" for v in values))

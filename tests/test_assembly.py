@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import (as_level, box_sdf_domain, everywhere_inside_domain,
-                      make_level, node_coords, solve_case)
+from conftest import box_sdf_domain, everywhere_inside_domain, node_coords
 from ctstokes import assembly
 from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_blocks, assemble_constraints,
@@ -14,7 +13,7 @@ from ctstokes.fem import (BasisEval, build_dof_layout, edge_rule, element_maps,
                           eval_p1, eval_p2, triangle_rule, vector_dofs)
 from ctstokes.geometry import circle_domain, star_domain
 from ctstokes.mesh import build_type1_mesh, clip_to_interior, clough_tocher
-from ctstokes.verify import paper_case, patch_case, compute_errors, solve_on_level
+from ctstokes.verify import build_level, paper_case, patch_case, solve_on_level
 
 
 def push_forward(grads_ref, invT):
@@ -42,7 +41,7 @@ def test_taylor_trace_shifts_polynomials_exactly():
 
 
 def test_eval_sh_trace_on_mesh(star_n8, star):
-    ct, layout, bqd, blocks = star_n8
+    ct, bqd = star_n8.ct, star_n8.bqd
     assert np.abs(star.phi(bqd.x_star)).max() <= 1e-10
     # at every boundary quadrature point the corrected trace of a quadratic's
     # interpolant is the quadratic at the projected point
@@ -54,8 +53,8 @@ def test_eval_sh_trace_on_mesh(star_n8, star):
 
 
 def test_boundary_data_zero_delta_identity():
-    box = box_sdf_domain()
-    ct, layout, bqd, blocks = make_level(box, 4)
+    level = build_level(box_sdf_domain(), 4, 40.0)
+    bqd, blocks = level.bqd, level.blocks
     assert np.all(bqd.delta == 0.0)
     assert np.array_equal(bqd.sh, np.broadcast_to(assembly.EDGE_P2.vals, bqd.sh.shape))
     # with zero transfer both continuity pairings coincide
@@ -63,8 +62,8 @@ def test_boundary_data_zero_delta_identity():
 
 
 def test_volume_stiffness_symmetric_and_kernel(star_n8):
-    ct, layout, bqd, blocks = star_n8
-    A = assemble_stiffness(ct, layout)
+    layout = star_n8.layout
+    A = assemble_stiffness(star_n8.ct, layout)
     assert abs(A - A.T).max() <= 1e-12
     const = np.zeros(layout.n_u)
     const[0::2] = 1.0
@@ -72,8 +71,8 @@ def test_volume_stiffness_symmetric_and_kernel(star_n8):
 
 
 def test_a_interior_rows_unaffected_by_boundary(star_n8):
-    ct, layout, bqd, blocks = star_n8
-    A = assemble_a(ct, layout, bqd, 40.0)
+    ct, layout, bqd = star_n8.ct, star_n8.layout, star_n8.bqd
+    A = assemble_a(ct, layout, bqd, star_n8.sigma)
     Avol = assemble_stiffness(ct, layout)
     boundary_nodes = set(bqd.elem_nodes.ravel().tolist())
     interior = np.array([2 * n + c for n in range(layout.n_nodes)
@@ -87,31 +86,30 @@ def test_a_interior_rows_unaffected_by_boundary(star_n8):
 
 
 def test_a_positive_on_random_vectors(star_n8):
-    ct, layout, bqd, blocks = star_n8
-    A = blocks.a.tocsr()
+    A = star_n8.blocks.a.tocsr()
     rng = np.random.default_rng(4)
     for _ in range(100):
-        v = rng.standard_normal(layout.n_u)
+        v = rng.standard_normal(star_n8.layout.n_u)
         assert float(v @ (A @ v)) > 0.0
 
 
 def test_divergence_block_constant_velocity():
-    ct, layout, bqd, blocks = make_level(box_sdf_domain(), 2)
-    const = np.zeros(layout.n_u)
+    level = build_level(box_sdf_domain(), 2, 40.0)
+    const = np.zeros(level.layout.n_u)
     const[0::2] = 1.0
-    assert np.abs(blocks.B_div @ const).max() <= 1e-14
+    assert np.abs(level.blocks.B_div @ const).max() <= 1e-14
 
 
 def test_divergence_block_matches_quadrature(star_n8):
     # spot check entries of the pressure-test block against independent
     # quadrature of -(div of one basis function) * (one pressure function)
-    ct, layout, bqd, blocks = star_n8
+    ct, layout = star_n8.ct, star_n8.layout
     rule = triangle_rule(4)
     det, inv, invT = element_maps(ct)
     p2 = eval_p2(rule.points)
     p1 = eval_p1(rule.points)
     rng = np.random.default_rng(9)
-    B = blocks.B_div.tocsr()
+    B = star_n8.blocks.B_div.tocsr()
     for k in rng.choice(ct.n_triangles, 5, replace=False):
         G = push_forward(p2.grads, invT[k])
         for j in range(3):
@@ -126,7 +124,7 @@ def test_divergence_block_matches_quadrature(star_n8):
 def test_stiffness_matches_quadrature(star_n8):
     # spot check entries of the stiffness against independent quadrature of
     # grad(phi_i) . grad(phi_j), summed over the elements sharing both nodes
-    ct, layout, bqd, blocks = star_n8
+    ct, layout = star_n8.ct, star_n8.layout
     rule = triangle_rule(4)
     det, inv, invT = element_maps(ct)
     G = push_forward(eval_p2(rule.points).grads, invT)           # (M, Q, 6, 2)
@@ -144,8 +142,8 @@ def test_stiffness_matches_quadrature(star_n8):
 
 
 def test_be_shares_divergence_part(star_n8, star):
-    ct, layout, bqd, blocks = star_n8
-    _, Bl = assemble_b(ct, layout, bqd)
+    layout, bqd = star_n8.layout, star_n8.bqd
+    _, Bl = assemble_b(star_n8.ct, layout, bqd)
     Ble = assemble_be(layout, bqd)
     # the multiplier pairings differ where transfer lengths are positive
     assert abs(Bl - Ble).max() > 1e-6
@@ -154,8 +152,9 @@ def test_be_shares_divergence_part(star_n8, star):
 def test_constraints_singular_without_them(star):
     # drop the scalar rows/columns: the (u, p, lam) block has the joint
     # constant pressure/multiplier mode in its kernel
-    ct, layout, bqd, blocks = make_level(star, 3)
-    assert ct.n_triangles == 6  # two macro triangles survive at n = 3
+    level = build_level(star, 3, 40.0)
+    layout, blocks = level.layout, level.blocks
+    assert level.ct.n_triangles == 6  # two macro triangles survive at n = 3
     K = sp.bmat([
         [blocks.a, blocks.B_div.T, blocks.B_lam.T],
         [blocks.B_div, None, None],
@@ -175,51 +174,46 @@ def test_constraints_singular_without_them(star):
     assert p_part.mean() == pytest.approx(l_part.mean(), rel=1e-6)
 
 
-def test_full_system_nonsingular_and_means_vanish(star_n8):
-    ct, layout, bqd, blocks = star_n8
-    sol = solve_case(ct, layout, bqd, blocks, paper_case(0.1))
+def test_full_system_nonsingular_and_means_vanish(star):
+    level = build_level(star, 8, 40.0)
+    blocks = level.blocks      # the solve drops them from the level
+    sol, _ = solve_on_level(level, paper_case(0.1))
     assert abs(float(blocks.m_q @ sol.p)) <= 1e-10
     assert abs(float(blocks.m_mu @ sol.lam)) <= 1e-10
 
 
 def test_rhs_zero_data_gives_zero_vector(star_n8):
-    ct, layout, bqd, blocks = star_n8
+    ct, layout, bqd = star_n8.ct, star_n8.layout, star_n8.bqd
 
     def zero_vec(x):
         return np.zeros(np.asarray(x).shape)
 
-    rhs = assemble_rhs(zero_vec, zero_vec, ct, layout, bqd, 0.1, 40.0)
+    rhs = assemble_rhs(zero_vec, zero_vec, ct, layout, bqd, 0.1, star_n8.sigma)
     assert np.abs(rhs).max() == 0.0
     # homogeneous g leaves the plain load vector, in the velocity rows only
-    rhs_g0 = assemble_rhs(paper_case(0.1).f, zero_vec, ct, layout, bqd, 0.1, 40.0)
+    rhs_g0 = assemble_rhs(paper_case(0.1).f, zero_vec, ct, layout, bqd, 0.1,
+                          star_n8.sigma)
     assert np.abs(rhs_g0[layout.n_u:]).max() == 0.0
     assert np.abs(rhs_g0[:layout.n_u]).max() > 0.0
 
 
-def test_patch_reproduced_exactly(star_n8):
+def test_patch_reproduced_exactly(star):
     # global quadratic divergence-free velocity and affine pressure: the
     # boundary correction is exact on quadratics, so the discrete solution
     # reproduces the fields to solver precision
-    ct, layout, bqd, blocks = star_n8
-    case = patch_case(0.5)
-    sol = solve_case(ct, layout, bqd, blocks, case)
-    rep = compute_errors(sol, case, as_level(ct, layout, bqd))
+    _, rep = solve_on_level(build_level(star, 8, 40.0), patch_case(0.5))
     assert rep.h1_u <= 1e-8
     assert rep.l2_p <= 1e-8
     assert rep.linf_div <= 1e-8
 
 
-def test_patch_reproduced_on_circle(circle_n8, annulus):
-    # the centred fixture, an off-centre circle whose boundary data has a
-    # nonzero net flux through the mesh boundary, and an annulus whose
+def test_patch_reproduced_on_circle(circle, annulus):
+    # the centred fixture's circle, an off-centre circle whose boundary data
+    # has a nonzero net flux through the mesh boundary, and an annulus whose
     # boundary is two loops
-    off_centre = make_level(circle_domain((0.45, 0.52), 0.35), 8)
-    ring = make_level(annulus, 16)
-    for (ct, layout, bqd, blocks), nu in ((circle_n8, 0.1), (off_centre, 0.1),
-                                          (ring, 1.0)):
-        case = patch_case(nu)
-        sol = solve_case(ct, layout, bqd, blocks, case)
-        rep = compute_errors(sol, case, as_level(ct, layout, bqd))
+    for dom, n, nu in ((circle, 8, 0.1), (circle_domain((0.45, 0.52), 0.35), 8, 0.1),
+                       (annulus, 16, 1.0)):
+        _, rep = solve_on_level(build_level(dom, n, 40.0), patch_case(nu))
         assert rep.h1_u <= 1e-8
         assert rep.l2_p <= 1e-8
         assert rep.linf_div <= 1e-8
@@ -259,7 +253,7 @@ def norm_h1_direct(ct, layout, bqd, u):
 
 
 def test_norm_gram_matches_direct_evaluation(star_n8):
-    ct, layout, bqd, blocks = star_n8
+    ct, layout, bqd = star_n8.ct, star_n8.layout, star_n8.bqd
     G = gram_h1_velocity(ct, layout, bqd)
     rng = np.random.default_rng(6)
     for _ in range(20):

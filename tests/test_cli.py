@@ -449,6 +449,40 @@ def test_extreme_inputs_end_in_a_diagnosed_result(option, value):
         assert lines and all(_DIAGNOSIS.fullmatch(line) for line in lines), lines
 
 
+_DIAGNOSIS_AT_ANY_LEVEL = re.compile(r"error: .+|n=\d+ nu=\S+: (?:SOLVE FAILED|"
+                                     r"divergence contract violated): .+")
+_CIRCLE_OPTIONS = ["radius", "center-x", "center-y", "sigma", "nu"]
+
+
+@settings(max_examples=150)
+@given(run=st.one_of(
+           st.tuples(st.just(("converge", "circle", "4,8")),
+                     st.sampled_from(_CIRCLE_OPTIONS)),
+           st.tuples(st.sampled_from([("solve", "star", "8"),
+                                      ("converge", "star", "8,16")]),
+                     st.sampled_from(["sigma", "nu"]))),
+       value=_extreme_floats())
+def test_extreme_inputs_end_in_a_diagnosed_result_on_every_command(run, value):
+    # the contract above, for a convergence study on the circle and for a
+    # solve and a study on the star, whose shape takes no centre or radius
+    (command, domain, levels), option = run
+    args = {"center-x": f"--center={value!r},0.5",
+            "center-y": f"--center=0.5,{value!r}"}.get(option, f"--{option}={value!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        rc = main([command, "--domain", domain, "--levels", levels, "--out", tmp, args])
+    assert rc in (0, 1, 2)
+    for number in _REPORT_VALUE.findall(out.getvalue()):
+        assert math.isfinite(float(number)), out.getvalue()
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert lines and all(_DIAGNOSIS_AT_ANY_LEVEL.fullmatch(line)
+                             for line in lines), lines
+
+
 def test_cli_import_loads_no_scipy_special_or_io():
     # scipy.special and scipy.io cost start-up time and memory that no solve
     # needs; only --dump-matrix imports scipy.io.  Counted beyond what the

@@ -155,9 +155,8 @@ def test_dof_layout_counts_unit_box():
 
 
 def test_multiplier_dofs_share_velocity_locations(star_n8):
-    ct, layout, bqd, blocks = star_n8
-    node_set = {tuple(np.round(c, 12)) for c in node_coords(ct)}
-    for c in layout.mult_coords:
+    node_set = {tuple(np.round(c, 12)) for c in node_coords(star_n8.ct)}
+    for c in star_n8.layout.mult_coords:
         assert tuple(np.round(c, 12)) in node_set
 
 
@@ -172,7 +171,7 @@ def test_dof_layout_deterministic(star):
 
 
 def test_p2_interpolation_exact_for_quadratics(star_n8):
-    ct, layout, bqd, blocks = star_n8
+    ct, layout = star_n8.ct, star_n8.layout
 
     def q(x):
         return x[..., 0] ** 2 + 2.0 * x[..., 0] * x[..., 1] - x[..., 1] ** 2 + 1.0

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import as_level, make_level, solve_case
 from ctstokes import assembly, solver, verify
 from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
                                assemble_constraints, assemble_rhs,
@@ -30,8 +29,9 @@ from ctstokes.assembly import (assemble_a, assemble_b, assemble_be,
 from ctstokes.fem import element_maps, eval_p2, vector_dofs
 from ctstokes.geometry import circle_domain, project_points, star_domain
 from ctstokes.solver import SolverError, factorize
-from ctstokes.verify import (compute_errors, multiplier_values_on_edges,
-                             paper_case)
+from ctstokes.verify import (build_level, compute_errors,
+                             multiplier_values_on_edges, paper_case,
+                             solve_on_level)
 
 
 def errors_einsum(sol, case, ct, layout, bqd):
@@ -258,16 +258,18 @@ CASES = {"star": (star_domain(), 8),
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def solved(request):
+    """A level, a case and the case's solution on it."""
     dom, n = CASES[request.param]
-    ct, layout, bqd, blocks = make_level(dom, n)
+    level = build_level(dom, n, 40.0)
     case = paper_case(0.1)
-    return ct, layout, bqd, blocks, case, solve_case(ct, layout, bqd, blocks, case)
+    return level, case, solve_on_level(level, case)[0]
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def level(request):
+    """A level that no test solves on."""
     dom, n = CASES[request.param]
-    return (dom, *make_level(dom, n))
+    return build_level(dom, n, 40.0)
 
 
 def _rel(x, ref):
@@ -275,9 +277,12 @@ def _rel(x, ref):
     return abs(x - ref).max() / abs(ref).max()
 
 
-def test_boundary_traces_match_per_point_path(level):
-    dom, ct, layout, bqd, _ = level
-    sh, dn = boundary_traces_per_point(ct, bqd, dom)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_boundary_traces_match_per_point_path(name):
+    dom, n = CASES[name]
+    level = build_level(dom, n, 40.0)
+    bqd = level.bqd
+    sh, dn = boundary_traces_per_point(level.ct, bqd, dom)
     assert _rel(bqd.sh, sh) <= 1e-12
     assert _rel(bqd.dn, dn) <= 1e-12
 
@@ -291,21 +296,21 @@ def assert_same_csr(A, ref):
 
 
 def test_velocity_forms_and_composition_match_per_component_assembly(level):
-    _, ct, layout, bqd, blocks = level
-    K, a, gram = velocity_forms_per_component(ct, layout, bqd, 40.0)
+    ct, layout, bqd, blocks = level.ct, level.layout, level.bqd, level.blocks
+    K, a, gram = velocity_forms_per_component(ct, layout, bqd, level.sigma)
     assert_same_csr(assemble_stiffness(ct, layout), K)
-    assert_same_csr(assemble_a(ct, layout, bqd, 40.0), a)
+    assert_same_csr(assemble_a(ct, layout, bqd, level.sigma), a)
     assert_same_csr(gram_h1_velocity(ct, layout, bqd), gram)
     assert_same_csr(compose_system(blocks, layout).matrix, compose_bmat(blocks))
 
 
 def test_boundary_blocks_match_einsum_reference(level):
-    _, ct, layout, bqd, _ = level
-    ref = boundary_blocks_einsum(layout, bqd, 40.0)
+    ct, layout, bqd = level.ct, level.layout, level.bqd
+    ref = boundary_blocks_einsum(layout, bqd, level.sigma)
     K = assemble_stiffness(ct, layout)
     _, B_lam = assemble_b(ct, layout, bqd)
     _, m_mu, c_n = assemble_constraints(ct, layout, bqd)
-    found = {"a": assemble_a(ct, layout, bqd, 40.0) - K, "B_lam": B_lam,
+    found = {"a": assemble_a(ct, layout, bqd, level.sigma) - K, "B_lam": B_lam,
              "B_lam_e": assemble_be(layout, bqd), "m_mu": m_mu, "c_n": c_n,
              "gram_u": gram_h1_velocity(ct, layout, bqd) - K,
              "gram_lam": gram_multiplier(layout, bqd)}
@@ -314,12 +319,12 @@ def test_boundary_blocks_match_einsum_reference(level):
 
 
 def test_errors_match_einsum_reference(solved, monkeypatch):
-    ct, layout, bqd, _, case, sol = solved
-    ref = errors_einsum(sol, case, ct, layout, bqd)
+    level, case, sol = solved
+    ref = errors_einsum(sol, case, level.ct, level.layout, level.bqd)
     # one block of elements, and blocks of 32 (3 or more on both meshes)
     for block in (verify.ERROR_BLOCK, 32):
         monkeypatch.setattr(verify, "ERROR_BLOCK", block)
-        report = compute_errors(sol, case, as_level(ct, layout, bqd))
+        report = compute_errors(sol, case, level)
         for name in ("l2_u", "h1_u", "l2_p", "lam_diag"):
             value = getattr(report, name)
             assert value == pytest.approx(ref[name], rel=1e-12, abs=0.0), name
@@ -327,26 +332,29 @@ def test_errors_match_einsum_reference(solved, monkeypatch):
 
 
 def test_error_blocks_leave_norms_unchanged(solved, monkeypatch):
-    ct, layout, bqd, _, case, sol = solved
+    level, case, sol = solved
+    ct = level.ct
     assert ct.n_triangles <= verify.ERROR_BLOCK
-    whole = compute_errors(sol, case, as_level(ct, layout, bqd))
+    whole = compute_errors(sol, case, level)
     # 3 blocks of the star at n = 8, 15 of the circle at n = 16
     monkeypatch.setattr(verify, "ERROR_BLOCK", 32)
     assert ct.n_triangles > 2 * verify.ERROR_BLOCK
-    blocked = compute_errors(sol, case, as_level(ct, layout, bqd))
+    blocked = compute_errors(sol, case, level)
     for name in ("l2_u", "h1_u", "l2_p", "linf_div"):
         assert getattr(blocked, name) == getattr(whole, name), name
 
 
 def test_rhs_matches_einsum_reference(solved):
-    ct, layout, bqd, _, case, _ = solved
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, case.nu, 40.0)
-    ref = rhs_einsum(case.f, case.u, ct, layout, bqd, case.nu, 40.0)
+    level, case, _ = solved
+    ct, layout, bqd = level.ct, level.layout, level.bqd
+    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, case.nu, level.sigma)
+    ref = rhs_einsum(case.f, case.u, ct, layout, bqd, case.nu, level.sigma)
     assert np.abs(rhs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_element_blocks_match_einsum_reference(solved):
-    ct, layout, bqd, _, _, _ = solved
+    level = solved[0]
+    ct, layout, bqd = level.ct, level.layout, level.bqd
     nodes = layout.elem_nodes
     Ke = assembly._stiffness_triplets(ct, layout)[2]
     ref = stiffness_blocks_einsum(ct).ravel()
@@ -361,8 +369,8 @@ def test_element_blocks_match_einsum_reference(solved):
 
 
 def test_condensation_matches_coo_reference(level):
-    _, _, layout, _, blocks = level
-    A = compose_system(blocks, layout).matrix
+    layout = level.layout
+    A = compose_system(level.blocks, layout).matrix
     inner = layout.interior.ravel()
     ref = interior_blocks_coo(A, layout.interior)
     found = A[inner][:, inner].tobsr(blocksize=(16, 16)).data
@@ -382,11 +390,11 @@ def test_singular_macro_diagnosis_matches_slogdet_reference(level, block, scale)
     # macro 17 as tests/test_solver.py breaks it: its continuity rows or
     # pressure columns zeroed (exactly singular), or the second of them
     # scaled by 1e-16 (condition number above 1 / (8 eps))
-    _, _, layout, _, blocks = level
+    layout = level.layout
     t = 17
     keep = np.ones(layout.n_total)
     keep[layout.offset_p + 9 * t + (np.arange(9) if scale == 0.0 else 1)] = scale
-    A = compose_system(blocks, layout).matrix
+    A = compose_system(level.blocks, layout).matrix
     A = (sp.diags(keep) @ A if block == "divergence" else A @ sp.diags(keep)).tocsr()
     with pytest.raises(SolverError) as ref:
         interior_inverse_slogdet(interior_blocks_coo(A, layout.interior))
@@ -403,11 +411,11 @@ def test_macro_without_interior_entries_matches_slogdet_reference(level, side):
     # stored at all.  The reference, on zero-filled blocks, finds the zero
     # divergence block exactly singular; the factor rejects the missing
     # block by its one structure check
-    _, _, layout, _, blocks = level
+    layout = level.layout
     t = 17
     keep = np.ones(layout.n_total)
     keep[layout.interior[t]] = 0.0
-    A = compose_system(blocks, layout).matrix
+    A = compose_system(level.blocks, layout).matrix
     A = (sp.diags(keep) @ A if side == "rows" else A @ sp.diags(keep)).tocsr()
     assert A[layout.interior[t]][:, layout.interior[t]].nnz == 0
     with pytest.raises(SolverError) as ref:

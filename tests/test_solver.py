@@ -3,10 +3,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import make_level
 from ctstokes import solver
 from ctstokes.geometry import circle_domain
-from ctstokes.assembly import SaddleSystem, assemble_rhs, compose_system
+from ctstokes.assembly import SaddleSystem, assemble_rhs
 from ctstokes.solver import SolverError, factorize, solve_direct
 from ctstokes.verify import (build_level, level_system, paper_case,
                              run_convergence, solve_on_level)
@@ -121,18 +120,14 @@ def test_singular_schur_complement_rejected():
 
 
 def test_star_system_residual_contract(star):
-    ct, layout, bqd, blocks = make_level(star, 8)
-    case = paper_case(0.1)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
-    sol = solve_direct(compose_system(blocks, layout), rhs)
+    sol, _ = solve_on_level(build_level(star, 8, 40.0), paper_case(0.1))
     assert sol.residual <= 1e-10
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_recovery_of_random_solution(star, n):
     # from star n = 8 (757 dofs) up to n = 32
-    ct, layout, bqd, blocks = make_level(star, n)
-    system = compose_system(blocks, layout)
+    system = level_system(build_level(star, n, 40.0))
     rng = np.random.default_rng(42)
     x0 = rng.standard_normal(system.matrix.shape[0])
     sol = solve_direct(system, system.matrix @ x0)
@@ -163,6 +158,24 @@ def test_factor_is_a_velocity_block_without_pivoting(star, case):
     assert np.array_equal(lu.lu.perm_r, lu.lu.perm_c)
 
 
+# smallest |U_ii| of the penalised velocity block's factor at n = 16 / 32 /
+# 64, measured: star 0.56 / 0.92 / 0.029 and circle 0.93 / 0.62 / 0.018 at
+# sigma = 0; star 1.54 / 0.22 / 1.06 and circle 0.68 / 0.019 / 0.16 at
+# sigma = 40.  Every solve here ends at a residual of at most 5.9e-15 and
+# |div u_h| of at most 1.2e-13
+@pytest.mark.parametrize("sigma", [0.0, 40.0])
+@pytest.mark.parametrize("name", ["circle", "star"])
+def test_factor_needs_no_pivots_without_the_penalty(star, name, sigma):
+    # the library takes sigma = 0, which the CLI rejects; without the
+    # boundary penalty the factor still meets no small pivot
+    dom = star if name == "star" else circle_domain((0.45, 0.52), 0.35)
+    for n in (16, 32, 64):
+        level = build_level(dom, n, sigma)
+        _, report = solve_on_level(level, paper_case(0.1))
+        assert np.abs(level.system.factor.lu.U.diagonal()).min() >= 1e-3, n
+        assert report.residual <= 1e-13 and report.linf_div <= 1e-12, n
+
+
 # entries of L + U of star n, measured 46 358 / 295 070 / 1 720 595; the
 # pinned saddle factor had 86 193 / 619 140 / 4 769 621
 LU_NNZ_BOUND = {16: 50_000, 32: 310_000, 64: 1_800_000}
@@ -170,38 +183,34 @@ LU_NNZ_BOUND = {16: 50_000, 32: 310_000, 64: 1_800_000}
 
 @pytest.mark.parametrize("n", sorted(LU_NNZ_BOUND))
 def test_factor_fill_per_level(star, n):
-    system, _ = _paper_system(star, n)
+    system = level_system(build_level(star, n, 40.0))
     assert factorize(system.matrix, system.layout).lu.nnz <= LU_NNZ_BOUND[n]
 
 
 def test_krylov_cap_ends_in_solver_error(star, monkeypatch):
     # one Krylov step cannot meet KRYLOV_TOL: the solve fails with a
     # SolverError, never with numpy's LinAlgError
-    system, rhs = _paper_system(star, 8)
+    level = build_level(star, 8, 40.0)
     monkeypatch.setattr(solver, "MAX_KRYLOV", 1)
     with pytest.raises(SolverError, match="^Krylov solve did not converge in 1 steps"):
-        solve_direct(system, rhs)
+        solve_on_level(level, paper_case(0.1))
 
 
 def test_solve_deterministic(star):
-    ct, layout, bqd, blocks = make_level(star, 8)
     case = paper_case(1e-3)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 1e-3, 40.0)
-    system = compose_system(blocks, layout)
-    a = solve_direct(system, rhs)
-    # a second factorization, and a second solve with the cached factor
-    for b in (solve_direct(compose_system(blocks, layout), rhs),
-              solve_direct(system, rhs)):
+    level = build_level(star, 8, 40.0)
+    a, _ = solve_on_level(level, case)
+    # a second level and factorization, and a second solve with the cached
+    # factor
+    for b, _ in (solve_on_level(build_level(star, 8, 40.0), case),
+                 solve_on_level(level, case)):
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.p, b.p)
         assert np.array_equal(a.lam, b.lam)
 
 
 def test_small_viscosity_contract(star):
-    ct, layout, bqd, blocks = make_level(star, 16)
-    case = paper_case(1e-5)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 1e-5, 40.0)
-    sol = solve_direct(compose_system(blocks, layout), rhs)
+    sol, _ = solve_on_level(build_level(star, 16, 40.0), paper_case(1e-5))
     assert sol.residual <= 1e-10
 
 
@@ -220,8 +229,9 @@ def test_one_factorization_serves_every_viscosity(circle, monkeypatch):
     # the scaled solve against a direct solve of the nu-weighted system
     nu = 1e-5
     case = paper_case(nu)
-    sol, _ = solve_on_level(build_level(circle, 16, 40.0), case)
-    ct, layout, bqd, blocks = make_level(circle, 16)
+    level = build_level(circle, 16, 40.0)
+    ct, layout, bqd, blocks = level.ct, level.layout, level.bqd, level.blocks
+    sol, _ = solve_on_level(level, case)
     m_q = sp.csr_matrix(blocks.m_q[:, None])
     m_mu = sp.csr_matrix(blocks.m_mu[:, None])
     c_n = sp.csr_matrix(blocks.c_n[:, None])
@@ -234,7 +244,7 @@ def test_one_factorization_serves_every_viscosity(circle, monkeypatch):
         [c_n.T, None, None, None, None, None],
     ], format="csc")
     # the scaled rhs has the momentum rows divided by nu
-    b = assemble_rhs(case.f, case.u, ct, layout, bqd, nu, 40.0)
+    b = assemble_rhs(case.f, case.u, ct, layout, bqd, nu, level.sigma)
     b[:layout.n_u] *= nu
     x = spla.spsolve(A, b)
     u = x[:layout.n_u]
@@ -264,15 +274,9 @@ def test_preconditioned_steps_per_viscosity(star, circle, monkeypatch, case):
         assert 0 < len(calls) <= 12, (nu, len(calls))
 
 
-def _paper_system(dom, n):
-    ct, layout, bqd, blocks = make_level(dom, n)
-    case = paper_case(0.1)
-    rhs = assemble_rhs(case.f, case.u, ct, layout, bqd, 0.1, 40.0)
-    return compose_system(blocks, layout), rhs
-
-
 def test_interior_unknowns_couple_within_their_macro(star):
-    ct, layout, bqd, blocks = make_level(star, 8)
+    level = build_level(star, 8, 40.0)
+    ct, layout = level.ct, level.layout
     T = len(layout.interior)
     macro = np.full(layout.n_total, -1)
     macro[layout.interior] = np.arange(T)[:, None]
@@ -285,7 +289,7 @@ def test_interior_unknowns_couple_within_their_macro(star):
     members[t[:, None], layout.offset_p + 3 * np.arange(3 * T)[:, None] + np.arange(3)] = True
     members[ct.boundary_tris[:, None] // 3, layout.offset_lam + layout.edge_mult] = True
     members[:, layout.alpha:] = True
-    A = compose_system(blocks, layout).matrix.tocoo()
+    A = level_system(level).matrix.tocoo()
     for i, j in ((A.row, A.col), (A.col, A.row)):
         inner = macro[i] >= 0
         assert members[macro[i][inner], j[inner]].all()
@@ -293,7 +297,7 @@ def test_interior_unknowns_couple_within_their_macro(star):
 
 def test_coupled_macros_are_rejected(star):
     # one entry coupling an interior unknown of macro 0 to one of macro 1
-    system, _ = _paper_system(star, 8)
+    system = level_system(build_level(star, 8, 40.0))
     layout = system.layout
     i, j = layout.interior[0, 0], layout.interior[1, 0]
     A = system.matrix + sp.csr_matrix(([1.0], ([i], [j])), shape=system.matrix.shape)
@@ -306,7 +310,11 @@ def test_coupled_macros_are_rejected(star):
 @pytest.mark.parametrize("case", ["star", "circle"])
 def test_condensed_solve_matches_full_solve(star, case):
     dom, n = (star, 8) if case == "star" else (circle_domain((0.45, 0.52), 0.35), 16)
-    system, rhs = _paper_system(dom, n)
+    level = build_level(dom, n, 40.0)
+    paper = paper_case(0.1)
+    system = level_system(level)
+    rhs = assemble_rhs(paper.f, paper.u, level.ct, level.layout, level.bqd,
+                       paper.nu, level.sigma)
     sol = solve_direct(system, rhs)
     x = np.concatenate([sol.u, sol.p, sol.lam, [sol.alpha, sol.beta, sol.gamma]])
     # the reference: a full-matrix spsolve and one refinement step with it,
@@ -320,15 +328,18 @@ def test_condensed_solve_matches_full_solve(star, case):
 def test_condensation_keeps_fill_small(star):
     # star n = 32: 0.30 M entries in L + U, against 6.5 M for an LU of the
     # whole system
-    system, _ = _paper_system(star, 32)
+    system = level_system(build_level(star, 32, 40.0))
     lu = factorize(system.matrix, system.layout)
     assert lu.lu.nnz < 1.0e6
 
 
 @pytest.mark.parametrize("block", ["divergence", "momentum pressure"])
 def test_singular_macro_block_is_diagnosed(star, block):
-    system, rhs = _paper_system(star, 8)
-    layout = system.layout
+    level = build_level(star, 8, 40.0)
+    case = paper_case(0.1)
+    system, layout = level_system(level), level.layout
+    rhs = assemble_rhs(case.f, case.u, level.ct, layout, level.bqd, case.nu,
+                       level.sigma)
     t = 17
     keep = np.ones(layout.n_total)
     keep[layout.offset_p + 9 * t + np.arange(9)] = 0.0
@@ -345,7 +356,7 @@ def test_near_singular_macro_block_is_diagnosed(star, block):
     # the block's 1-norm condition number goes from about 20 to c / scale,
     # 1.4e13 or 3.9e12 at 1e-12 and 1.4e17 or 3.9e16 at 1e-16, on either
     # side of the working-precision limit 1 / (8 eps) = 5.6e14
-    system, _ = _paper_system(star, 8)
+    system = level_system(build_level(star, 8, 40.0))
     layout = system.layout
     t = 17
 
@@ -366,7 +377,7 @@ def test_interior_inverse_singularity_test_is_scale_free(star):
     # four macro blocks of star n = 8; macro 1 scaled by 1e-45 stays well
     # conditioned though det of its 8x8 blocks underflows to 0, and macro 2
     # with one continuity row zeroed has an exactly singular divergence block
-    system, _ = _paper_system(star, 8)
+    system = level_system(build_level(star, 8, 40.0))
     A = system.matrix.tocsr()
     blocks = np.stack([A[idx][:, idx].toarray()
                        for idx in system.layout.interior[:4]])

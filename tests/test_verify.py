@@ -7,8 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
-from conftest import (as_level, ellipse_domain, hydrostatic_case, make_level,
-                      node_coords, solve_case)
+from conftest import (box_sdf_domain, ellipse_domain, hydrostatic_case,
+                      node_coords)
 from ctstokes import assembly as asm
 from ctstokes import solver
 from ctstokes.fem import element_maps, eval_p1, triangle_rule
@@ -71,7 +71,7 @@ def test_paper_case_boundary_data_nonzero():
 
 
 def test_paper_case_weak_divergence(star_n8):
-    ct, layout, bqd, blocks = star_n8
+    ct = star_n8.ct
     case = paper_case(0.1)
     rule = triangle_rule(8)
     det, _, _ = element_maps(ct)
@@ -114,22 +114,22 @@ def _zero_case():
 
     from ctstokes.verify import ManufacturedCase
 
-    return ManufacturedCase(name="zero", nu=1.0, u=zero_vec, grad_u=zero_grad,
+    return ManufacturedCase(nu=1.0, u=zero_vec, grad_u=zero_grad,
                             p=zero_scalar, f=zero_vec)
 
 
 def test_compute_errors_zero_case(star_n8):
-    ct, layout, bqd, blocks = star_n8
+    layout = star_n8.layout
     sol = SolutionFields(u=np.zeros(layout.n_u), p=np.zeros(layout.n_p),
                          lam=np.zeros(layout.n_lam), alpha=0.0, beta=0.0,
                          gamma=0.0, residual=0.0)
-    rep = compute_errors(sol, _zero_case(), as_level(ct, layout, bqd))
+    rep = compute_errors(sol, _zero_case(), star_n8)
     for field in ("l2_u", "h1_u", "l2_p", "linf_div", "lam_diag"):
         assert getattr(rep, field) == 0.0
 
 
 def test_compute_errors_interpolant_of_patch(star_n8):
-    ct, layout, bqd, blocks = star_n8
+    ct, layout = star_n8.ct, star_n8.layout
     case = patch_case(1.0)
     u = case.u(node_coords(ct))
     u_coeff = np.empty(layout.n_u)
@@ -138,23 +138,22 @@ def test_compute_errors_interpolant_of_patch(star_n8):
     p_coeff = case.p(ct.vertices[ct.triangles]).ravel()
     sol = SolutionFields(u=u_coeff, p=p_coeff, lam=np.zeros(layout.n_lam),
                          alpha=0.0, beta=0.0, gamma=0.0, residual=0.0)
-    rep = compute_errors(sol, case, as_level(ct, layout, bqd))
+    rep = compute_errors(sol, case, star_n8)
     assert rep.l2_u <= 1e-12
     assert rep.h1_u <= 1e-11
     assert rep.l2_p <= 1e-12
     assert rep.linf_div <= 1e-11
 
 
-def test_mean_adjustment_invariance(star_n8):
-    ct, layout, bqd, blocks = star_n8
+def test_mean_adjustment_invariance(star):
+    level = build_level(star, 8, 40.0)
     case = paper_case(0.1)
-    sol = solve_case(ct, layout, bqd, blocks, case)
-    rep = compute_errors(sol, case, as_level(ct, layout, bqd))
+    sol, rep = solve_on_level(level, case)
 
     shifted = paper_case(0.1)
     p_orig = shifted.p
     object.__setattr__(shifted, "p", lambda x: p_orig(x) + 3.7)
-    rep2 = compute_errors(sol, shifted, as_level(ct, layout, bqd))
+    rep2 = compute_errors(sol, shifted, level)
     assert rep2.l2_p == pytest.approx(rep.l2_p, abs=1e-12)
 
 
@@ -245,23 +244,18 @@ def infsup_interior(ct, layout, bqd):
 
 
 def test_infsup_positive_and_reported(circle):
-    values = {}
-    for n in (4, 6, 8):
-        ct, layout, bqd, blocks = make_level(circle, n)
-        values[n] = infsup_estimate(ct, layout, bqd)
-        assert values[n] > 0.0
+    levels = {n: build_level(circle, n, 40.0) for n in (4, 6, 8)}
+    values = {n: infsup_estimate(lv.ct, lv.layout, lv.bqd) for n, lv in levels.items()}
+    assert all(v > 0.0 for v in values.values())
     # trend is reported, not asserted against a bound
     print("inf-sup estimates (circle):", values)
-    ct, layout, bqd, blocks = make_level(circle, 4)
-    sv = infsup_interior(ct, layout, bqd)
+    sv = infsup_interior(levels[4].ct, levels[4].layout, levels[4].bqd)
     assert sv > 0.0
 
 
 def test_infsup_fitted_box():
-    from conftest import box_sdf_domain
-
-    ct, layout, bqd, blocks = make_level(box_sdf_domain(), 4)
-    assert infsup_estimate(ct, layout, bqd) > 0.0
+    level = build_level(box_sdf_domain(), 4, 40.0)
+    assert infsup_estimate(level.ct, level.layout, level.bqd) > 0.0
 
 
 # (with multiplier, interior pair) per domain and level, as computed by a
