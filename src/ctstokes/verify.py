@@ -72,7 +72,7 @@ def paper_case(nu: float) -> ManufacturedCase:
     does not vanish on the physical boundary, so the non-homogeneous
     transfer path is exercised.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError("nu must be positive")
 
     def psi(x, y):
@@ -121,7 +121,7 @@ def patch_case(nu: float) -> ManufacturedCase:
     quadratics, so the discrete solution must reproduce this case to solver
     precision on any admissible mesh.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError("nu must be positive")
 
     def u(pts):
@@ -332,8 +332,9 @@ def level_system(level: LevelStructure) -> SaddleSystem:
     velocity errors taken ERROR_BLOCK elements at a time, 25 MB on the
     study; the factorization freeing each condensation temporary as soon
     as it is used up, 15 MB on the study; the system composed here rather
-    than in build_level, 11 MB on the sweep; the Schur complement formed
-    SCHUR_ROWS rows at a time, 3 MB on the study."""
+    than in build_level, 11 MB on the sweep, because callers keep the
+    previous level and its factor bound while they build the next; the
+    Schur complement formed SCHUR_ROWS rows at a time, 3 MB on the study."""
     if level.system is None:
         level.system = compose_system(level.blocks, level.layout)
         level.blocks = None

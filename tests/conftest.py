@@ -1,12 +1,15 @@
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from ctstokes import assembly, verify
+from ctstokes.assembly import assemble_constraints
 from ctstokes.geometry import LevelSetDomain, circle_domain, star_domain
-from ctstokes.verify import ManufacturedCase, build_level
+from ctstokes.verify import ManufacturedCase, build_level, run_convergence
 
 # fixed examples and no example database, so runs repeat; hypothesis still
 # caches the constants it reads from source files in its storage directory,
@@ -96,21 +99,24 @@ def annulus_domain():
     return LevelSetDomain(phi, grad, hess, (0.0, 0.0, 1.0, 1.0), "annulus")
 
 
-def ellipse_domain(center, axes, bounding_box=(0.0, 0.0, 1.0, 1.0)):
-    """Axis-aligned ellipse as the algebraic level set
-    phi = ((x - cx)/a)^2 + ((y - cy)/b)^2 - 1, which is not a distance."""
+def ellipse_domain(center, axes, bounding_box=(0.0, 0.0, 1.0, 1.0), angle=0.0):
+    """Ellipse with its axes turned by angle, as the algebraic level set
+    phi = d^T Q d - 1 with d = x - center and Q = R diag(axes)^-2 R^T, which
+    is not a distance; its Hessian is 2Q."""
     c = np.asarray(center, dtype=float)
-    scale = 1.0 / np.asarray(axes, dtype=float) ** 2
+    cos, sin = np.cos(angle), np.sin(angle)
+    R = np.array([[cos, -sin], [sin, cos]])
+    Q = R @ np.diag(1.0 / np.asarray(axes, dtype=float) ** 2) @ R.T
 
     def phi(x):
         d = np.asarray(x, dtype=float) - c
-        return np.sum(scale * d * d, axis=-1) - 1.0
+        return np.einsum("...i,ij,...j->...", d, Q, d) - 1.0
 
     def grad(x):
-        return 2.0 * scale * (np.asarray(x, dtype=float) - c)
+        return 2.0 * (np.asarray(x, dtype=float) - c) @ Q
 
     def hess(x):
-        return np.broadcast_to(np.diag(2.0 * scale), np.shape(x) + (2,)).copy()
+        return np.broadcast_to(2.0 * Q, np.shape(x) + (2,)).copy()
 
     return LevelSetDomain(phi, grad, hess, bounding_box, "ellipse")
 
@@ -140,6 +146,32 @@ def hydrostatic_case(nu, phi, grad_phi):
     return ManufacturedCase(nu=nu, u=u, grad_u=grad_u, p=phi, f=grad_phi)
 
 
+def _xy(pts):
+    pts = np.asarray(pts, dtype=float)
+    return pts[..., 0], pts[..., 1]
+
+
+def quadratic_pressure(pts):
+    x, y = _xy(pts)
+    return 2.0 * x * x - x * y + 0.5 * y * y + 3.0 * x - y + 0.25
+
+
+def quadratic_pressure_grad(pts):
+    x, y = _xy(pts)
+    return np.stack([4.0 * x - y + 3.0, -x + y - 1.0], axis=-1)
+
+
+def smooth_pressure(pts):
+    x, y = _xy(pts)
+    return np.sin(3.0 * x) * np.exp(y)
+
+
+def smooth_pressure_grad(pts):
+    x, y = _xy(pts)
+    return np.stack([3.0 * np.cos(3.0 * x) * np.exp(y),
+                     np.sin(3.0 * x) * np.exp(y)], axis=-1)
+
+
 def node_coords(ct):
     """Coordinates of the velocity nodes in layout order: the micro
     vertices, then the micro edge midpoints."""
@@ -152,3 +184,65 @@ def star_n8(star):
     """A level shared by the whole session, so no test solves on it: the
     first solve on a level drops its blocks and caches a factor on it."""
     return build_level(star, 8, 40.0)
+
+
+# the refinement studies of the paper case that several tests read: each
+# (domain, sigma) is solved once per session, at these levels and at
+# nu = 0.1 and 1e-5
+STUDY_LEVELS = [16, 32, 64]
+STUDY_DOMAINS = {"star": star_domain(),
+                 "circle": circle_domain((0.45, 0.52), 0.35),
+                 "ellipse": ellipse_domain((0.47, 0.53), (0.38, 0.24), angle=0.4)}
+_TAYLOR_TRACE = assembly.taylor_trace
+
+
+@dataclass
+class Study:
+    """What a refinement study keeps once its levels and factors are gone."""
+
+    tables: dict              # nu -> RateTable over STUDY_LEVELS
+    constraints: np.ndarray   # pressure mean, multiplier mean, flux per solve
+    min_pivot: dict           # n -> min |U_ii| of the level's K_gamma factor
+    lu_nnz: dict              # n -> lu.nnz of that factor
+
+
+def _run_study(dom, sigma):
+    """run_convergence with each solve measured as it ends: the constraint
+    functionals of every solution, and the factor of each level after its
+    first solve."""
+    dom.validate()
+    solve, constraints, functionals = verify.solve_on_level, [], {}
+    min_pivot, lu_nnz = {}, {}
+
+    def solve_and_measure(level, case):
+        sol, report = solve(level, case)
+        if level.n not in functionals:
+            lu = level.system.factor.lu
+            min_pivot[level.n] = np.abs(lu.U.diagonal()).min()
+            lu_nnz[level.n] = lu.nnz
+            functionals[level.n] = assemble_constraints(level.ct, level.layout, level.bqd)
+        m_q, m_mu, c_n = functionals[level.n]
+        constraints.append((m_q @ sol.p, m_mu @ sol.lam, c_n @ sol.u))
+        return sol, report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "solve_on_level", solve_and_measure)
+        tables = run_convergence(dom, STUDY_LEVELS, [0.1, 1e-5], sigma)
+    return Study(tables, np.array(constraints), min_pivot, lu_nnz)
+
+
+@pytest.fixture(scope="session")
+def study():
+    """study(name, sigma): the paper case's Study on STUDY_DOMAINS[name],
+    computed at its first request.  A test that patches the Taylor trace
+    fetches its study first: the cache computes none under a patched trace."""
+    cache = {}
+
+    def get(name, sigma):
+        if (name, sigma) not in cache:
+            if assembly.taylor_trace is not _TAYLOR_TRACE:
+                raise RuntimeError("a study needs the Taylor trace as built")
+            cache[name, sigma] = _run_study(STUDY_DOMAINS[name], sigma)
+        return cache[name, sigma]
+
+    return get

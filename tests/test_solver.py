@@ -131,7 +131,7 @@ def test_recovery_of_random_solution(star, n):
     rng = np.random.default_rng(42)
     x0 = rng.standard_normal(system.matrix.shape[0])
     sol = solve_direct(system, system.matrix @ x0)
-    x = np.concatenate([sol.u, sol.p, sol.lam, [sol.alpha, sol.beta, sol.gamma]])
+    x = _fields(sol)
     assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
 
 
@@ -165,15 +165,13 @@ def test_factor_is_a_velocity_block_without_pivoting(star, case):
 # |div u_h| of at most 1.2e-13
 @pytest.mark.parametrize("sigma", [0.0, 40.0])
 @pytest.mark.parametrize("name", ["circle", "star"])
-def test_factor_needs_no_pivots_without_the_penalty(star, name, sigma):
+def test_factor_needs_no_pivots_without_the_penalty(study, name, sigma):
     # the library takes sigma = 0, which the CLI rejects; without the
     # boundary penalty the factor still meets no small pivot
-    dom = star if name == "star" else circle_domain((0.45, 0.52), 0.35)
-    for n in (16, 32, 64):
-        level = build_level(dom, n, sigma)
-        _, report = solve_on_level(level, paper_case(0.1))
-        assert np.abs(level.system.factor.lu.U.diagonal()).min() >= 1e-3, n
-        assert report.residual <= 1e-13 and report.linf_div <= 1e-12, n
+    result = study(name, sigma)
+    for report in result.tables[0.1].reports:
+        assert result.min_pivot[report.n] >= 1e-3, report.n
+        assert report.residual <= 1e-13 and report.linf_div <= 1e-12, report.n
 
 
 # entries of L + U of star n, measured 46 358 / 295 070 / 1 720 595; the
@@ -182,9 +180,8 @@ LU_NNZ_BOUND = {16: 50_000, 32: 310_000, 64: 1_800_000}
 
 
 @pytest.mark.parametrize("n", sorted(LU_NNZ_BOUND))
-def test_factor_fill_per_level(star, n):
-    system = level_system(build_level(star, n, 40.0))
-    assert factorize(system.matrix, system.layout).lu.nnz <= LU_NNZ_BOUND[n]
+def test_factor_fill_per_level(study, n):
+    assert study("star", 40.0).lu_nnz[n] <= LU_NNZ_BOUND[n]
 
 
 def test_krylov_cap_ends_in_solver_error(star, monkeypatch):
@@ -209,9 +206,8 @@ def test_solve_deterministic(star):
         assert np.array_equal(a.lam, b.lam)
 
 
-def test_small_viscosity_contract(star):
-    sol, _ = solve_on_level(build_level(star, 16, 40.0), paper_case(1e-5))
-    assert sol.residual <= 1e-10
+def test_small_viscosity_contract(study):
+    assert study("star", 40.0).tables[1e-5].reports[0].residual <= 1e-10
 
 
 def test_one_factorization_serves_every_viscosity(circle, monkeypatch):
@@ -316,7 +312,7 @@ def test_condensed_solve_matches_full_solve(star, case):
     rhs = assemble_rhs(paper.f, paper.u, level.ct, level.layout, level.bqd,
                        paper.nu, level.sigma)
     sol = solve_direct(system, rhs)
-    x = np.concatenate([sol.u, sol.p, sol.lam, [sol.alpha, sol.beta, sol.gamma]])
+    x = _fields(sol)
     # the reference: a full-matrix spsolve and one refinement step with it,
     # which brings its own error (3.5e-9 relative unrefined) below 1e-11
     A = system.matrix.tocsc()

@@ -10,17 +10,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import hydrostatic_case
-from test_verify import smooth_pressure, smooth_pressure_grad
-from ctstokes import assembly, verify
-from ctstokes.assembly import SaddleSystem, assemble_constraints, assemble_rhs
-from ctstokes.geometry import LevelSetDomain, circle_domain, star_domain
+from conftest import (STUDY_DOMAINS, STUDY_LEVELS, hydrostatic_case,
+                      smooth_pressure, smooth_pressure_grad)
+from ctstokes import assembly
+from ctstokes.assembly import SaddleSystem, assemble_rhs
 from ctstokes.solver import N_BORDER, solve_direct
 from ctstokes.verify import (RateTable, build_level, compute_errors,
                              level_system, patch_case, run_convergence,
                              solve_on_level)
-
-LEVELS = [16, 32, 64]
 
 
 def _slope(table, col):
@@ -40,27 +37,6 @@ def _order0_trace(table, delta, dirs):
     return np.broadcast_to(table.vals, delta.shape + table.vals.shape[-1:]).copy()
 
 
-def _tilted_ellipse(center=(0.47, 0.53), axes=(0.38, 0.24), angle=0.4):
-    """Ellipse with its axes turned by angle: phi = d^T Q d - 1, d = x - center,
-    Q = R diag(axes)^-2 R^T, so the Hessian is 2Q."""
-    c = np.asarray(center, dtype=float)
-    cos, sin = np.cos(angle), np.sin(angle)
-    R = np.array([[cos, -sin], [sin, cos]])
-    Q = R @ np.diag(1.0 / np.asarray(axes, dtype=float) ** 2) @ R.T
-
-    def phi(x):
-        d = np.asarray(x, dtype=float) - c
-        return np.einsum("...i,ij,...j->...", d, Q, d) - 1.0
-
-    def grad(x):
-        return 2.0 * (np.asarray(x, dtype=float) - c) @ Q
-
-    def hess(x):
-        return np.broadcast_to(2.0 * Q, np.shape(x) + (2,)).copy()
-
-    return LevelSetDomain(phi, grad, hess, (0.0, 0.0, 1.0, 1.0), "tilted-ellipse")
-
-
 # least-squares slopes of (l2_u, h1_u, l2_p) over n = 16, 32, 64 at nu = 0.1
 # with the trace of Taylor order 1 and 0; measured:
 #   star    order 1: 1.805 / 1.248 / 1.293   order 0: 0.885 / 0.647 / 1.165
@@ -73,16 +49,17 @@ LOWER_ORDER_SLOPES = {
 
 
 @pytest.mark.parametrize("name", ["star", "circle"])
-def test_boundary_correction_gives_the_optimal_order(name, monkeypatch):
+def test_boundary_correction_gives_the_optimal_order(name, monkeypatch, study):
     # the same solves with the second-order Taylor trace replaced by lower
     # orders: the divergence guarantee holds at every order, the optimal
     # order only with the correction
-    dom = star_domain() if name == "star" else circle_domain((0.45, 0.52), 0.35)
-    slopes = {}
-    for order, trace in ((2, assembly.taylor_trace), (1, _order1_trace),
-                         (0, _order0_trace)):
+    tables = {2: study(name, 40.0).tables[0.1]}
+    for order, trace in ((1, _order1_trace), (0, _order0_trace)):
         monkeypatch.setattr(assembly, "taylor_trace", trace)
-        table = run_convergence(dom, LEVELS, [0.1], 40.0)[0.1]
+        tables[order] = run_convergence(STUDY_DOMAINS[name], STUDY_LEVELS, [0.1],
+                                        40.0)[0.1]
+    slopes = {}
+    for order, table in tables.items():
         assert max(r.linf_div for r in table.reports) <= 1e-12
         slopes[order] = tuple(_slope(table, c) for c in ("l2_u", "h1_u", "l2_p"))
     assert min(slopes[2][1:]) >= 1.9
@@ -98,27 +75,16 @@ def test_boundary_correction_gives_the_optimal_order(name, monkeypatch):
 # h1_u / l2_p: circle 1.95 / 2.08 and 2.99 / 1.90, ellipse 2.04 / 2.09 and
 # 4.02 / 1.92; every constraint below 5e-16
 @pytest.mark.parametrize("name", ["circle", "ellipse"])
-def test_asymmetric_domain_refinement_study(name, monkeypatch):
-    dom = circle_domain((0.45, 0.52), 0.35) if name == "circle" else _tilted_ellipse()
-    dom.validate()
-    solve_on_level, constraints = verify.solve_on_level, []
-
-    def solve_and_measure(level, case):
-        sol, report = solve_on_level(level, case)
-        m_q, m_mu, c_n = assemble_constraints(level.ct, level.layout, level.bqd)
-        constraints.append((m_q @ sol.p, m_mu @ sol.lam, c_n @ sol.u))
-        return sol, report
-
-    monkeypatch.setattr(verify, "solve_on_level", solve_and_measure)
-    tables = run_convergence(dom, LEVELS, [0.1, 1e-5], 40.0)
-    for nu, table in tables.items():
-        assert len(table.reports) == len(LEVELS)
+def test_asymmetric_domain_refinement_study(name, study):
+    result = study(name, 40.0)
+    for nu, table in result.tables.items():
+        assert len(table.reports) == len(STUDY_LEVELS)
         assert _slope(table, "h1_u") >= 1.8, nu
         assert _slope(table, "l2_p") >= 1.8, nu
         assert max(r.linf_div for r in table.reports) <= 1e-12, nu
     # pressure mean, multiplier mean and boundary flux, each of 6 solves
-    assert len(constraints) == 2 * len(LEVELS)
-    assert np.abs(constraints).max() <= 1e-14
+    assert len(result.constraints) == 2 * len(STUDY_LEVELS)
+    assert np.abs(result.constraints).max() <= 1e-14
 
 
 # least-squares slopes over n = 16, 32, 64 of (h1_u, l2_p) at nu = 0.1, then
@@ -131,18 +97,17 @@ def test_asymmetric_domain_refinement_study(name, monkeypatch):
 # n = 16 gives h1_u and l2_p <= 1.7e-12 at sigma <= 1 and <= 8.8e-11 at 40
 @pytest.mark.parametrize("sigma", [0.0, 0.01, 1.0, 40.0])
 @pytest.mark.parametrize("name", ["star", "circle"])
-def test_boundary_penalty_is_not_needed_for_the_order(name, sigma):
+def test_boundary_penalty_is_not_needed_for_the_order(name, sigma, study):
     # the non-symmetric boundary terms without (or with a small) penalty
     # keep the order, the divergence guarantee and the patch; the CLI keeps
     # sigma positive, the library takes 0
-    dom = star_domain() if name == "star" else circle_domain((0.45, 0.52), 0.35)
-    tables = run_convergence(dom, LEVELS, [0.1, 1e-5], sigma)
-    for nu, table in tables.items():
+    for nu, table in study(name, sigma).tables.items():
         assert _slope(table, "h1_u") >= 1.8, nu
         assert _slope(table, "l2_p") >= 1.8, nu
         assert max(r.linf_div for r in table.reports) <= 1e-12, nu
         assert max(r.residual for r in table.reports) <= 1e-13, nu
-    _, patch = solve_on_level(build_level(dom, 16, sigma), patch_case(1.0))
+    _, patch = solve_on_level(build_level(STUDY_DOMAINS[name], 16, sigma),
+                              patch_case(1.0))
     assert max(patch.h1_u, patch.l2_p) <= 1e-9
 
 
@@ -193,7 +158,7 @@ def test_p2_multiplier_space_shrinks_the_pressure_robustness_defect(name):
     # multiplier as built against its restriction to continuous P1: the
     # divergence guarantee does not depend on the multiplier degree, while
     # the defect is smaller with P2 at every level and falls faster
-    dom = star_domain() if name == "star" else circle_domain((0.45, 0.52), 0.35)
+    dom = STUDY_DOMAINS[name]
     case = hydrostatic_case(1.0, smooth_pressure, smooth_pressure_grad)
     levels = [8, 16, 32]
     reports = {"P2": [], "P1": []}

@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
 from conftest import (box_sdf_domain, ellipse_domain, hydrostatic_case,
-                      node_coords)
+                      node_coords, quadratic_pressure, quadratic_pressure_grad,
+                      smooth_pressure, smooth_pressure_grad)
 from ctstokes import assembly as asm
 from ctstokes import solver
 from ctstokes.fem import element_maps, eval_p1, triangle_rule
@@ -96,10 +97,11 @@ def test_patch_case_consistency():
 
 
 def test_invalid_viscosity():
-    with pytest.raises(ValueError):
-        paper_case(0.0)
-    with pytest.raises(ValueError):
-        patch_case(-1.0)
+    for nu in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            paper_case(nu)
+        with pytest.raises(ValueError):
+            patch_case(nu)
 
 
 def _zero_case():
@@ -302,32 +304,6 @@ def test_infsup_star_n64(star):
 HYDROSTATIC_NUS = (1.0, 1e-4, 1e-8)
 HYDROSTATIC_DOMAINS = {"star": star_domain(),
                        "circle": circle_domain((0.45, 0.52), 0.35)}
-
-
-def _xy(pts):
-    pts = np.asarray(pts, dtype=float)
-    return pts[..., 0], pts[..., 1]
-
-
-def quadratic_pressure(pts):
-    x, y = _xy(pts)
-    return 2.0 * x * x - x * y + 0.5 * y * y + 3.0 * x - y + 0.25
-
-
-def quadratic_pressure_grad(pts):
-    x, y = _xy(pts)
-    return np.stack([4.0 * x - y + 3.0, -x + y - 1.0], axis=-1)
-
-
-def smooth_pressure(pts):
-    x, y = _xy(pts)
-    return np.sin(3.0 * x) * np.exp(y)
-
-
-def smooth_pressure_grad(pts):
-    x, y = _xy(pts)
-    return np.stack([3.0 * np.cos(3.0 * x) * np.exp(y),
-                     np.sin(3.0 * x) * np.exp(y)], axis=-1)
 
 
 @pytest.mark.parametrize("name", sorted(HYDROSTATIC_DOMAINS))
