@@ -12,10 +12,10 @@ from .mesh import (CtMesh, MacroMesh, build_type1_mesh, check_assumption_a,
                    clip_to_interior, clough_tocher, extract_boundary)
 from .fem import DofLayout, build_dof_layout, edge_rule, eval_p1, eval_p2, triangle_rule
 from .assembly import SaddleSystem
-from .solver import SolutionFields, solve_direct
-from .verify import (ErrorReport, ManufacturedCase, RateTable, compute_errors,
-                     infsup_estimate, paper_case, patch_case, run_convergence,
-                     solve_on_level)
+from .solver import solve_direct
+from .verify import (ErrorReport, ManufacturedCase, RateTable, SolutionFields,
+                     compute_errors, infsup_estimate, paper_case, patch_case,
+                     run_convergence, solve_on_level)
 
 __all__ = [
     "LevelSetDomain", "circle_domain", "star_domain",

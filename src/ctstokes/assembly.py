@@ -350,11 +350,10 @@ def gram_h1_velocity(ct: CtMesh, layout: DofLayout,
     """Gram matrix of the mesh-dependent H1 norm on the velocity space:
     grad L2 squared plus edge L2 terms weighted by 1/h_e: ds/h_e is the
     rule weight, so every edge block is EDGE_MASS."""
-    nodes = (layout.n_nodes, layout.n_nodes)
-    K = _sparse(nodes, _stiffness_triplets(ct, layout))
     Me = np.broadcast_to(EDGE_MASS, (len(bqd.lengths), 6, 6))
-    M = _sparse(nodes, _triplets(bqd.elem_nodes, bqd.elem_nodes, Me))
-    return _velocity(K + M)
+    M = _sparse((layout.n_nodes, layout.n_nodes),
+                _triplets(bqd.elem_nodes, bqd.elem_nodes, Me))
+    return assemble_stiffness(ct, layout) + _velocity(M)
 
 
 def gram_pressure_mass(ct: CtMesh, layout: DofLayout) -> sp.csr_matrix:

@@ -205,18 +205,6 @@ class DofLayout:
             vector_dofs(nodes).reshape(T, 8),
             self.offset_p + 9 * np.arange(T)[:, None] + np.arange(1, 9)])
 
-    @property
-    def alpha(self) -> int:
-        return self.offset_scalar
-
-    @property
-    def beta(self) -> int:
-        return self.offset_scalar + 1
-
-    @property
-    def gamma(self) -> int:
-        return self.offset_scalar + 2
-
 
 def build_dof_layout(ct) -> DofLayout:
     """Deterministic global numbering for velocity, pressure, multiplier, scalars."""

@@ -31,11 +31,12 @@ Iterative refinement against the full matrix drives the residual to near
 machine precision, which the pointwise divergence guarantee needs: a
 continuity-row residual is amplified by the inverse pressure mass, i.e. by
 1/h^2.
+
+solve_direct returns the solution vector and its relative residual; the
+level layer (verify.solve_on_level) splits the vector into fields.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,19 +58,6 @@ MAX_KRYLOV = 200  # Krylov steps of one solve; sigma = 1e6 takes up to 68 at n =
 
 class SolverError(RuntimeError):
     pass
-
-
-@dataclass
-class SolutionFields:
-    """Solved coefficient vectors split by field."""
-
-    u: np.ndarray
-    p: np.ndarray
-    lam: np.ndarray
-    alpha: float
-    beta: float
-    gamma: float
-    residual: float
 
 
 def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
@@ -298,8 +286,9 @@ def factorize(matrix: sp.spmatrix, layout) -> _CondensedLU:
     return _CondensedLU(A, layout)
 
 
-def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
+def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve one rhs under the residual contract; factorize on first use.
+    Return the solution vector and its relative residual.
 
     Refinement runs past the contract down to stagnation of the
     continuity-block residual: it stops once the global residual is at
@@ -353,6 +342,4 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> SolutionFields:
                 break
     if not res <= RESIDUAL_TOL:     # a NaN residual fails it too
         raise SolverError(f"residual contract violated: {res:.3e} > {RESIDUAL_TOL:.1e}")
-    lam = x[layout.offset_lam:layout.offset_lam + layout.n_lam]
-    return SolutionFields(x[:layout.n_u], x[p_rows], lam, float(x[layout.alpha]),
-                          float(x[layout.beta]), float(x[layout.gamma]), float(res))
+    return x, float(res)

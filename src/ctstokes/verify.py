@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -30,8 +30,7 @@ from .fem import (DofLayout, build_dof_layout, element_maps, eval_p1, eval_p2,
 from .geometry import LevelSetDomain, ProjectionError
 from .mesh import (CtMesh, MeshError, build_type1_mesh, check_assumption_a,
                    clip_to_interior, clough_tocher)
-from .solver import (N_BORDER, SolutionFields, SolverError, factorize,
-                     solve_direct)
+from .solver import N_BORDER, SolverError, factorize, solve_direct
 
 ERROR_QUAD_DEGREE = 8
 # micro triangles per block of the velocity errors.  A power of two: a BLAS
@@ -149,6 +148,17 @@ def patch_case(nu: float) -> ManufacturedCase:
         return out
 
     return ManufacturedCase(nu=nu, u=u, grad_u=grad_u, p=p, f=f)
+
+
+@dataclass
+class SolutionFields:
+    """A solve's velocity, pressure and multiplier coefficients, and its
+    relative residual."""
+
+    u: np.ndarray
+    p: np.ndarray
+    lam: np.ndarray
+    residual: float
 
 
 @dataclass
@@ -342,18 +352,19 @@ def level_system(level: LevelStructure) -> SaddleSystem:
 
 
 def solve_on_level(level: LevelStructure, case: ManufacturedCase):
-    """Solve the case on the level (p, lambda, gamma scaled back by nu).
+    """Solve the case on the level and split the solution into its fields,
+    p and lambda scaled back by nu.
 
     Raises:
         SolverError: the load or an error norm overflows, or as
             solve_direct.
     """
+    layout, nu = level.layout, case.nu
     try:
-        rhs = assemble_rhs(case.f, case.u, level.ct, level.layout, level.bqd,
-                           case.nu, level.sigma)
-        sol = solve_direct(level_system(level), rhs)
-        sol = replace(sol, p=case.nu * sol.p, lam=case.nu * sol.lam,
-                      gamma=case.nu * sol.gamma)
+        rhs = assemble_rhs(case.f, case.u, level.ct, layout, level.bqd, nu, level.sigma)
+        x, residual = solve_direct(level_system(level), rhs)
+        sol = SolutionFields(x[:layout.n_u], nu * x[layout.offset_p:layout.offset_lam],
+                             nu * x[layout.offset_lam:layout.offset_scalar], residual)
         return sol, compute_errors(sol, case, level)
     except FloatingPointError as exc:
         raise SolverError(str(exc)) from exc

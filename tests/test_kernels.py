@@ -387,9 +387,9 @@ def test_condensation_matches_coo_reference(level):
 @pytest.mark.parametrize("scale", [0.0, 1e-16])
 @pytest.mark.parametrize("block", ["divergence", "momentum pressure"])
 def test_singular_macro_diagnosis_matches_slogdet_reference(level, block, scale):
-    # macro 17 as tests/test_solver.py breaks it: its continuity rows or
-    # pressure columns zeroed (exactly singular), or the second of them
-    # scaled by 1e-16 (condition number above 1 / (8 eps))
+    # macro 17 with its continuity rows or pressure columns zeroed (exactly
+    # singular), or the second of them scaled by 1e-16 as tests/test_solver.py
+    # scales it (condition number above 1 / (8 eps))
     layout = level.layout
     t = 17
     keep = np.ones(layout.n_total)

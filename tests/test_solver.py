@@ -20,9 +20,6 @@ class _SaddleLayout:
         self.offset_p = n_u
         self.n_p = 1
         self.offset_lam = n_u + 1
-        self.n_lam = 1
-        self.alpha = n_u + 2
-        self.beta, self.gamma = self.alpha + 1, self.alpha + 2
         self.interior = np.empty((0, 16), dtype=np.int64)
 
 
@@ -52,27 +49,23 @@ def _raw_system(A):
     return SaddleSystem(matrix=A, layout=_SaddleLayout(A.shape[0] - 5))
 
 
-def _fields(sol):
-    return np.concatenate([sol.u, sol.p, sol.lam, [sol.alpha, sol.beta, sol.gamma]])
-
-
 def test_identity_solve():
     # identity momentum and mean blocks, coupled only through the pairings
     A = _hand_saddle(np.eye(2), div=[1.0, 0.0], mult=[0.0, 1.0], flux=[1.0, 1.0])
     b = np.zeros(7)
     b[0] = 1.0
-    sol = solve_direct(_raw_system(A), b)
-    assert sol.residual <= solver.RESIDUAL_TOL
-    assert np.allclose(A @ _fields(sol), b, rtol=0.0, atol=1e-15)
+    x, residual = solve_direct(_raw_system(A), b)
+    assert residual <= solver.RESIDUAL_TOL
+    assert np.allclose(A @ x, b, rtol=0.0, atol=1e-15)
 
 
 def test_two_by_two_hand_solve():
     # the 2x2 momentum block paired with one pressure and one multiplier,
     # bordered by three scalar unknowns
     assert HAND_RHS.tolist() == [9.0, 11.0, 4.0, 5.0, 1.0, 2.0, 2.0]
-    sol = solve_direct(_raw_system(HAND), HAND_RHS)
-    assert sol.residual <= solver.RESIDUAL_TOL
-    assert np.allclose(_fields(sol), HAND_X, rtol=0.0, atol=1e-14)
+    x, residual = solve_direct(_raw_system(HAND), HAND_RHS)
+    assert residual <= solver.RESIDUAL_TOL
+    assert np.allclose(x, HAND_X, rtol=0.0, atol=1e-14)
 
 
 def test_non_square_rejected():
@@ -98,9 +91,9 @@ def test_nan_residual_violates_contract():
     b = 1e300 * HAND_RHS
     with np.errstate(over="ignore"):
         assert np.linalg.norm(b) == np.inf
-    sol = solve_direct(_raw_system(HAND), b)
-    assert sol.residual <= solver.RESIDUAL_TOL
-    assert np.allclose(_fields(sol), 1e300 * HAND_X, rtol=1e-14, atol=0.0)
+    x, residual = solve_direct(_raw_system(HAND), b)
+    assert residual <= solver.RESIDUAL_TOL
+    assert np.allclose(x, 1e300 * HAND_X, rtol=1e-14, atol=0.0)
 
 
 def test_non_finite_matrix_rejected():
@@ -119,19 +112,13 @@ def test_singular_schur_complement_rejected():
         factorize(sp.csr_matrix(A), _SaddleLayout(2))
 
 
-def test_star_system_residual_contract(star):
-    sol, _ = solve_on_level(build_level(star, 8, 40.0), paper_case(0.1))
-    assert sol.residual <= 1e-10
-
-
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_recovery_of_random_solution(star, n):
     # from star n = 8 (757 dofs) up to n = 32
     system = level_system(build_level(star, n, 40.0))
     rng = np.random.default_rng(42)
     x0 = rng.standard_normal(system.matrix.shape[0])
-    sol = solve_direct(system, system.matrix @ x0)
-    x = _fields(sol)
+    x, _ = solve_direct(system, system.matrix @ x0)
     assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
 
 
@@ -175,7 +162,8 @@ def test_factor_needs_no_pivots_without_the_penalty(study, name, sigma):
 
 
 # entries of L + U of star n, measured 46 358 / 295 070 / 1 720 595; the
-# pinned saddle factor had 86 193 / 619 140 / 4 769 621
+# pinned saddle factor had 86 193 / 619 140 / 4 769 621, and an LU of the
+# whole system has 6.5 M at n = 32
 LU_NNZ_BOUND = {16: 50_000, 32: 310_000, 64: 1_800_000}
 
 
@@ -204,10 +192,6 @@ def test_solve_deterministic(star):
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.p, b.p)
         assert np.array_equal(a.lam, b.lam)
-
-
-def test_small_viscosity_contract(study):
-    assert study("star", 40.0).tables[1e-5].reports[0].residual <= 1e-10
 
 
 def test_one_factorization_serves_every_viscosity(circle, monkeypatch):
@@ -244,9 +228,11 @@ def test_one_factorization_serves_every_viscosity(circle, monkeypatch):
     b[:layout.n_u] *= nu
     x = spla.spsolve(A, b)
     u = x[:layout.n_u]
-    p = x[layout.offset_p:layout.offset_p + layout.n_p]
+    p = x[layout.offset_p:layout.offset_lam]
+    lam = x[layout.offset_lam:layout.offset_scalar]
     assert np.abs(sol.u - u).max() <= 1e-8 * np.abs(u).max()
     assert np.abs(sol.p - p).max() <= 1e-8 * np.abs(p).max()
+    assert np.abs(sol.lam - lam).max() <= 1e-8 * np.abs(lam).max()
 
 
 @pytest.mark.parametrize("case", ["star-32", "circle-16"])
@@ -284,7 +270,7 @@ def test_interior_unknowns_couple_within_their_macro(star):
     members[t[:, None], 2 * layout.elem_nodes + 1] = True
     members[t[:, None], layout.offset_p + 3 * np.arange(3 * T)[:, None] + np.arange(3)] = True
     members[ct.boundary_tris[:, None] // 3, layout.offset_lam + layout.edge_mult] = True
-    members[:, layout.alpha:] = True
+    members[:, layout.offset_scalar:] = True
     A = level_system(level).matrix.tocoo()
     for i, j in ((A.row, A.col), (A.col, A.row)):
         inner = macro[i] >= 0
@@ -311,39 +297,13 @@ def test_condensed_solve_matches_full_solve(star, case):
     system = level_system(level)
     rhs = assemble_rhs(paper.f, paper.u, level.ct, level.layout, level.bqd,
                        paper.nu, level.sigma)
-    sol = solve_direct(system, rhs)
-    x = _fields(sol)
+    x, _ = solve_direct(system, rhs)
     # the reference: a full-matrix spsolve and one refinement step with it,
     # which brings its own error (3.5e-9 relative unrefined) below 1e-11
     A = system.matrix.tocsc()
     ref = spla.spsolve(A, rhs)
     ref = ref + spla.spsolve(A, rhs - A @ ref)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-
-
-def test_condensation_keeps_fill_small(star):
-    # star n = 32: 0.30 M entries in L + U, against 6.5 M for an LU of the
-    # whole system
-    system = level_system(build_level(star, 32, 40.0))
-    lu = factorize(system.matrix, system.layout)
-    assert lu.lu.nnz < 1.0e6
-
-
-@pytest.mark.parametrize("block", ["divergence", "momentum pressure"])
-def test_singular_macro_block_is_diagnosed(star, block):
-    level = build_level(star, 8, 40.0)
-    case = paper_case(0.1)
-    system, layout = level_system(level), level.layout
-    rhs = assemble_rhs(case.f, case.u, level.ct, layout, level.bqd, case.nu,
-                       level.sigma)
-    t = 17
-    keep = np.ones(layout.n_total)
-    keep[layout.offset_p + 9 * t + np.arange(9)] = 0.0
-    A = system.matrix
-    # zero the macro's continuity rows, or its pressure columns
-    A = sp.diags(keep) @ A if block == "divergence" else A @ sp.diags(keep)
-    with pytest.raises(SolverError, match=f"macro {t}: interior {block} block is singular"):
-        solve_direct(SaddleSystem(matrix=A.tocsr(), layout=layout), rhs)
 
 
 @pytest.mark.parametrize("block", ["divergence", "momentum pressure"])

@@ -16,11 +16,11 @@ from ctstokes.fem import element_maps, eval_p1, triangle_rule
 from ctstokes.geometry import (LevelSetDomain, ProjectionError, circle_domain,
                                star_domain)
 from ctstokes.mesh import MeshError
-from ctstokes.solver import SolutionFields, factorize
-from ctstokes.verify import (ErrorReport, RateTable, build_level,
-                             compute_errors, infsup_estimate, level_system,
-                             paper_case, patch_case, run_convergence,
-                             solve_on_level, write_json)
+from ctstokes.solver import factorize
+from ctstokes.verify import (ErrorReport, RateTable, SolutionFields,
+                             build_level, compute_errors, infsup_estimate,
+                             level_system, paper_case, patch_case,
+                             run_convergence, solve_on_level, write_json)
 
 R0 = 0.3723423423343
 
@@ -123,8 +123,7 @@ def _zero_case():
 def test_compute_errors_zero_case(star_n8):
     layout = star_n8.layout
     sol = SolutionFields(u=np.zeros(layout.n_u), p=np.zeros(layout.n_p),
-                         lam=np.zeros(layout.n_lam), alpha=0.0, beta=0.0,
-                         gamma=0.0, residual=0.0)
+                         lam=np.zeros(layout.n_lam), residual=0.0)
     rep = compute_errors(sol, _zero_case(), star_n8)
     for field in ("l2_u", "h1_u", "l2_p", "linf_div", "lam_diag"):
         assert getattr(rep, field) == 0.0
@@ -139,7 +138,7 @@ def test_compute_errors_interpolant_of_patch(star_n8):
     u_coeff[1::2] = u[:, 1]
     p_coeff = case.p(ct.vertices[ct.triangles]).ravel()
     sol = SolutionFields(u=u_coeff, p=p_coeff, lam=np.zeros(layout.n_lam),
-                         alpha=0.0, beta=0.0, gamma=0.0, residual=0.0)
+                         residual=0.0)
     rep = compute_errors(sol, case, star_n8)
     assert rep.l2_u <= 1e-12
     assert rep.h1_u <= 1e-11
