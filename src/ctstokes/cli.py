@@ -2,15 +2,13 @@
 
 Defaults reproduce the reference study: flower-shaped domain, penalty 40,
 viscosities 1e-1, 1e-3, 1e-5 on refinements n = 8, 16, 32, 64, 128 of the
-unit square.  Each command takes only the options it uses.  A flat key=value
-config file can seed any of them; command-line flags override file values,
-and the CTSTOKES_OUTDIR environment variable overrides the output directory.
+unit square.  Each command takes only the options it uses, and the command
+line is their only source.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -25,9 +23,6 @@ from .verify import (StudyError, build_level, infsup_estimate, paper_case,
 
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
 DEFAULT_NUS = (1e-1, 1e-3, 1e-5)
-OUTDIR_ENV = "CTSTOKES_OUTDIR"
-TRUE_WORDS = ("1", "true", "yes", "on")     # config-file flag values
-FALSE_WORDS = ("0", "false", "no", "off")
 
 
 class UsageError(ValueError):
@@ -36,7 +31,7 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # every usage error, flag or config file, ends in main as `error: …`
+        # every usage error ends in main as `error: …`
         raise UsageError(message)
 
 
@@ -53,15 +48,13 @@ def _typed(cast, what, ok, into=list):
     return convert
 
 
-def _build_parser() -> tuple:
-    """The command-line parser, and the subparser of each command.  Options
-    match by their full names only, as config keys do."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  Options match by their full names only."""
     common = _Parser(add_help=False, allow_abbrev=False)
     opt = common.add_argument
     positive = _typed(float, "a positive number",
                       lambda v: len(v) == 1 and 0 < v[0] < np.inf,
                       into=lambda v: v[0])
-    opt("--config", help="flat key=value config file")
     opt("--domain", choices=("star", "circle"), default="star")
     opt("--radius", type=positive, default=0.4)
     opt("--center", type=_typed(float, "two coordinates x,y",
@@ -94,56 +87,12 @@ def _build_parser() -> tuple:
             help="comma-separated output formats")
     for flag in ("--check-assumption", "--infsup", "--dump-matrix"):
         sub.choices["solve"].add_argument(flag, action="store_true")
-    return parser, sub.choices
-
-
-def _config_tokens(path, command) -> list:
-    """A flat key = value file as `--option=value` tokens for a command's parser.
-
-    Blank lines and #-comments are ignored.  A key is an option's flag or
-    dest, written with '-' or '_'; a flag's true word gives the bare flag.
-    """
-    by_key = {name.lstrip("-").replace("-", "_"): action
-              for action in command._actions if action.dest not in ("config", "help")
-              for name in (action.dest, *action.option_strings)}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise UsageError(f"argument --config: {exc}") from exc
-    tokens, unknown = {}, set()     # the last line for an option wins
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{line_no}: expected key = value")
-        key, val = (part.strip() for part in line.split("=", 1))
-        action = by_key.get(key.replace("-", "_"))
-        if action is None:
-            unknown.add(key)
-        elif action.nargs != 0:
-            tokens[action.dest] = f"{action.option_strings[0]}={val}"
-        elif val.lower() in TRUE_WORDS:     # a store_true flag
-            tokens[action.dest] = action.option_strings[0]
-        elif val.lower() in FALSE_WORDS:
-            tokens[action.dest] = None
-        else:
-            raise UsageError(f"{key} = {val}: expected 1/true/yes/on or 0/false/no/off")
-    if unknown:
-        raise UsageError(f"{path}: unknown key(s): {', '.join(sorted(unknown))}")
-    return [tok for tok in tokens.values() if tok]
+    return parser
 
 
 def parse_config(argv) -> tuple:
-    """Parse the command line and an optional config file into (command, options)."""
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        at = argv.index(args.command) + 1   # file tokens before flags: flags win
-        tokens = _config_tokens(args.config, commands[args.command])
-        args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
-    if OUTDIR_ENV in os.environ:
-        args.out = os.environ[OUTDIR_ENV]
+    """Parse the command line into (command, options)."""
+    args = _build_parser().parse_args(argv)
     return args.command, args
 
 

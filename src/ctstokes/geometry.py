@@ -52,16 +52,18 @@ class LevelSetDomain:
     def validate(self) -> None:
         """Check the domain is non-empty and the gradient does not vanish near it.
 
-        The box's sides must be finite.  Samples VALIDATE_SAMPLES points of
-        the bounding box; phi must be finite at every sample, every sampled
-        point with |phi| <= VALIDATE_BAND must have a nonzero gradient, and
-        at least one sample must lie inside.
+        The box's coordinates must be numbers and its sides finite.  Samples
+        VALIDATE_SAMPLES points of the bounding box; phi must be finite at
+        every sample, every sampled point with |phi| <= VALIDATE_BAND must
+        have a nonzero gradient, and at least one sample must lie inside.
         """
         rng = np.random.default_rng(VALIDATE_SEED)
         x0, y0, x1, y1 = self.bounding_box
+        box = f"the bounding box [{x0:g}, {x1:g}] x [{y0:g}, {y1:g}]"
+        if np.isnan(self.bounding_box).any():
+            raise ValueError(f"{box} has a coordinate that is not a number")
         if not np.isfinite([x1 - x0, y1 - y0]).all():
-            raise ValueError(f"the bounding box [{x0:g}, {x1:g}] x [{y0:g}, {y1:g}] "
-                             "is too large: its sides overflow")
+            raise ValueError(f"{box} is too large: its sides overflow")
         pts = rng.uniform((x0, y0), (x1, y1), size=(VALIDATE_SAMPLES, 2))
         with np.errstate(over="ignore", invalid="ignore"):     # checked below
             vals = np.asarray(self.phi(pts))
@@ -136,8 +138,8 @@ def star_domain() -> LevelSetDomain:
 
 def circle_domain(center, radius) -> LevelSetDomain:
     """Circle of given center and radius as a signed-distance level set."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not radius > 0.0:    # a NaN radius fails it too
+        raise ValueError(f"radius must be positive, got {radius:g}")
     cxy = np.asarray(center, dtype=float)
     r0 = float(radius)
 

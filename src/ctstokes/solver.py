@@ -60,6 +60,12 @@ class SolverError(RuntimeError):
     pass
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm by numpy's pairwise sum, whose order, unlike a BLAS dot's, does
+    not follow the thread count."""
+    return np.sqrt(np.add.reduce(v * v))
+
+
 def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
     """Overwrite the (T, 16, 16) macro blocks [[a, C], [B, 0]] in place by
     their inverses, and return them.
@@ -224,7 +230,7 @@ class _CondensedLU:
         """
         # s = 2^-e, e the exponent of max|c|: |s*c| cannot overflow, and is exact
         s = np.ldexp(1.0, -np.frexp(np.abs(c).max(initial=0.0))[1])
-        beta = np.linalg.norm(s * c)
+        beta = _norm(s * c)
         if beta == 0.0:
             return np.zeros_like(c)
         if not np.isfinite(beta):
@@ -240,10 +246,10 @@ class _CondensedLU:
             h = H[:k + 2, k]
             for _ in range(2):
                 for i, u in enumerate(V):
-                    d = u @ v
+                    d = np.add.reduce(u * v)
                     h[i] += d
                     v -= d * u
-            h[k + 1] = norm = np.linalg.norm(v)
+            h[k + 1] = norm = _norm(v)
             if not np.isfinite(h).all():
                 raise SolverError("Krylov solve produced non-finite values; system is "
                                   "singular to working precision")
@@ -322,11 +328,11 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> tuple[np.ndarray, flo
                 "working precision")
         # s = 2^-e, e the exponent of max|b|: |s*b| cannot overflow, and is exact
         s = np.ldexp(1.0, -np.frexp(np.abs(b).max(initial=0.0))[1])
-        nb = np.linalg.norm(s * b)
+        nb = _norm(s * b)
 
         def residuals(x):
             r = b - A @ x
-            nr = np.linalg.norm(s * r)
+            nr = _norm(s * r)
             rel = nr / nb if nb > 0 else nr
             return r, rel, float(np.abs(r[p_rows]).max(initial=0.0))
 

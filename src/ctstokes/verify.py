@@ -209,8 +209,9 @@ def _element_integrals(vals: np.ndarray) -> np.ndarray:
 
 def _integrate(det: np.ndarray, vals: np.ndarray) -> float:
     """Integral over the mesh of vals (M, Q, ...) at the error rule points,
-    summed over its trailing components."""
-    return float(det @ _element_integrals(vals))
+    summed over its trailing components.  Summed pairwise by numpy, so
+    that the result does not depend on the BLAS thread count."""
+    return float(np.add.reduce(det * _element_integrals(vals)))
 
 
 def _velocity_error_integrals(case: ManufacturedCase, coeffs: np.ndarray,
@@ -255,8 +256,8 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase,
 
     coeffs = sol.u[vector_dofs(layout.elem_nodes)]
     e_u, e_gu = _velocity_error_integrals(case, coeffs, pts, inv)
-    l2_u = math.sqrt(float(det @ e_u))
-    h1_u = math.sqrt(float(det @ e_gu))
+    l2_u = math.sqrt(float(np.add.reduce(det * e_u)))
+    h1_u = math.sqrt(float(np.add.reduce(det * e_gu)))
 
     area = 0.5 * float(det.sum())
     ph = sol.p.reshape(-1, 3) @ _ERROR_P1.T

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -62,102 +63,60 @@ def test_invalid_values_rejected(tmp_path, capsys):
         assert main(["solve", *flag, "--out", str(out)]) == 2
         assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
-    # the quadrature is fixed in assembly: its old config keys are unknown
-    cfg_file = tmp_path / "quad.cfg"
-    for key in ("quad_volume", "quad_edge"):
-        cfg_file.write_text(f"{key} = 6\n")
-        assert main(["converge", "--config", str(cfg_file), "--out", str(out)]) == 2
-        assert f"unknown key(s): {key}" in capsys.readouterr().err
-    assert not out.exists()
-    # each command takes only the options it uses, from a flag or a file;
-    # options are not abbreviated, as config keys are not
-    for command, flag, key, err in (
-            ("converge", ["--infsup"], "infsup = yes",
-             "unrecognized arguments: --infsup"),
-            ("converge", ["--check-assumption"], "check_assumption = yes",
+    # each command takes only the options it uses; options are not abbreviated
+    for command, flag, err in (
+            ("converge", ["--infsup"], "unrecognized arguments: --infsup"),
+            ("converge", ["--check-assumption"],
              "unrecognized arguments: --check-assumption"),
-            ("converge", ["--dump-matrix"], "dump-matrix = on",
-             "unrecognized arguments: --dump-matrix"),
-            ("converge", ["--format", "vtk"], "format = vtk",
+            ("converge", ["--dump-matrix"], "unrecognized arguments: --dump-matrix"),
+            ("converge", ["--format", "vtk"],
              "argument --format: expected formats among csv, json, got 'vtk'"),
-            ("converge", ["--format", ""], "format =",
+            ("converge", ["--format", ""],
              "argument --format: expected formats among csv, json, got ''"),
-            ("solve", ["--format", "csv"], "format = csv",
+            ("solve", ["--format", "csv"],
              "argument --format: expected formats among json, vtk, got 'csv'"),
-            ("solve", ["--dom", "circle"], "dom = circle",
-             "unrecognized arguments: --dom circle")):
-        cfg_file.write_text(key + "\n")
-        for args in (flag, ["--config", str(cfg_file)]):
-            assert main([command, *args, "--levels", "4,8", "--out", str(out)]) == 2
-            found = capsys.readouterr().err
-            assert found.startswith("error: ") and found.count("\n") == 1
-            if args is flag:
-                assert found == f"error: {err}\n"
+            ("solve", ["--dom", "circle"], "unrecognized arguments: --dom circle")):
+        assert main([command, *flag, "--levels", "4,8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
     assert not out.exists()
 
 
-def test_config_file_and_precedence(tmp_path):
+def test_empty_levels_rejected():
+    with pytest.raises(UsageError):
+        parse_config(["solve", "--levels="])
+
+
+def test_options_come_from_the_command_line_only(tmp_path, capsys, monkeypatch):
+    # a config file is an unknown argument, and no environment variable
+    # redirects --out
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(
-        "# reference study\n"
-        "domain = circle\n"
-        "radius = 0.35\n"
-        "levels = 4 8\n"
-        "nu = 1e-2\n"
-        "sigma = 20\n")
-    _, cfg = parse_config(["solve", "--config", str(cfg_file)])
-    assert cfg.domain == "circle" and cfg.radius == 0.35
-    assert cfg.levels == [4, 8] and cfg.nus == [1e-2] and cfg.sigma == 20.0
-    # command line wins over the file
-    _, cfg = parse_config(["solve", "--config", str(cfg_file), "--sigma", "40"])
-    assert cfg.sigma == 40.0
-    _, cfg = parse_config(["solve", "--config", str(cfg_file), "--nu", "0.5"])
-    assert cfg.nus == [0.5]
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("sigma 40\n")
-    with pytest.raises(UsageError):
-        parse_config(["solve", "--config", str(bad)])
-    # a misspelt key is an error, not a silent fallback to the defaults
-    typo = tmp_path / "typo.cfg"
-    typo.write_text("levles = 4,8\n")
-    with pytest.raises(UsageError):
-        parse_config(["converge", "--config", str(typo)])
-    assert main(["converge", "--config", str(typo)]) == 2
-    # a key that names no option is rejected, "sequential" and "vtk" included
-    old = tmp_path / "old.cfg"
-    old.write_text("sequential = true\nformat = csv\n")
-    with pytest.raises(UsageError):
-        parse_config(["converge", "--config", str(old)])
-    assert main(["converge", "--config", str(old)]) == 2
-    old.write_text("vtk = true\n")
-    with pytest.raises(UsageError, match="vtk"):
-        parse_config(["solve", "--config", str(old)])
-    assert main(["solve", "--config", str(old)]) == 2
-    # flag values: the four spellings of each truth value, anything else is
-    # an error rather than a silent False
-    flags = tmp_path / "flags.cfg"
-    for word, value in (("1", True), ("TRUE", True), ("yes", True), ("on", True),
-                        ("0", False), ("false", False), ("No", False), ("off", False)):
-        flags.write_text(f"infsup = {word}\n")
-        _, cfg = parse_config(["solve", "--config", str(flags)])
-        assert cfg.infsup is value
-    flags.write_text("infsup = ture\n")
-    with pytest.raises(UsageError, match="infsup = ture"):
-        parse_config(["solve", "--config", str(flags)])
-    assert main(["solve", "--config", str(flags)]) == 2
+    cfg_file.write_text("levels = 4,8\n")
+    out = tmp_path / "x"
+    assert main(["converge", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unrecognized arguments: --config {cfg_file}\n")
+    assert list(tmp_path.iterdir()) == [cfg_file]
+    env_out = tmp_path / "env_out"
+    monkeypatch.setenv("CTSTOKES_OUTDIR", str(env_out))
+    assert main(["converge", "--domain", "circle", "--levels", "4,8", "--nu", "1",
+                 "--out", str(out)]) == 0
+    assert sorted(f.name for f in out.iterdir()) == [
+        "convergence.json", "convergence_nu1.csv"]
+    assert not env_out.exists()
 
 
-def test_empty_levels_rejected(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("levels =\n")
-    with pytest.raises(UsageError):
-        parse_config(["solve", "--config", str(cfg_file)])
-
-
-def test_env_var_overrides_outdir(tmp_path, monkeypatch):
-    monkeypatch.setenv("CTSTOKES_OUTDIR", str(tmp_path / "env_out"))
-    _, cfg = parse_config(["solve", "--out", "elsewhere"])
-    assert cfg.out == str(tmp_path / "env_out")
+def test_readme_command_lines_parse():
+    # the ```sh block under README's "Command line" heading advertises only
+    # options the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Command line\n+```sh\n(.*?)^```", readme,
+                      re.S | re.M).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("ctstokes ")]
+    assert len(lines) == 3
+    for line in lines:
+        command, _ = parse_config(shlex.split(line)[1:])
+        assert command == line.split()[1]
 
 
 def test_solve_command_circle_fixture(tmp_path):
@@ -486,6 +445,25 @@ def test_cli_import_loads_no_scipy_special_or_io():
     assert run.stdout.strip() == ""
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every reduction whose order could follow the BLAS thread split is a
+    # numpy pairwise sum: one and two threads give the same bytes.  n = 32
+    # is the first level whose reductions a threaded BLAS splits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-m", "ctstokes.cli", "converge",
+                              "--levels", "8,16,32", "--out", str(out)],
+                             env=env, check=True, capture_output=True, timeout=300)
+        runs.append((run.stdout, {f.name: f.read_bytes() for f in out.iterdir()}))
+    assert sorted(runs[0][1]) == ["convergence.json", "convergence_nu0.001.csv",
+                                  "convergence_nu0.1.csv", "convergence_nu1e-05.csv"]
+    assert runs[0] == runs[1]
+
+
 def test_invalid_domain_is_usage_error_before_output(tmp_path, capsys):
     # a circle too small for any validation sample to fall inside it
     for command, levels in (("solve", "4"), ("converge", "4,8")):
@@ -529,40 +507,18 @@ def test_converge_needs_two_levels(tmp_path, capsys):
     ("radius", "inf"), ("center", "inf,0.5"), ("center", "nan,0.5"),
     ("sigma", "inf"), ("nu", "inf"), ("format", "")])
 def test_bad_value_same_error_from_flag_or_file(tmp_path, capsys, key, value):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(f"{key} = {value}\n")
+    # options come from flags only: a bad value is a usage error that names
+    # its flag, the same from parse_config and from main
     out = tmp_path / "run"
-    errors = []
-    for args in ([f"--{key}", value], ["--config", str(cfg_file)]):
-        with pytest.raises(UsageError) as exc:
-            parse_config(["solve", *args])
-        errors.append(str(exc.value))
-        assert main(["solve", *args, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {errors[-1]}\n"
-        assert captured.err.startswith(f"error: argument --{key}: ")
-        assert captured.out == ""
-    assert errors[0] == errors[1]
+    args = [f"--{key}", value]
+    with pytest.raises(UsageError) as exc:
+        parse_config(["solve", *args])
+    assert main(["solve", *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {exc.value}\n"
+    assert captured.err.startswith(f"error: argument --{key}: ")
+    assert captured.out == ""
     assert not out.exists()
-
-
-def test_config_file_uses_flag_parsing(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    # a value that starts with '-' is a value, not a flag
-    cfg_file.write_text("domain = circle\ncenter = -0.25, 0.5\n")
-    _, cfg = parse_config(["solve", "--config", str(cfg_file)])
-    assert cfg.center == (-0.25, 0.5)
-    # a false word in the file does not hold against the flag
-    cfg_file.write_text("infsup = no\n")
-    _, cfg = parse_config(["solve", "--config", str(cfg_file), "--infsup"])
-    assert cfg.infsup is True
-    # keys are flag names or their dests, with '-' or '_'
-    for text in ("nu = 0.1 0.01\nformat = json,vtk\ncheck-assumption = yes\n",
-                 "nus = 0.1,0.01\nformats = json vtk\ncheck_assumption = on\n"):
-        cfg_file.write_text(text)
-        _, cfg = parse_config(["solve", "--config", str(cfg_file)])
-        assert cfg.nus == [0.1, 0.01] and cfg.formats == ["json", "vtk"]
-        assert cfg.check_assumption is True and cfg.dump_matrix is False
 
 
 def test_usage_errors_are_one_line(tmp_path, capsys):
@@ -570,8 +526,6 @@ def test_usage_errors_are_one_line(tmp_path, capsys):
     for argv, message in (
             (["converge", "--nu", "0.1,0.1", "--out", str(out)],
              "error: argument --nu: expected distinct positive viscosities"),
-            (["solve", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)],
-             "error: argument --config: "),
             ([], "error: the following arguments are required: command")):
         assert main(argv) == 2
         err = capsys.readouterr().err

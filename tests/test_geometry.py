@@ -172,6 +172,17 @@ def test_validate_rejects_empty_and_flat_domains():
         flat.validate()
 
 
+def test_domain_checks_name_a_nan():
+    # a NaN radius is not positive; it does not fall back to the unit box
+    with pytest.raises(ValueError, match="^radius must be positive, got nan$"):
+        circle_domain((0.5, 0.5), float("nan"))
+    # a NaN centre is not a number, not a box too large to measure
+    with pytest.raises(ValueError) as exc:
+        circle_domain((float("nan"), 0.5), 0.3).validate()
+    assert str(exc.value) == ("the bounding box [nan, nan] x [0, 1] has a "
+                              "coordinate that is not a number")
+
+
 def test_projection_failure_is_reported():
     # gradient pointing away from the zero set makes Newton diverge
     def hess(x):
