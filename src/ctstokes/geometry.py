@@ -1,9 +1,9 @@
 """Implicit domain geometry and the boundary transfer map.
 
 The physical domain is described by a level-set function phi (negative
-inside, positive outside) with its analytic gradient and Hessian.  Points
-on the computational boundary are transferred to the physical boundary by
-solving, per point x, the 2x2 nonlinear system
+inside, positive outside) and its analytic gradient.  Points on the
+computational boundary are transferred to the physical boundary by solving,
+per point x, the 2x2 nonlinear system
 
     phi(y) = 0,      (grad phi(y))^perp . (x - y) = 0,
 
@@ -11,7 +11,9 @@ whose solution y lies on the zero level set with x - y parallel to the
 boundary normal at y.  The transfer length is delta = |y - x| and the unit
 transfer direction points from x toward y; it is zero where delta = 0,
 where both Taylor terms of the corrected trace vanish anyway.  The damped
-Newton iteration either converges at every point or raises ProjectionError.
+Newton iteration either converges at every point or raises ProjectionError;
+the curvature term of its Jacobian is a central difference of grad phi, so
+it steers the iteration but the fixed point depends on phi and grad phi only.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+FD_STEP = 1e-6            # grad phi difference step, scaled by max(1, |y|_inf)
 MAX_DAMPING_STEPS = 20
 VALIDATE_SAMPLES = 4096   # points LevelSetDomain.validate draws from the box
 VALIDATE_BAND = 0.05      # |phi| below which the gradient must not vanish
@@ -31,21 +34,19 @@ class ProjectionError(RuntimeError):
 
 
 class LevelSetDomain:
-    """Domain given by a scalar level set with its analytic derivatives.
+    """Domain given by a scalar level set and its analytic gradient.
 
     Args:
         phi: callable mapping points of shape (..., 2) to values (...,).
         grad_phi: callable mapping (..., 2) to gradients (..., 2).
-        hess_phi: callable mapping (..., 2) to Hessians (..., 2, 2).
         bounding_box: (xmin, ymin, xmax, ymax) rectangle containing the domain.
         name: short identifier used in reports.
     """
 
-    def __init__(self, phi, grad_phi, hess_phi,
-                 bounding_box=(0.0, 0.0, 1.0, 1.0), name="levelset"):
+    def __init__(self, phi, grad_phi, bounding_box=(0.0, 0.0, 1.0, 1.0),
+                 name="levelset"):
         self.phi = phi
         self.grad_phi = grad_phi
-        self.hess_phi = hess_phi
         self.bounding_box = tuple(float(b) for b in bounding_box)
         self.name = name
 
@@ -70,7 +71,8 @@ class LevelSetDomain:
         if not np.isfinite(vals).all():
             raise ValueError("level set is not finite in the bounding box")
         if not np.any(vals < 0.0):
-            raise ValueError("level set has no interior points in the bounding box")
+            raise ValueError(f"none of the {VALIDATE_SAMPLES} points sampled in {box} "
+                             "has phi < 0")
         near = pts[np.abs(vals) <= VALIDATE_BAND]
         if near.size:
             g = np.asarray(self.grad_phi(near))
@@ -101,39 +103,21 @@ def star_domain() -> LevelSetDomain:
         # arctan2(0, 0) = 0, so the r == 0 value is -r0 automatically
         return r - r0 - amp * np.sin(freq * theta)
 
-    def polar(x):
-        """r, the radial unit vector (c, s), theta and d(phi)/dtheta."""
+    def grad(x):
         x = np.asarray(x, dtype=float)
         dx = x[..., 0] - cx
         dy = x[..., 1] - cy
         r = np.hypot(dx, dy)
         if np.any(r == 0.0):
             raise ValueError("derivatives of the star level set are undefined at the center")
-        theta = np.arctan2(dy, dx)
-        return r, dx / r, dy / r, theta, -amp * freq * np.cos(freq * theta)
-
-    def grad(x):
-        # d(phi)/dr = 1
-        r, c, s, _, ptheta = polar(x)
+        # d(phi)/dr = 1; (c, s) is the radial unit vector
+        c, s = dx / r, dy / r
+        ptheta = -amp * freq * np.cos(freq * np.arctan2(dy, dx))
         gx = c - s * ptheta / r
         gy = s + c * ptheta / r
         return np.stack([gx, gy], axis=-1)
 
-    def hess(x):
-        r, c, s, theta, ptheta = polar(x)
-        pthth = amp * freq * freq * np.sin(freq * theta)
-        # polar-to-Cartesian second derivatives: phi_r = 1, phi_rr = phi_rtheta = 0
-        hxx = s * s / r + 2 * c * s * ptheta / r**2 + s * s * pthth / r**2
-        hyy = c * c / r - 2 * c * s * ptheta / r**2 + c * c * pthth / r**2
-        hxy = -c * s / r + (s * s - c * c) * ptheta / r**2 - c * s * pthth / r**2
-        out = np.empty(r.shape + (2, 2))
-        out[..., 0, 0] = hxx
-        out[..., 0, 1] = hxy
-        out[..., 1, 0] = hxy
-        out[..., 1, 1] = hyy
-        return out
-
-    return LevelSetDomain(phi, grad, hess, bounding_box=(0.0, 0.0, 1.0, 1.0), name="star")
+    return LevelSetDomain(phi, grad, bounding_box=(0.0, 0.0, 1.0, 1.0), name="star")
 
 
 def circle_domain(center, radius) -> LevelSetDomain:
@@ -141,34 +125,25 @@ def circle_domain(center, radius) -> LevelSetDomain:
     if not radius > 0.0:    # a NaN radius fails it too
         raise ValueError(f"radius must be positive, got {radius:g}")
     cxy = np.asarray(center, dtype=float)
+    if cxy.shape != (2,):
+        raise ValueError(f"center must be two coordinates x, y, got {cxy.tolist()}")
     r0 = float(radius)
 
     def phi(x):
         return np.linalg.norm(np.asarray(x, dtype=float) - cxy, axis=-1) - r0
 
-    def radial(x):
-        """Offset from the center and its length."""
+    def grad(x):
         d = np.asarray(x, dtype=float) - cxy
         n = np.linalg.norm(d, axis=-1)
         if np.any(n == 0.0):
             raise ValueError("derivatives of the circle level set are undefined at the center")
-        return d, n
-
-    def grad(x):
-        d, n = radial(x)
         return d / n[..., None]
-
-    def hess(x):
-        d, n = radial(x)
-        e = d / n[..., None]
-        return (np.eye(2) - e[..., :, None] * e[..., None, :]) / n[..., None, None]
 
     # unit-sized box when the circle fits (grid spacing 1/n), else a
     # proportionally padded one
     half = max(0.5, 1.25 * r0)
     x0, x1 = cxy - half, cxy + half
-    return LevelSetDomain(phi, grad, hess,
-                          bounding_box=(x0[0], x0[1], x1[0], x1[1]), name="circle")
+    return LevelSetDomain(phi, grad, bounding_box=(x0[0], x0[1], x1[0], x1[1]), name="circle")
 
 
 def _residual(dom, x, y):
@@ -216,13 +191,17 @@ def project_points(dom: LevelSetDomain, pts: np.ndarray):
         if it == NEWTON_MAX_ITER:
             raise _failure(x[ia[0]], f"residual {res[ia[0]]:.3e}")
         ya, xa, ga = y[ia], x[ia], g[ia]
-        H = np.asarray(dom.hess_phi(ya))
+        # rows: d(phi)/dy = g and d(g^perp . (x-y))/dy = H d_perp + (g1, -g0)
+        # with d_perp = (d1, -d0); H d_perp is |d| times a central difference
+        # of grad phi along d_perp's unit direction, and zero where d = 0
         d = xa - ya
-        # rows: d(phi)/dy and d(g^perp . (x-y))/dy
+        dlen = np.linalg.norm(d, axis=-1)
+        e = np.stack([d[:, 1], -d[:, 0]], axis=-1) / np.where(dlen > 0.0, dlen, 1.0)[:, None]
+        h = FD_STEP * np.maximum(1.0, np.abs(ya).max(axis=-1))[:, None]
+        dg = np.asarray(dom.grad_phi(ya + h * e)) - np.asarray(dom.grad_phi(ya - h * e))
         J = np.empty((len(ia), 2, 2))
         J[:, 0, :] = ga
-        J[:, 1, 0] = -H[:, 1, 0] * d[:, 0] + H[:, 0, 0] * d[:, 1] + ga[:, 1]
-        J[:, 1, 1] = -H[:, 1, 1] * d[:, 0] + H[:, 0, 1] * d[:, 1] - ga[:, 0]
+        J[:, 1, :] = dg * (dlen[:, None] / (2.0 * h)) + np.stack([ga[:, 1], -ga[:, 0]], axis=-1)
         F = np.stack([f1[ia], f2[ia]], axis=-1)
         try:
             step = np.linalg.solve(J, F[..., None])[..., 0]

@@ -31,10 +31,6 @@ def circle():
     return circle_domain((0.5, 0.5), 0.4)
 
 
-def zero_hessian(x):
-    return np.zeros(np.shape(x) + (2,))
-
-
 def box_sdf_domain():
     """Unit square as its own level set: the mesh boundary is exactly the
     physical boundary, so every transfer length vanishes."""
@@ -52,8 +48,7 @@ def box_sdf_domain():
         gy = np.where(pick_x, 0.0, np.sign(dy))
         return np.stack([gx, gy], axis=-1)
 
-    # phi is piecewise linear
-    return LevelSetDomain(phi, grad, zero_hessian, (0.0, 0.0, 1.0, 1.0), "box")
+    return LevelSetDomain(phi, grad, (0.0, 0.0, 1.0, 1.0), "box")
 
 
 def everywhere_inside_domain():
@@ -67,7 +62,7 @@ def everywhere_inside_domain():
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape)
 
-    return LevelSetDomain(phi, grad, zero_hessian, (0.0, 0.0, 1.0, 1.0), "all")
+    return LevelSetDomain(phi, grad, (0.0, 0.0, 1.0, 1.0), "all")
 
 
 def annulus_domain():
@@ -90,19 +85,13 @@ def annulus_domain():
         d, r, side = radial(x)
         return side[..., None] * d / r[..., None]
 
-    def hess(x):
-        d, r, side = radial(x)
-        e = d / r[..., None]
-        return (side[..., None, None] * (np.eye(2) - e[..., :, None] * e[..., None, :])
-                / r[..., None, None])
-
-    return LevelSetDomain(phi, grad, hess, (0.0, 0.0, 1.0, 1.0), "annulus")
+    return LevelSetDomain(phi, grad, (0.0, 0.0, 1.0, 1.0), "annulus")
 
 
 def ellipse_domain(center, axes, bounding_box=(0.0, 0.0, 1.0, 1.0), angle=0.0):
     """Ellipse with its axes turned by angle, as the algebraic level set
     phi = d^T Q d - 1 with d = x - center and Q = R diag(axes)^-2 R^T, which
-    is not a distance; its Hessian is 2Q."""
+    is not a distance."""
     c = np.asarray(center, dtype=float)
     cos, sin = np.cos(angle), np.sin(angle)
     R = np.array([[cos, -sin], [sin, cos]])
@@ -115,10 +104,7 @@ def ellipse_domain(center, axes, bounding_box=(0.0, 0.0, 1.0, 1.0), angle=0.0):
     def grad(x):
         return 2.0 * (np.asarray(x, dtype=float) - c) @ Q
 
-    def hess(x):
-        return np.broadcast_to(2.0 * Q, np.shape(x) + (2,)).copy()
-
-    return LevelSetDomain(phi, grad, hess, bounding_box, "ellipse")
+    return LevelSetDomain(phi, grad, bounding_box, "ellipse")
 
 
 @pytest.fixture(scope="session")

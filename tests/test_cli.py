@@ -472,7 +472,8 @@ def test_invalid_domain_is_usage_error_before_output(tmp_path, capsys):
                    "--levels", levels, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: level set has no interior points in the bounding box\n")
+            "error: none of the 4096 points sampled in the bounding box "
+            "[0, 1] x [0, 1] has phi < 0\n")
         assert not out.exists()
 
 

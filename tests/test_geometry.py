@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import annulus_domain, ellipse_domain, zero_hessian
+from conftest import annulus_domain, ellipse_domain
+from ctstokes import geometry
 from ctstokes.geometry import (LevelSetDomain, ProjectionError, circle_domain,
                                project_points, star_domain)
+from ctstokes.verify import build_level
 
 R0 = 0.3723423423343
 
@@ -19,8 +21,6 @@ def test_star_gradient_center_is_error():
     s = star_domain()
     with pytest.raises(ValueError):
         s.grad_phi(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        s.hess_phi(np.array([0.5, 0.5]))
 
 
 def _points_about(center, n=50, seed=3):
@@ -42,21 +42,14 @@ def _annulus_points():
     (ellipse_domain((0.5, 0.45), (0.4, 0.25)), _points_about((0.5, 0.45))),
 ], ids=["star", "circle", "annulus", "ellipse"])
 def test_derivatives_match_finite_differences(dom, pts):
-    # central differences are the reference for the analytic gradient and
-    # Hessian that every domain supplies
+    # central differences are the reference for the analytic gradient that
+    # every domain supplies
     eps = 1e-6
     for j in range(2):
         d = np.zeros(2)
         d[j] = eps
         fd_grad = (dom.phi(pts + d) - dom.phi(pts - d)) / (2 * eps)
         assert np.allclose(fd_grad, dom.grad_phi(pts)[:, j], atol=1e-8)
-        fd_hess = (dom.grad_phi(pts + d) - dom.grad_phi(pts - d)) / (2 * eps)
-        assert np.allclose(fd_hess, dom.hess_phi(pts)[:, :, j], atol=1e-6)
-
-
-def test_hessian_is_required():
-    with pytest.raises(TypeError):
-        LevelSetDomain(lambda x: np.asarray(x)[..., 0], lambda x: np.ones(np.shape(x)))
 
 
 def test_circle_values():
@@ -68,6 +61,32 @@ def test_circle_values():
         circle_domain((0.5, 0.5), -1.0)
     with pytest.raises(ValueError):
         c.grad_phi(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"^center must be two coordinates x, y, got \[0\.5\]$"):
+        circle_domain((0.5,), 0.3)
+    with pytest.raises(ValueError,
+                       match=r"^center must be two coordinates x, y, got \[0\.5, 0\.5, 0\.5\]$"):
+        circle_domain((0.5, 0.5, 0.5), 0.3)
+
+
+@pytest.mark.parametrize("dom, n, steps", [
+    (star_domain(), 8, 6),
+    (star_domain(), 16, 6),
+    (star_domain(), 64, 5),
+    (circle_domain((0.45, 0.52), 0.35), 16, 1),
+], ids=["star-8", "star-16", "star-64", "circle-16"])
+def test_newton_step_count(monkeypatch, dom, n, steps):
+    # the convergence rate, not only the fixed point: a wrong curvature term
+    # in the Jacobian that still converges takes more steps.  The points are
+    # those a level projects: its boundary quadrature points and edge starts
+    level = build_level(dom, n, 40.0)
+    ct = level.ct
+    pts = np.vstack([level.bqd.points.reshape(-1, 2), ct.vertices[ct.boundary_edges[:, 0]]])
+    monkeypatch.setattr(geometry, "NEWTON_MAX_ITER", steps - 1)
+    with pytest.raises(ProjectionError):
+        project_points(dom, pts)
+    monkeypatch.setattr(geometry, "NEWTON_MAX_ITER", steps)
+    x_star, _, _ = project_points(dom, pts)
+    assert np.all(np.abs(dom.phi(x_star)) <= geometry.NEWTON_TOL)
 
 
 def test_project_circle_radial():
@@ -163,11 +182,11 @@ def test_validate_rejects_empty_and_flat_domains():
     star_domain().validate()
     circle_domain((0.5, 0.5), 0.4).validate()
     empty = LevelSetDomain(lambda x: np.ones(np.asarray(x).shape[:-1]),
-                           lambda x: np.asarray(x) * 0.0, zero_hessian)
+                           lambda x: np.asarray(x) * 0.0)
     with pytest.raises(ValueError):
         empty.validate()
     flat = LevelSetDomain(lambda x: np.asarray(x)[..., 0] - 0.5,
-                          lambda x: np.asarray(x) * 0.0, zero_hessian)
+                          lambda x: np.asarray(x) * 0.0)
     with pytest.raises(ValueError):
         flat.validate()
 
@@ -185,15 +204,10 @@ def test_domain_checks_name_a_nan():
 
 def test_projection_failure_is_reported():
     # gradient pointing away from the zero set makes Newton diverge
-    def hess(x):
-        out = zero_hessian(x)
-        out[..., 0, 0] = 2.0
-        return out
-
     bad = LevelSetDomain(lambda x: np.asarray(x)[..., 0] ** 2 + 1.0,
                          lambda x: np.stack([2 * np.asarray(x)[..., 0],
                                              np.zeros(np.asarray(x).shape[:-1])],
-                                            axis=-1), hess)
+                                            axis=-1))
     with pytest.raises(ProjectionError, match=r"x = \[0\.3, 0\.4\] \(residual"):
         project_points(bad, np.array([[0.3, 0.4]]))
 
@@ -203,8 +217,7 @@ def test_singular_jacobian_is_reported():
     # started there is zero; the failure names that point, not a LinAlgError
     c = np.array([0.5, 0.25])
     dom = LevelSetDomain(lambda x: np.sum((np.asarray(x) - c) ** 2, axis=-1) - 0.09,
-                         lambda x: 2.0 * (np.asarray(x) - c),
-                         lambda x: np.broadcast_to(2.0 * np.eye(2), np.shape(x) + (2,)))
+                         lambda x: 2.0 * (np.asarray(x) - c))
     pts = np.array([[0.5, 0.5], c, [0.6, 0.25]])
     with pytest.raises(ProjectionError,
                        match=r"x = \[0\.5, 0\.25\] \(singular Newton Jacobian\)"):

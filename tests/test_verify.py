@@ -463,8 +463,7 @@ def test_patch_on_random_circles(r, s, t, shift):
     lo, hi = r + 0.02, 1.0 - r - 0.02
     c = (lo + s * (hi - lo), lo + t * (hi - lo))
     circle = circle_domain(c, r)
-    dom = LevelSetDomain(circle.phi, circle.grad_phi, circle.hess_phi,
-                         _shifted_box(c, (r, r), shift), "circle")
+    dom = LevelSetDomain(circle.phi, circle.grad_phi, _shifted_box(c, (r, r), shift), "circle")
     _assert_patch_or_diagnosed(dom)
 
 
