@@ -16,13 +16,14 @@ import numpy as np
 
 from . import verify
 from .geometry import ProjectionError, circle_domain, star_domain
-from .mesh import ASSUMPTION_THRESHOLD, MeshError, write_vtk
+from .mesh import MeshError, write_vtk
 from .solver import SolverError
 from .verify import (StudyError, build_level, infsup_estimate, paper_case,
                      run_convergence, write_json)
 
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
 DEFAULT_NUS = (1e-1, 1e-3, 1e-5)
+CIRCLE_DEFAULTS = {"radius": 0.4, "center": (0.5, 0.5)}  # set only with --domain circle
 
 
 class UsageError(ValueError):
@@ -56,11 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
                       lambda v: len(v) == 1 and 0 < v[0] < np.inf,
                       into=lambda v: v[0])
     opt("--domain", choices=("star", "circle"), default="star")
-    opt("--radius", type=positive, default=0.4)
+    opt("--radius", type=positive)
     opt("--center", type=_typed(float, "two coordinates x,y",
                                 lambda v: len(v) == 2 and np.isfinite(v).all(),
                                 into=tuple),
-        default=(0.5, 0.5), help="circle center as 'x,y'")
+        help="circle center as 'x,y'")
     opt("--levels", type=_typed(int, "positive integers",
                                 lambda v: v and min(v) >= 1),
         default=list(DEFAULT_LEVELS), help="comma-separated refinement levels")
@@ -73,26 +74,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ctstokes", allow_abbrev=False,
                      description="Divergence-free Stokes solver on unfitted meshes")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, formats, default in (
-            ("solve", "single solves, one per level/viscosity",
-             ("json", "vtk"), ["json"]),
-            ("converge", "refinement study with rate tables",
-             ("csv", "json"), ["csv", "json"])):
-        command = sub.add_parser(name, help=help_text, parents=[common],
-                                 allow_abbrev=False)
-        command.add_argument(
-            "--format", dest="formats", default=default,
-            type=_typed(str, f"formats among {', '.join(formats)}",
-                        lambda v, ok=set(formats): v and set(v) <= ok),
-            help="comma-separated output formats")
-    for flag in ("--check-assumption", "--infsup", "--dump-matrix"):
-        sub.choices["solve"].add_argument(flag, action="store_true")
+    solve = sub.add_parser("solve", help="single solves, one per level/viscosity",
+                           parents=[common], allow_abbrev=False)
+    solve.add_argument("--format", dest="formats", default=["json"],
+                       type=_typed(str, "formats among json, vtk",
+                                   lambda v: v and set(v) <= {"json", "vtk"}),
+                       help="comma-separated output formats")
+    solve.add_argument("--infsup", action="store_true")
+    sub.add_parser("converge", help="refinement study with rate tables",
+                   parents=[common], allow_abbrev=False)
     return parser
 
 
 def parse_config(argv) -> tuple:
     """Parse the command line into (command, options)."""
     args = _build_parser().parse_args(argv)
+    for name, default in CIRCLE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.domain != "circle":
+            raise UsageError(f"argument --{name}: not allowed with "
+                             f"--domain {args.domain}")
     return args.command, args
 
 
@@ -156,18 +158,9 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     for n in cfg.levels:
         level = build_level(dom, n, cfg.sigma)
         outdir.mkdir(parents=True, exist_ok=True)   # once a level resolves
-        if cfg.check_assumption:
-            ratios = level.delta_ratios
-            print(f"n={n}: max delta_e/h_e = {ratios.max():.4f} "
-                  f"({np.count_nonzero(ratios > ASSUMPTION_THRESHOLD)} edges "
-                  f"above {ASSUMPTION_THRESHOLD:g})")
         if cfg.infsup:
             beta = infsup_estimate(level.ct, level.layout, level.bqd)
             print(f"n={n}: inf-sup estimate = {beta:.6f}")
-        if cfg.dump_matrix:
-            from scipy.io import mmwrite    # only this option reads scipy.io
-            mmwrite(str(outdir / f"system_n{n}.mtx"),
-                    verify.level_system(level).matrix.tocoo())
         for nu in cfg.nus:
             case = paper_case(nu)
             try:
@@ -201,13 +194,11 @@ def cmd_converge(cfg: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     ok = True
     for nu, table in sorted(tables.items()):
-        if "csv" in cfg.formats:
-            table.write_csv(outdir / f"convergence_nu{nu:g}.csv")
+        table.write_csv(outdir / f"convergence_nu{nu:g}.csv")
         for r in table.reports:
             ok = _divergence_ok(r) and ok
-    if "json" in cfg.formats:
-        write_json(outdir / "convergence.json",
-                   {f"{nu:g}": table.as_dict() for nu, table in sorted(tables.items())})
+    write_json(outdir / "convergence.json",
+               {f"{nu:g}": table.as_dict() for nu, table in sorted(tables.items())})
     return 0 if ok else 1
 
 

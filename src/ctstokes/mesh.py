@@ -15,7 +15,6 @@ from .fem import element_maps
 from .geometry import LevelSetDomain, project_points
 
 CLIP_TOL = 1e-12
-ASSUMPTION_THRESHOLD = 1.0  # largest delta_e/h_e the stability theory allows
 
 
 class MeshError(RuntimeError):
@@ -231,7 +230,7 @@ def check_assumption_a(ct: CtMesh, dom: LevelSetDomain,
     quadrature points, as build_boundary_data found them; only the start
     vertex of every edge is projected here, since an edge ends where its
     boundary_next edge starts.  The ratio is advisory: the method's
-    stability theory assumes it is uniformly below ASSUMPTION_THRESHOLD.
+    stability theory assumes it is uniformly below 1.
     It does not separate admissible levels: on the star domain its maximum
     is 1.01-1.30 at n = 16...64, where the reference errors are reproduced.
     """

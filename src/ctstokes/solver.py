@@ -66,6 +66,11 @@ def _norm(v: np.ndarray) -> float:
     return np.sqrt(np.add.reduce(v * v))
 
 
+def _scale(v: np.ndarray) -> float:
+    """2^-e, e the exponent of max|v|: |s*v| cannot overflow, and is exact."""
+    return np.ldexp(1.0, -np.frexp(np.abs(v).max(initial=0.0))[1])
+
+
 def _interior_inverse(blocks: np.ndarray) -> np.ndarray:
     """Overwrite the (T, 16, 16) macro blocks [[a, C], [B, 0]] in place by
     their inverses, and return them.
@@ -228,8 +233,7 @@ class _CondensedLU:
             SolverError: non-finite values, a singular Hessenberg matrix, or
                 no convergence in MAX_KRYLOV steps.
         """
-        # s = 2^-e, e the exponent of max|c|: |s*c| cannot overflow, and is exact
-        s = np.ldexp(1.0, -np.frexp(np.abs(c).max(initial=0.0))[1])
+        s = _scale(c)
         beta = _norm(s * c)
         if beta == 0.0:
             return np.zeros_like(c)
@@ -326,8 +330,7 @@ def solve_direct(system: SaddleSystem, rhs: np.ndarray) -> tuple[np.ndarray, flo
                 "factorization produced non-finite values (min |U_ii| = "
                 f"{np.abs(lu.lu.U.diagonal()).min():.3e}); system is singular to "
                 "working precision")
-        # s = 2^-e, e the exponent of max|b|: |s*b| cannot overflow, and is exact
-        s = np.ldexp(1.0, -np.frexp(np.abs(b).max(initial=0.0))[1])
+        s = _scale(b)
         nb = _norm(s * b)
 
         def residuals(x):

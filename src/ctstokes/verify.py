@@ -287,7 +287,7 @@ def compute_errors(sol: SolutionFields, case: ManufacturedCase,
     return ErrorReport(n=level.n, h=level.h, nu=case.nu, sigma=level.sigma,
                        dofs=layout.n_total, l2_u=l2_u, h1_u=h1_u, l2_p=l2_p,
                        linf_div=linf_div, lam_diag=lam_diag,
-                       max_delta_ratio=float(level.delta_ratios.max()),
+                       max_delta_ratio=level.max_delta_ratio,
                        residual=sol.residual)
 
 
@@ -301,7 +301,7 @@ class LevelStructure:
     layout: DofLayout
     bqd: BoundaryQuadData
     blocks: Optional[SystemBlocks]
-    delta_ratios: np.ndarray  # per boundary edge, as check_assumption_a
+    max_delta_ratio: float    # max delta_e/h_e over the boundary edges
     sigma: float
     system: Optional[SaddleSystem] = None
 
@@ -321,14 +321,14 @@ def build_level(dom: LevelSetDomain, n: int, sigma: float) -> LevelStructure:
         layout = build_dof_layout(ct)
         bqd = build_boundary_data(ct, layout, dom)
         blocks = assemble_blocks(ct, layout, bqd, sigma)
-        delta_ratios = check_assumption_a(ct, dom, bqd.delta)
+        max_delta_ratio = float(check_assumption_a(ct, dom, bqd.delta).max())
     except (MeshError, ProjectionError) as exc:
         raise type(exc)(f"n={n}: {exc}") from exc
     except FloatingPointError as exc:
         raise SolverError(f"n={n}: {exc}") from exc
     x0, y0, x1, y1 = dom.bounding_box
     return LevelStructure(n=n, h=max(x1 - x0, y1 - y0) / n, ct=ct, layout=layout,
-                          bqd=bqd, blocks=blocks, delta_ratios=delta_ratios,
+                          bqd=bqd, blocks=blocks, max_delta_ratio=max_delta_ratio,
                           sigma=sigma)
 
 

@@ -6,8 +6,8 @@ from conftest import box_sdf_domain, everywhere_inside_domain
 from ctstokes.assembly import EDGE_RULE, build_boundary_data
 from ctstokes.fem import build_dof_layout, element_maps
 from ctstokes.geometry import circle_domain, project_points, star_domain
-from ctstokes.mesh import (ASSUMPTION_THRESHOLD, CLIP_TOL, MacroMesh, MeshError,
-                           _edge_table, build_type1_mesh, check_assumption_a,
+from ctstokes.mesh import (CLIP_TOL, MacroMesh, MeshError, _edge_table,
+                           build_type1_mesh, check_assumption_a,
                            classify_interior, clip_to_interior, clough_tocher,
                            extract_boundary, write_vtk)
 from ctstokes.verify import build_level
@@ -261,7 +261,6 @@ def test_assumption_a_fitted_box_is_zero():
     ct = clough_tocher(clip_to_interior(build_type1_mesh(4), box))
     ratios = _assumption(ct, box)
     assert ratios.max() == 0.0
-    assert np.count_nonzero(ratios > ASSUMPTION_THRESHOLD) == 0
 
 
 def test_assumption_a_circle_regression():
@@ -288,7 +287,8 @@ def test_assumption_a_star_reports():
 def test_assumption_a_reuses_boundary_transfer_lengths(dom, n):
     # a level projects each edge's endpoints only and takes the quadrature
     # points' transfer lengths from its boundary data; the ratios must equal
-    # those of one projection of endpoints and EDGE_RULE points together
+    # those of one projection of endpoints and EDGE_RULE points together,
+    # and the level keeps their maximum
     level = build_level(dom, n, 40.0)
     ct = level.ct
     s = np.concatenate([EDGE_RULE.points, [0.0, 1.0]])
@@ -296,7 +296,8 @@ def test_assumption_a_reuses_boundary_transfer_lengths(dom, n):
     pts = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
     _, delta, _ = project_points(dom, pts.reshape(-1, 2))
     ratios = delta.reshape(len(pa), -1).max(axis=1) / ct.boundary_lengths
-    assert np.array_equal(level.delta_ratios, ratios)
+    assert np.array_equal(check_assumption_a(ct, dom, level.bqd.delta), ratios)
+    assert level.max_delta_ratio == ratios.max()
 
 
 def test_classification_is_deterministic():
